@@ -165,11 +165,13 @@ def add(a, b) -> Tensor:
     if not (_trailing_ok(ad.shape, bd.shape) or _trailing_ok(bd.shape, ad.shape)):
         raise ShapeError(f"add: incompatible shapes {ad.shape} and {bd.shape}")
     out = ad + bd
+    # the adjoints need only shapes, so the tape does not keep the operands alive
+    a_shape, b_shape = ad.shape, bd.shape
     return _finish(
         "add",
         out,
         tape,
-        [(an, lambda g: _reduce_to(g, ad.shape)), (bn, lambda g: _reduce_to(g, bd.shape))],
+        [(an, lambda g: _reduce_to(g, a_shape)), (bn, lambda g: _reduce_to(g, b_shape))],
     )
 
 
@@ -181,13 +183,15 @@ def multiply(a, b) -> Tensor:
     if not (_trailing_ok(ad.shape, bd.shape) or _trailing_ok(bd.shape, ad.shape)):
         raise ShapeError(f"multiply: incompatible shapes {ad.shape} and {bd.shape}")
     out = ad * bd
+    # each adjoint keeps only the other operand alive, plus shapes
+    a_shape, b_shape = ad.shape, bd.shape
     return _finish(
         "multiply",
         out,
         tape,
         [
-            (an, lambda g: _reduce_to(g * bd, ad.shape)),
-            (bn, lambda g: _reduce_to(g * ad, bd.shape)),
+            (an, lambda g: _reduce_to(g * bd, a_shape)),
+            (bn, lambda g: _reduce_to(g * ad, b_shape)),
         ],
     )
 
@@ -236,34 +240,62 @@ def relu(x) -> Tensor:
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+_GELU_3A = 3 * _GELU_A
+
+# gelu and softmax run in place in one or two buffers, but evaluate the same
+# IEEE operations in the same order as the expressions in their docstrings
+# (commuted operands only), so results are bit-identical to those expressions.
 
 
 def gelu(x) -> Tensor:
-    """Tanh-form gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
+    """Tanh-form gelu: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    Adjoint: 0.5*(1 + t) + 0.5*x*sech2*c*(1 + 3*0.044715*x^2) with
+    t = tanh(...) and sech2 = 1 - t*t, each product left-associative."""
     xd, xt, xn = _parts(x)
-    inner = _GELU_C * (xd + 0.044715 * xd**3)
-    t = np.tanh(inner)
-    out = 0.5 * xd * (1.0 + t)
+    t = np.power(xd, 3)
+    t *= _GELU_A
+    t += xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.multiply(xd, 0.5)
+    out *= np.add(t, 1.0)
 
     def dx(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        return g * d
+        a = np.multiply(t, t)
+        np.subtract(1.0, a, out=a)  # sech2
+        b = np.multiply(xd, 0.5)
+        b *= a
+        b *= _GELU_C
+        np.square(xd, out=a)
+        a *= _GELU_3A
+        a += 1.0
+        b *= a
+        np.add(t, 1.0, out=a)
+        a *= 0.5
+        a += b
+        a *= g
+        return a
 
     return _finish("gelu", out, xt, [(xn, dx)])
 
 
 def softmax(x) -> Tensor:
-    """Softmax along the last axis, max-shifted for stability."""
+    """Softmax along the last axis, max-shifted for stability:
+    e / sum(e) with e = exp(x - max(x)); adjoint out * (g - sum(g * out))."""
     xd, xt, xn = _parts(x)
     if xd.ndim < 1:
         raise ShapeError("softmax: needs at least 1 axis")
-    z = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = xd - xd.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def dx(g):
-        return out * (g - (g * out).sum(axis=-1, keepdims=True))
+        r = g * out
+        np.subtract(g, r.sum(axis=-1, keepdims=True), out=r)
+        r *= out
+        return r
 
     return _finish("softmax", out, xt, [(xn, dx)])
 

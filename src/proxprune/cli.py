@@ -2,10 +2,12 @@
 
 Exit codes are part of the public contract:
     0 success
-    2 configuration / input-file error
+    2 configuration / input-file error, including weights that overflow
+      a 16-bit format in a robustness round trip
     3 training divergence
     4 pruning would empty a layer or attention block
-    5 proximal-loop divergence
+    5 proximal-loop divergence, or a non-finite gradient in a Monte Carlo
+      smoothing draw
     6 a --strict directional assertion failed
 
 All commands are reproducible: the same config and input files produce
@@ -23,7 +25,9 @@ from . import checkpoint, data, importance, reports, robustness, zoo
 from .autodiff import AutodiffError
 from .config import ConfigError, RunConfig, load_config
 from .data import CorpusError, VOCAB
+from .lowprec import PrecisionOverflowError
 from .moreau import DivergenceError
+from .smoothing import SmoothingError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -264,13 +268,20 @@ def main(argv=None) -> int:
         if args.command == "robustness":
             return cmd_robustness(cfg, args.checkpoint, args.strict)
         return cmd_recover(cfg, args.checkpoint)
-    except (ConfigError, CorpusError, checkpoint.CheckpointError, ValueError, OSError) as e:
+    except (
+        ConfigError,
+        CorpusError,
+        checkpoint.CheckpointError,
+        PrecisionOverflowError,
+        ValueError,
+        OSError,
+    ) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except importance.WouldEmptyLayerError as e:
         print(f"prune error: {e}", file=sys.stderr)
         return EXIT_PRUNE
-    except DivergenceError as e:
+    except (DivergenceError, SmoothingError) as e:
         print(f"optimizer error: {e}", file=sys.stderr)
         return EXIT_OPTIMIZER
     except (zoo.ZooError, AutodiffError) as e:

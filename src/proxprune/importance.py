@@ -274,10 +274,13 @@ def run_criterion(
     global_pool: bool = False,
     moreau_config: _moreau.MoreauConfig | None = None,
     smooth_spec: NoiseSpec | None = None,
+    layout: _moreau.GroupLayout | None = None,
 ) -> ImportanceReport:
-    """Full deterministic pipeline: criterion -> scores -> ranked prune set."""
-    layout = None
-    if criterion == "moreau-gs":
+    """Full deterministic pipeline: criterion -> scores -> ranked prune set.
+
+    ``layout`` is the channel layout of the structures for moreau-gs; it is
+    built here when not given."""
+    if criterion == "moreau-gs" and layout is None:
         layout = _moreau.channel_layout(params, structures)
     grad_like, extra = criterion_grad_like(
         criterion,

@@ -65,7 +65,7 @@ def round_trip(x, fmt: str):
     over = np.abs(out) > fmax
     if over.any():
         idx = int(np.flatnonzero(over)[0])
-        raise PrecisionOverflowError(fmt, idx, float(a[idx]))
+        raise PrecisionOverflowError(fmt, idx, float(a.reshape(-1)[idx]))
     # preserve the sign of zero
     out = np.where((keep == 0), sign * 0.0, out)
     if scalar:

@@ -76,21 +76,26 @@ class MoreauConfig:
 
 class GroupLayout:
     """Disjoint index subsets over the flattened parameter vector, one per
-    channel-level structure; ``labels`` carries the structure ids."""
+    channel-level structure; ``labels`` carries the structure ids and
+    ``indices`` every covered index in ascending order."""
 
     def __init__(self, subsets, labels=None, size: int | None = None):
         self.subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
         self.labels = list(labels) if labels is not None else list(range(len(self.subsets)))
         if len(self.labels) != len(self.subsets):
             raise ValueError("labels must align with subsets")
-        seen: set[int] = set()
-        for s in self.subsets:
-            ids = set(int(i) for i in s)
-            if seen & ids:
-                raise ValueError("layout subsets must be disjoint")
-            seen |= ids
-        if size is not None and seen and max(seen) >= size:
+        # sort every index together with the subset it came from: a value
+        # shared by two subsets shows up as equal neighbours with different
+        # owners (repeats inside one subset are allowed)
+        flat = np.concatenate(self.subsets) if self.subsets else np.zeros(0, dtype=np.int64)
+        owner = np.repeat(np.arange(len(self.subsets)), [s.size for s in self.subsets])
+        order = np.argsort(flat, kind="stable")
+        flat, owner = flat[order], owner[order]
+        if np.any((flat[1:] == flat[:-1]) & (owner[1:] != owner[:-1])):
+            raise ValueError("layout subsets must be disjoint")
+        if size is not None and flat.size and flat[-1] >= size:
             raise ValueError("layout index out of range")
+        self.indices = flat
 
     def __len__(self) -> int:
         return len(self.subsets)
@@ -105,22 +110,31 @@ def channel_layout(params: ParamSet, structures) -> GroupLayout:
     )
 
 
-def group_soft_threshold(v: np.ndarray, layout: GroupLayout, alpha: float) -> np.ndarray:
+def group_soft_threshold(
+    v: np.ndarray, layout: GroupLayout, alpha: float, out: np.ndarray | None = None
+) -> np.ndarray:
     """Proximal map of alpha * ||.||_{2,1}: subsets with l2 norm <= alpha are
     zeroed, the rest shrink by (1 - alpha/norm); indices outside every
-    subset pass through unchanged. alpha = 0 is the identity."""
+    subset pass through unchanged. alpha = 0 is the identity.
+
+    The result goes into ``out`` when given (``out=v`` works in place,
+    since disjoint subsets never change each other's norms)."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    v = np.asarray(v, dtype=np.float64)
+    if out is None:
+        out = np.array(v, dtype=np.float64)
+    elif out is not v:
+        np.copyto(out, v)
     if alpha == 0.0:
-        return v.copy()
-    out = v.copy()
+        return out
     for s in layout.subsets:
-        norm = math.sqrt(float(np.dot(v[s], v[s])))
+        vs = out[s]
+        norm = math.sqrt(float(np.dot(vs, vs)))
         if norm <= alpha:
             out[s] = 0.0
         else:
-            out[s] = v[s] * (1.0 - alpha / norm)
+            vs *= 1.0 - alpha / norm
+            out[s] = vs
     return out
 
 
@@ -140,20 +154,34 @@ def _proximal_loop(model, params: ParamSet, batch, config: MoreauConfig, layout)
     w0 = params.flatten()
     guard = 1e3 * float(np.linalg.norm(w0)) + 1e3
     v = w0.copy()
+    g = np.empty_like(w0)  # flat smoothed gradient at v
+    d = np.empty_like(w0)  # v - w0
+    work = np.empty((2, w0.size))  # smoothing scratch, reused every step
     trace: list[float] = []
     alpha = config.gamma * config.eta
+    damping = 1.0 - config.gamma / config.rho
+    w0_rho = w0 / config.rho
     for t in range(config.steps):
-        iterate = params.unflatten(v)
-        grads, loss_est = smoothed_loss_and_grad(model, iterate, batch, config.noise, step=t)
-        g = flatten_map(params, grads)
-        v = (1.0 - config.gamma / config.rho) * v - config.gamma * (g - w0 / config.rho)
+        _, loss_est = smoothed_loss_and_grad(
+            model, params, batch, config.noise, step=t, w=v, out=g, work=work
+        )
+        # v = damping * v - gamma * (g - w0 / rho), in this grouping: IEEE
+        # arithmetic is not associative and outputs must stay byte-identical
+        g -= w0_rho
+        g *= config.gamma
+        v *= damping
+        v -= g
         if layout is not None and alpha > 0.0:
-            v = w0 + group_soft_threshold(v - w0, layout, alpha)
-        dist2 = float(np.dot(v - w0, v - w0))
+            # v = w0 + gst(v - w0)
+            v -= w0
+            group_soft_threshold(v, layout, alpha, out=v)
+            v += w0
+        np.subtract(v, w0, out=d)
+        dist2 = float(np.dot(d, d))
         trace.append(loss_est + dist2 / (2.0 * config.rho))
         if math.sqrt(dist2) > guard:
             raise DivergenceError(t, math.sqrt(dist2), guard)
-    displacement = v - w0
+    displacement = d  # v - w0 of the last step
     mg_vec = displacement / config.rho
     zeroed: tuple[int, ...] = ()
     if layout is not None:
@@ -163,7 +191,7 @@ def _proximal_loop(model, params: ParamSet, batch, config: MoreauConfig, layout)
             if s.size > 0 and not np.any(mg_vec[s])
         )
     return MoreauResult(
-        w_final=params.unflatten(v),
+        w_final=ParamSet(unflatten_map(params, v).items()),
         displacement=unflatten_map(params, displacement),
         mg=unflatten_map(params, mg_vec),
         trace=trace,

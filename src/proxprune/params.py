@@ -6,6 +6,7 @@ proximal loop all rely on this order being bit-stable across runs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -105,10 +106,12 @@ def flatten_map(ps: ParamSet, mapping: Mapping[str, np.ndarray]) -> np.ndarray:
 
 
 def unflatten_map(ps: ParamSet, vec: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-parameter views (not copies) of a flat vector, in ps order."""
+    vec = np.asarray(vec)
     out = {}
     pos = 0
     for n, a in ps:
-        out[n] = np.asarray(vec[pos : pos + a.size]).reshape(a.shape).copy()
+        out[n] = vec[pos : pos + a.size].reshape(a.shape)
         pos += a.size
     return out
 
@@ -215,7 +218,11 @@ def structure_flat_indices(
     parts = []
     for s in structure.slices:
         shape = shapes[s.param]
-        grid = np.arange(int(np.prod(shape)), dtype=np.int64).reshape(shape)
-        local = grid[s.indexer(len(shape))].reshape(-1)
+        # row-major: index = (outer * extent + j) * inner + i
+        outer = math.prod(shape[: s.axis])
+        inner = math.prod(shape[s.axis + 1 :])
+        picked = np.arange(shape[s.axis], dtype=np.int64)[s.start : s.stop]
+        rows = (np.arange(outer, dtype=np.int64)[:, None] * shape[s.axis] + picked) * inner
+        local = (rows[:, :, None] + np.arange(inner, dtype=np.int64)).reshape(-1)
         parts.append(local + offsets[s.param])
     return np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)

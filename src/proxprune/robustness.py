@@ -121,8 +121,7 @@ def jaccard(a, b) -> float:
 
 def _prunable_vector(params: ParamSet, layout, values: dict[str, np.ndarray]) -> np.ndarray:
     flat = np.concatenate([np.asarray(values[n]).reshape(-1) for n, _ in params])
-    idx = np.concatenate([s for s in layout.subsets]) if layout.subsets else np.zeros(0, dtype=np.int64)
-    return flat[np.sort(idx)]
+    return flat[layout.indices]
 
 
 def consistency_experiment(
@@ -153,6 +152,7 @@ def consistency_experiment(
     prunable = {s.param for st in structures for s in st.slices}
     params_a = perturb(params, baseline_spec, prunable) if baseline_spec else params
     params_b = perturb(params, spec, prunable)
+    # one layout serves both legs of every criterion: perturbations keep shapes
     layout = channel_layout(params, structures)
 
     w_a = _prunable_vector(params, layout, {n: a for n, a in params_a})
@@ -174,6 +174,7 @@ def consistency_experiment(
                 agg=agg,
                 moreau_config=cfg,
                 smooth_spec=smooth_spec,
+                layout=layout,
             )
 
         rep_a = run(params_a)

@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxprune import checkpoint, cli
+from proxprune import checkpoint, cli, data, zoo
 from proxprune.config import ConfigError, load_config
+from proxprune.params import ParamSet
 
 def write_cfg(tmp_path, corpus_file, extra=None, out="run", name="cfg.ini"):
     """Merged INI writer: ``extra`` maps section -> {key: value} overrides."""
@@ -26,6 +27,15 @@ def write_cfg(tmp_path, corpus_file, extra=None, out="run", name="cfg.ini"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def scaled_ckpt(tmp_path, factor, name):
+    """Untrained checkpoint of the write_cfg MLP with every weight times factor."""
+    model = zoo.Mlp([data.mlp_feature_width(4), 12, data.VOCAB])
+    params = ParamSet((n, a * factor) for n, a in model.init_params(7))
+    path = tmp_path / name
+    checkpoint.save(path, model.arch(), params, model.structures(), model.groups())
+    return path
 
 
 @pytest.fixture()
@@ -189,6 +199,18 @@ class TestPrune:
                        "--out", str(tmp_path / "div")])
         assert rc == cli.EXIT_OPTIMIZER
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_nonfinite_smoothing_draw_exits_5(self, tmp_path, corpus_file, capsys):
+        """Weights near the float64 limit overflow the forward pass of the
+        first noisy draw; the smoothing error maps to exit 5, not a traceback."""
+        cfg = write_cfg(tmp_path, corpus_file)
+        ckpt = scaled_ckpt(tmp_path, 1e200, "huge.ckpt")
+        rc = cli.main(["prune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--criterion", "smooth", "--out", str(tmp_path / "nf")])
+        assert rc == cli.EXIT_OPTIMIZER
+        err = capsys.readouterr().err
+        assert "in draw 0" in err and "Traceback" not in err
+
     def test_gamma_exceeding_rho_exits_2(self, trained_ckpt, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"moreau": {"gamma": 1.0}}, name="cfg_gamma.ini")
         _, ckpt = trained_ckpt
@@ -221,6 +243,18 @@ class TestRobustness:
         csv_text = (tmp_path / "rfmt" / "robustness.csv").read_text().splitlines()
         assert csv_text[0].startswith("criterion,perturbation,baseline,")
         assert len(csv_text) == 3
+
+    def test_fp16_overflow_exits_2(self, tmp_path, corpus_file, capsys):
+        """Weights scaled by 1e6 leave the fp16 range inside a 2-d parameter;
+        the overflow maps to exit 2 and names the flat index."""
+        cfg = write_cfg(tmp_path, corpus_file)
+        ckpt = scaled_ckpt(tmp_path, 1e6, "scaled.ckpt")
+        rc = cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "rover")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "overflows the finite fp16 range" in err and "flat index" in err
+        assert "Traceback" not in err
 
     def test_strict_divergence_exits_5(self, trained_ckpt, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"moreau": {"rho": 1e6, "gamma": 1e6}}, name="cfg_rdiv.ini")

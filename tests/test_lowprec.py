@@ -94,6 +94,15 @@ def test_overflow_carries_index():
     assert np.isfinite(round_trip(np.array([1e10]), "bf16")).all()
 
 
+def test_overflow_in_2d_input_carries_flat_index_and_value():
+    arr = np.array([[1.0, 2.0, 3.0], [4.0, -7e4, 6.0]])
+    with pytest.raises(PrecisionOverflowError) as exc:
+        round_trip(arr, "fp16")
+    assert exc.value.index == 4
+    assert exc.value.value == -7e4
+    assert exc.value.fmt == "fp16"
+
+
 def test_rounding_up_to_max_is_not_overflow():
     # values below the overflow threshold round down to the format max
     fmax16 = 65504.0
