@@ -30,16 +30,16 @@ def main():
 
     base = importance.run_criterion(
         "moreau", model, params, structures, groups, batch, args.ratio,
-        moreau_config=MoreauConfig(rho=0.05, gamma=1e-3, steps=10,
-                                   noise=NoiseSpec(scale=0.05, m=4, seed=args.seed)))
+        settings=MoreauConfig(rho=0.05, gamma=1e-3, steps=10,
+                              noise=NoiseSpec(scale=0.05, m=4, seed=args.seed)))
     print(f"{'eta':>10s} {'zeroed':>7s} {'pruned':>7s} {'jaccard vs moreau':>18s}")
     for eta_s in args.etas.split(","):
         eta = float(eta_s)
-        cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=eta, mode="group-sparse",
+        cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=eta,
                            noise=NoiseSpec(scale=0.05, m=4, seed=args.seed))
         rep = importance.run_criterion(
             "moreau-gs", model, params, structures, groups, batch, args.ratio,
-            moreau_config=cfg)
+            settings=cfg)
         jac = robustness.jaccard(rep.prune_set, base.prune_set)
         print(f"{eta:>10.2g} {rep.extra['zeroed_groups']:>7d} "
               f"{len(rep.prune_set):>7d} {jac:>18.3f}")

@@ -55,10 +55,11 @@ def main():
             model, params, structures, groups, batch, criteria,
             PerturbSpec(kind="bf16-roundtrip"), args.ratio,
             baseline_spec=PerturbSpec(kind="fp16-roundtrip"),
-            moreau_config=MoreauConfig(rho=0.05, gamma=1e-3, steps=10, noise=noise),
-            gs_config=MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=5e-6,
-                                   mode="group-sparse", noise=noise),
-            smooth_spec=NoiseSpec(scale=0.05, m=100, seed=seed),
+            settings={
+                "smooth": NoiseSpec(scale=0.05, m=100, seed=seed),
+                "moreau": MoreauConfig(rho=0.05, gamma=1e-3, steps=10, noise=noise),
+                "moreau-gs": MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=5e-6, noise=noise),
+            },
         )
         for r in rows:
             agg[r.criterion].append((r.importance_rel, r.jaccard, r.symdiff))

@@ -15,7 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .params import ParamSet, PruneGroup, PruneStructure, Slice
+from .params import (
+    ParamSet,
+    PruneGroup,
+    PruneStructure,
+    Slice,
+    validate_groups,
+    validate_structures,
+)
+from .zoo import model_from_arch
 
 MAGIC = b"MPRUNE01"
 FORMAT_VERSION = 1
@@ -69,7 +77,9 @@ def save(path, arch: dict, params: ParamSet, structures, groups, meta: dict | No
 
 
 def load(path):
-    """Returns (arch, ParamSet, structures, groups, meta)."""
+    """Returns (arch, ParamSet, structures, groups, meta), after checking
+    that the parameter names and shapes are the ones ``arch`` builds and
+    that the structure and group tables fit them."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"bad magic in {path}")
@@ -85,5 +95,21 @@ def load(path):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape)
         items.append((spec["name"], arr.astype(np.float64)))
         pos += count * 8
+    arch, params = header["arch"], ParamSet(items)
+    got, want = params.shapes(), model_from_arch(arch).init_params(0).shapes()
+    if list(got) != list(want):
+        raise CheckpointError(
+            f"{path}: parameters {list(got)} do not match the architecture's {list(want)}"
+        )
+    for name, shape in want.items():
+        if got[name] != shape:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} has shape {got[name]}, the architecture's is {shape}"
+            )
     structures, groups = _parse_group_table(header.get("group_table", {}))
-    return header["arch"], ParamSet(items), structures, groups, header.get("meta", {})
+    try:
+        validate_structures(params, structures)
+        validate_groups(structures, groups)
+    except ValueError as e:
+        raise CheckpointError(f"{path}: {e}") from e
+    return arch, params, structures, groups, header.get("meta", {})

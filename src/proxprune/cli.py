@@ -100,7 +100,6 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
     batch, starts = _batch(model, corpus, cfg, cfg.calib_size, _CALIB)
     holdout, _ = _batch(model, corpus, cfg, cfg.holdout_size, _HOLDOUT)
 
-    mcfg = cfg.gs_config() if cfg.criterion == "moreau-gs" else cfg.moreau_config()
     report = importance.run_criterion(
         cfg.criterion,
         model,
@@ -111,8 +110,7 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
         cfg.ratio,
         agg=cfg.agg,
         global_pool=cfg.global_pool,
-        moreau_config=mcfg if cfg.criterion.startswith("moreau") else None,
-        smooth_spec=cfg.noise_spec(m=cfg.smooth_m) if cfg.criterion == "smooth" else None,
+        settings=cfg.settings(cfg.criterion),
     )
     report.extra["calibration_starts"] = starts
 
@@ -158,9 +156,7 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
             cfg.ratio,
             baseline_spec=baseline_spec,
             agg=cfg.agg,
-            moreau_config=cfg.moreau_config(),
-            gs_config=cfg.gs_config(),
-            smooth_spec=cfg.noise_spec(m=cfg.smooth_m),
+            settings={c: cfg.settings(c) for c in cfg.criteria},
         )
         rows.extend(legs)
         comparisons.extend(robustness.directional_comparisons(legs))
@@ -171,21 +167,7 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
         "calibration": {"starts": starts, "size": cfg.calib_size},
     }
     reports.write_json(out / "robustness.json", doc)
-    csv_rows = [list(robustness.CSV_COLUMNS)]
-    for r in rows:
-        csv_rows.append(
-            [
-                r.criterion,
-                r.spec_label,
-                r.baseline_label,
-                repr(r.importance_l2),
-                repr(r.importance_rel),
-                repr(r.jaccard),
-                r.symdiff,
-                repr(r.delta_w_l2),
-                repr(r.sensitivity),
-            ]
-        )
+    csv_rows = [list(robustness.CSV_COLUMNS)] + [r.to_csv_row() for r in rows]
     reports.write_csv(out / "robustness.csv", csv_rows)
     for r in rows:
         print(

@@ -8,9 +8,10 @@ explicit (no ambient entropy anywhere in a run).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .importance import CRITERIA
 from .moreau import MoreauConfig
 from .robustness import PerturbSpec
 from .smoothing import NoiseSpec
@@ -64,28 +65,28 @@ class RunConfig:
     seed: int = 0
     out: str = "runs/out"
 
-    def noise_spec(self, m: int | None = None) -> NoiseSpec:
-        return NoiseSpec(
+    def settings(self, criterion: str) -> NoiseSpec | MoreauConfig | None:
+        """The settings ``importance.run_criterion`` takes for a criterion:
+        none for plain, the smooth_m noise draws for smooth, the proximal
+        loop for moreau and, with gs_rho, gs_gamma and the group penalty
+        eta, for moreau-gs."""
+        if criterion == "plain":
+            return None
+        noise = NoiseSpec(
             scale=self.noise_scale,
-            m=self.noise_m if m is None else m,
+            m=self.smooth_m if criterion == "smooth" else self.noise_m,
             seed=self.seed,
             mode=self.noise_mode,
         )
-
-    def moreau_config(self) -> MoreauConfig:
-        return MoreauConfig(
-            rho=self.rho, gamma=self.gamma, steps=self.steps, noise=self.noise_spec()
-        )
-
-    def gs_config(self) -> MoreauConfig:
-        return MoreauConfig(
-            rho=self.gs_rho,
-            gamma=self.gs_gamma,
-            steps=self.steps,
-            eta=self.eta,
-            mode="group-sparse",
-            noise=self.noise_spec(),
-        )
+        if criterion == "smooth":
+            return noise
+        if criterion == "moreau":
+            return MoreauConfig(rho=self.rho, gamma=self.gamma, steps=self.steps, noise=noise)
+        if criterion == "moreau-gs":
+            return MoreauConfig(
+                rho=self.gs_rho, gamma=self.gs_gamma, steps=self.steps, eta=self.eta, noise=noise
+            )
+        raise ConfigError(f"unknown criterion {criterion!r}")
 
     def experiments(self) -> list[tuple[PerturbSpec | None, PerturbSpec]]:
         """(baseline leg, perturbed leg) per entry of ``specs``.
@@ -191,8 +192,9 @@ def _check(cfg: RunConfig) -> None:
         raise ConfigError(f"model kind must be mlp or transformer, got {cfg.model_kind!r}")
     if not (0.0 <= cfg.ratio < 1.0):
         raise ConfigError(f"pruning ratio must be in [0, 1), got {cfg.ratio}")
-    if cfg.criterion not in ("plain", "smooth", "moreau", "moreau-gs"):
-        raise ConfigError(f"unknown criterion {cfg.criterion!r}")
+    for criterion in (cfg.criterion, *cfg.criteria):
+        if criterion not in CRITERIA:
+            raise ConfigError(f"unknown criterion {criterion!r} (one of {', '.join(CRITERIA)})")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     if cfg.calib_size < 1 or cfg.seq_len < 2:

@@ -20,6 +20,8 @@ from .params import ParamSet
 from .smoothing import NoiseSpec
 
 CRITERIA = ("plain", "smooth", "moreau", "moreau-gs")
+# the settings each criterion other than plain takes (see run_criterion)
+_SETTINGS = {"smooth": NoiseSpec, "moreau": _moreau.MoreauConfig, "moreau-gs": _moreau.MoreauConfig}
 AGGREGATORS = ("sum", "max", "prod")
 
 
@@ -220,47 +222,6 @@ class ImportanceReport:
         return rows
 
 
-def criterion_grad_like(
-    criterion: str,
-    model,
-    params: ParamSet,
-    batch,
-    *,
-    moreau_config: _moreau.MoreauConfig | None = None,
-    smooth_spec: NoiseSpec | None = None,
-    layout: _moreau.GroupLayout | None = None,
-) -> tuple[dict[str, np.ndarray], dict]:
-    """Gradient-like vector for one pruning criterion, plus extra report data."""
-    if criterion == "plain":
-        _, grads = ad.gradient(model.loss, dict(params), batch)
-        return grads, {}
-    if criterion == "smooth":
-        spec = smooth_spec or NoiseSpec(scale=0.05, m=100, seed=0)
-        return _smoothing.smoothed_grad(model, params, batch, spec), {"noise": vars(spec)}
-    if criterion == "moreau":
-        cfg = moreau_config or _moreau.MoreauConfig()
-        if cfg.mode != "plain":
-            raise ValueError("criterion 'moreau' needs a plain-mode config")
-        res = _moreau.moreau_grad(model, params, batch, cfg)
-        return res.mg, {"rho": cfg.rho, "gamma": cfg.gamma, "steps": cfg.steps}
-    if criterion == "moreau-gs":
-        cfg = moreau_config or _moreau.MoreauConfig.group_sparse()
-        if cfg.mode != "group-sparse":
-            raise ValueError("criterion 'moreau-gs' needs a group-sparse config")
-        if layout is None:
-            raise ValueError("criterion 'moreau-gs' needs a GroupLayout")
-        res = _moreau.group_sparse_moreau_grad(model, params, batch, cfg, layout)
-        extra = {
-            "rho": cfg.rho,
-            "gamma": cfg.gamma,
-            "steps": cfg.steps,
-            "eta": cfg.eta,
-            "zeroed_groups": len(res.zeroed_groups),
-        }
-        return res.mg, extra
-    raise ValueError(f"unknown criterion {criterion!r}; known: {CRITERIA}")
-
-
 def run_criterion(
     criterion: str,
     model,
@@ -272,25 +233,37 @@ def run_criterion(
     *,
     agg: str = "sum",
     global_pool: bool = False,
-    moreau_config: _moreau.MoreauConfig | None = None,
-    smooth_spec: NoiseSpec | None = None,
+    settings: NoiseSpec | _moreau.MoreauConfig | None = None,
     layout: _moreau.GroupLayout | None = None,
 ) -> ImportanceReport:
     """Full deterministic pipeline: criterion -> scores -> ranked prune set.
 
-    ``layout`` is the channel layout of the structures for moreau-gs; it is
-    built here when not given."""
-    if criterion == "moreau-gs" and layout is None:
-        layout = _moreau.channel_layout(params, structures)
-    grad_like, extra = criterion_grad_like(
-        criterion,
-        model,
-        params,
-        batch,
-        moreau_config=moreau_config,
-        smooth_spec=smooth_spec,
-        layout=layout,
-    )
+    ``settings`` is what the criterion needs besides the batch (see
+    ``RunConfig.settings``): nothing for plain, a NoiseSpec for smooth and a
+    MoreauConfig for moreau and moreau-gs. ``layout`` is the channel layout
+    of the structures for moreau-gs; it is built here when not given."""
+    if criterion not in CRITERIA:
+        raise ValueError(f"unknown criterion {criterion!r}; known: {CRITERIA}")
+    need = _SETTINGS.get(criterion)
+    if need is not None and not isinstance(settings, need):
+        raise ValueError(f"criterion {criterion!r} needs a {need.__name__}, got {settings!r}")
+    if criterion == "plain":
+        _, grad_like = ad.gradient(model.loss, dict(params), batch)
+        extra = {}
+    elif criterion == "smooth":
+        grad_like = _smoothing.smoothed_grad(model, params, batch, settings)
+        extra = {"noise": vars(settings)}
+    else:
+        if criterion == "moreau":
+            res = _moreau.moreau_grad(model, params, batch, settings)
+        else:
+            if layout is None:
+                layout = _moreau.channel_layout(params, structures)
+            res = _moreau.group_sparse_moreau_grad(model, params, batch, settings, layout)
+        grad_like = res.mg
+        extra = {"rho": settings.rho, "gamma": settings.gamma, "steps": settings.steps}
+        if criterion == "moreau-gs":
+            extra.update(eta=settings.eta, zeroed_groups=len(res.zeroed_groups))
     elem = element_importance(grad_like, params)
     struct = structure_importance(elem, structures)
     cls = {g.id: g.cls for g in groups}

@@ -2,17 +2,17 @@
 
 For regularization weight rho the loop minimizes
 
-    g_sigma(v) + ||v - w||^2 / (2 rho)            (plain mode)
-    ... + eta * ||v - w||_{2,1}                   (group-sparse mode)
+    g_sigma(v) + ||v - w||^2 / (2 rho) [+ eta * ||v - w||_{2,1}]
 
 by T fixed-size gradient steps from v = w, where g_sigma is the Monte Carlo
-Gaussian smoothing of the model loss. The returned ``mg`` field stores
-displacement / rho = (v_T - w) / rho. Note this is the negative of the
-envelope's gradient at w; every downstream consumer takes absolute values,
-so only magnitudes matter, and validation against closed forms compares
-magnitudes.
+Gaussian smoothing of the model loss. Only ``group_sparse_moreau_grad``,
+which is given the groups, applies the bracketed group penalty. The
+returned ``mg`` field stores displacement / rho = (v_T - w) / rho. Note
+this is the negative of the envelope's gradient at w; every downstream
+consumer takes absolute values, so only magnitudes matter, and validation
+against closed forms compares magnitudes.
 
-In group-sparse mode each step re-centers the displacement through the
+With the group penalty each step re-centers the displacement through the
 group soft-threshold operator, the proximal map of the scaled l2,1 norm.
 """
 from __future__ import annotations
@@ -24,8 +24,6 @@ import numpy as np
 
 from .params import ParamSet, flatten_map, structure_flat_indices, unflatten_map
 from .smoothing import NoiseSpec, smoothed_loss_and_grad
-
-MODES = ("plain", "group-sparse")
 
 
 class MoreauError(Exception):
@@ -47,14 +45,14 @@ class MoreauConfig:
 
     gamma <= rho keeps the damping factor (1 - gamma/rho) inside [0, 1);
     steps is fixed (no convergence criterion) -- pass a large steps / small
-    gamma pair explicitly when validating against closed forms.
+    gamma pair explicitly when validating against closed forms. eta > 0
+    weights the group penalty, which needs ``group_sparse_moreau_grad``.
     """
 
     rho: float = 0.05
     gamma: float = 1e-3
     steps: int = 10
     eta: float = 0.0
-    mode: str = "plain"
     noise: NoiseSpec = field(default_factory=lambda: NoiseSpec(scale=0.05, m=4, seed=0))
 
     def __post_init__(self):
@@ -66,12 +64,6 @@ class MoreauConfig:
             raise ValueError("steps must be >= 1")
         if self.eta < 0:
             raise ValueError("eta must be >= 0")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")
-
-    @staticmethod
-    def group_sparse(eta: float = 5e-6, rho: float = 0.2, gamma: float = 2e-4, **kw) -> "MoreauConfig":
-        return MoreauConfig(rho=rho, gamma=gamma, eta=eta, mode="group-sparse", **kw)
 
 
 class GroupLayout:
@@ -200,9 +192,9 @@ def _proximal_loop(model, params: ParamSet, batch, config: MoreauConfig, layout)
 
 
 def moreau_grad(model, params: ParamSet, batch, config: MoreauConfig) -> MoreauResult:
-    """Envelope-gradient estimate (plain mode)."""
-    if config.mode != "plain":
-        raise ValueError("moreau_grad requires config.mode == 'plain'")
+    """Envelope-gradient estimate without the group penalty."""
+    if config.eta != 0.0:
+        raise ValueError("moreau_grad needs eta == 0; group_sparse_moreau_grad applies eta")
     return _proximal_loop(model, params, batch, config, layout=None)
 
 
@@ -212,8 +204,6 @@ def group_sparse_moreau_grad(
     """Group-sparse envelope gradient: every layout subset of mg comes out
     exactly zero or untouched by the threshold. eta = 0 follows the plain
     code path bit-for-bit."""
-    if config.mode != "group-sparse":
-        raise ValueError("group_sparse_moreau_grad requires config.mode == 'group-sparse'")
     return _proximal_loop(model, params, batch, config, layout=layout)
 
 

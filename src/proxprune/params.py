@@ -166,7 +166,7 @@ class PruneGroup:
 def validate_structures(ps: ParamSet, structures: Iterable[PruneStructure]) -> None:
     """Bounds and per-(param, axis) disjointness checks."""
     shapes = ps.shapes()
-    seen: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    spans: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
     for st in structures:
         for s in st.slices:
             if s.param not in shapes:
@@ -179,14 +179,16 @@ def validate_structures(ps: ParamSet, structures: Iterable[PruneStructure]) -> N
                     f"structure {st.id}: slice [{s.start}:{s.stop}] out of bounds "
                     f"for {s.param!r} axis {s.axis} (extent {shape[s.axis]})"
                 )
-            key = (s.param, s.axis)
-            for lo, hi in seen.setdefault(key, []):
-                if s.start < hi and lo < s.stop:
-                    raise ValueError(
-                        f"structure {st.id}: slice [{s.start}:{s.stop}] overlaps an "
-                        f"existing slice on {s.param!r} axis {s.axis}"
-                    )
-            seen[key].append((s.start, s.stop))
+            spans.setdefault((s.param, s.axis), []).append((s.start, s.stop, st.id))
+    # sorted by start, any overlap shows up between neighbours
+    for (param, axis), found in spans.items():
+        found.sort()
+        for (_, hi, _), (lo, stop, sid) in zip(found, found[1:]):
+            if lo < hi:
+                raise ValueError(
+                    f"structure {sid}: slice [{lo}:{stop}] overlaps an "
+                    f"existing slice on {param!r} axis {axis}"
+                )
 
 
 def validate_groups(

@@ -1,9 +1,9 @@
-"""Deterministic JSON/CSV report writing plus schema validation.
+"""Deterministic JSON/CSV report writing.
 
 JSON documents are dumped with sorted keys and Python's shortest-round-trip
 float repr, so identical runs produce byte-identical files. The shipped
-schema files live in ``proxprune/schemas``; ``validate`` is a small
-structural checker covering the subset of JSON Schema those files use.
+JSON Schema files live in ``proxprune/schemas``; ``load_schema`` reads them
+for any JSON Schema validator (the test suite uses ``jsonschema``).
 """
 from __future__ import annotations
 
@@ -33,39 +33,3 @@ def load_schema(name: str) -> dict:
     text = resources.files("proxprune.schemas").joinpath(name).read_text("utf-8")
     return json.loads(text)
 
-
-class SchemaError(Exception):
-    pass
-
-
-def validate(instance, schema, path: str = "$") -> None:
-    """Minimal JSON-Schema check: type, required, properties, items, enum."""
-    t = schema.get("type")
-    if t is not None:
-        checkers = {
-            "object": dict,
-            "array": list,
-            "string": str,
-            "integer": int,
-            "boolean": bool,
-        }
-        if t == "number":
-            ok = isinstance(instance, (int, float)) and not isinstance(instance, bool)
-        elif t == "integer":
-            ok = isinstance(instance, int) and not isinstance(instance, bool)
-        else:
-            ok = isinstance(instance, checkers[t])
-        if not ok:
-            raise SchemaError(f"{path}: expected {t}, got {type(instance).__name__}")
-    if "enum" in schema and instance not in schema["enum"]:
-        raise SchemaError(f"{path}: {instance!r} not in {schema['enum']}")
-    if isinstance(instance, dict):
-        for key in schema.get("required", []):
-            if key not in instance:
-                raise SchemaError(f"{path}: missing required key {key!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in instance:
-                validate(instance[key], sub, f"{path}.{key}")
-    if isinstance(instance, list) and "items" in schema:
-        for i, item in enumerate(instance):
-            validate(item, schema["items"], f"{path}[{i}]")

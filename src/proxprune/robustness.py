@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Mapping
 
 import numpy as np
 
@@ -59,6 +60,8 @@ def perturb(params: ParamSet, spec: PerturbSpec, prunable: set[str] | None = Non
     norm = math.sqrt(
         math.fsum(float(np.dot(d.reshape(-1), d.reshape(-1))) for d in deltas.values())
     )
+    if norm == 0.0:
+        raise ValueError("gaussian-ball perturbation with epsilon > 0 needs prunable weights")
     scale = spec.epsilon / norm
     return ParamSet(
         (n, a + scale * deltas[n] if n in deltas else a.copy()) for n, a in params
@@ -95,6 +98,20 @@ class RobustnessReport:
             "prune_set_b": list(self.prune_set_b),
             "extra": self.extra,
         }
+
+    def to_csv_row(self) -> list:
+        """One row under CSV_COLUMNS."""
+        return [
+            self.criterion,
+            self.spec_label,
+            self.baseline_label,
+            repr(self.importance_l2),
+            repr(self.importance_rel),
+            repr(self.jaccard),
+            self.symdiff,
+            repr(self.delta_w_l2),
+            repr(self.sensitivity),
+        ]
 
 
 CSV_COLUMNS = [
@@ -136,13 +153,13 @@ def consistency_experiment(
     *,
     baseline_spec: PerturbSpec | None = None,
     agg: str = "sum",
-    moreau_config: MoreauConfig | None = None,
-    gs_config: MoreauConfig | None = None,
-    smooth_spec: NoiseSpec | None = None,
+    settings: Mapping[str, NoiseSpec | MoreauConfig | None] | None = None,
 ) -> list[RobustnessReport]:
     """Importance + prune-set stability for each criterion between two weight
     encodings: baseline_spec (None = raw weights) versus spec. Both legs share
-    the calibration batch and all noise seeds.
+    the calibration batch and all noise seeds. ``settings`` maps each
+    criterion to the settings ``importance.run_criterion`` takes for it;
+    plain needs none.
 
     Distances are measured over the elements covered by prune structures --
     exactly the coordinates that decide what gets removed.
@@ -162,7 +179,6 @@ def consistency_experiment(
     reports = []
     for criterion in criteria:
         def run(p: ParamSet) -> imp.ImportanceReport:
-            cfg = gs_config if criterion == "moreau-gs" else moreau_config
             return imp.run_criterion(
                 criterion,
                 model,
@@ -172,8 +188,7 @@ def consistency_experiment(
                 batch,
                 ratio,
                 agg=agg,
-                moreau_config=cfg,
-                smooth_spec=smooth_spec,
+                settings=(settings or {}).get(criterion),
                 layout=layout,
             )
 

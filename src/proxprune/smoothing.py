@@ -24,8 +24,6 @@ from . import autodiff as ad
 from .autodiff import GradMap
 from .params import ParamSet, unflatten_map
 
-MODES = ("relative", "absolute")
-
 
 class SmoothingError(Exception):
     def __init__(self, msg: str, draw_index: int):
@@ -47,8 +45,8 @@ class NoiseSpec:
             raise ValueError("noise scale must be >= 0")
         if self.m < 1:
             raise ValueError("noise sample count m must be >= 1")
-        if self.mode not in MODES:
-            raise ValueError(f"noise mode must be one of {MODES}")
+        if self.mode not in ("relative", "absolute"):
+            raise ValueError("noise mode must be relative or absolute")
         if self.seed < 0:
             raise ValueError("noise seed must be a non-negative integer")
 

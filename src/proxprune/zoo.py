@@ -364,14 +364,6 @@ def batch_loss(model, params: ParamSet, batch) -> float:
     return loss
 
 
-def class_map(groups) -> dict[int, str]:
-    return {g.id: g.cls for g in groups}
-
-
-def prunable_params(structures) -> set[str]:
-    return {s.param for st in structures for s in st.slices}
-
-
 @dataclass
 class FinetuneInfo:
     epoch_losses: list[float] = field(default_factory=list)

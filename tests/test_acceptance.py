@@ -90,8 +90,7 @@ def _batched_mg(wvec, seed, eta=0.0, layout=None):
         cfg = MoreauConfig(rho=RHO_PROBE, gamma=RHO_PROBE / 4, steps=T_PROBE, noise=noise)
         res = moreau.moreau_grad(objectives.ScaledAbs(BETA), objectives.wrap(wvec), None, cfg)
     else:
-        cfg = MoreauConfig(rho=RHO_PROBE, gamma=RHO_PROBE / 4, steps=T_PROBE, eta=eta,
-                           mode="group-sparse", noise=noise)
+        cfg = MoreauConfig(rho=RHO_PROBE, gamma=RHO_PROBE / 4, steps=T_PROBE, eta=eta, noise=noise)
         res = moreau.group_sparse_moreau_grad(
             objectives.ScaledAbs(BETA), objectives.wrap(wvec), None, cfg, layout)
     return res.mg["w"]
@@ -187,7 +186,7 @@ def test_06_group_sparsity_monotonicity(trained_mlp, corpus):
     layout = channel_layout(params, model.structures())
     counts = []
     for eta in ETA_GRID:
-        cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=eta, mode="group-sparse",
+        cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=eta,
                            noise=NoiseSpec(scale=0.05, m=4, seed=3))
         res = moreau.group_sparse_moreau_grad(model, params, batch, cfg, layout)
         counts.append(len(res.zeroed_groups))
@@ -240,7 +239,7 @@ def test_08_format_robustness_directional(corpus):
         plain, env = robustness.consistency_experiment(
             model, sharp, structures, groups, batch, ("plain", "moreau"),
             PerturbSpec(kind="bf16-roundtrip"), ratio=0.2,
-            baseline_spec=PerturbSpec(kind="fp16-roundtrip"), moreau_config=mcfg)
+            baseline_spec=PerturbSpec(kind="fp16-roundtrip"), settings={"moreau": mcfg})
         ok = (env.importance_rel <= plain.importance_rel
               and env.symdiff <= plain.symdiff)
         wins += ok
@@ -280,7 +279,7 @@ def test_09_reduction_chain(corpus):
         model, params, batch, MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=noise))
     r_gs = moreau.group_sparse_moreau_grad(
         model, params, batch,
-        MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=0.0, mode="group-sparse", noise=noise),
+        MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=0.0, noise=noise),
         layout)
     for n in r_plain.mg:
         assert np.array_equal(r_plain.mg[n], r_gs.mg[n]), n

@@ -179,7 +179,7 @@ def test_moreau_grad_matches_oracle_bitwise(case, spec):
 def test_group_sparse_moreau_grad_matches_oracle_bitwise(case, spec, eta):
     model, params, batch = CASES[case]()
     layout = channel_layout(params, model.structures())
-    cfg = MoreauConfig.group_sparse(eta=eta, rho=0.2, gamma=0.05, steps=3, noise=spec)
+    cfg = MoreauConfig(rho=0.2, gamma=0.05, steps=3, eta=eta, noise=spec)
     res = group_sparse_moreau_grad(model, params, batch, cfg, layout)
     v, mg, trace = oracle_proximal_loop(model, params, batch, cfg, layout)
     assert_same_bits(res.mg_flat(params), mg)

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 
 from proxprune import checkpoint, cli, data, zoo
 from proxprune.config import ConfigError, load_config
+from proxprune.moreau import MoreauConfig
 from proxprune.params import ParamSet
+from proxprune.smoothing import NoiseSpec
 
 def write_cfg(tmp_path, corpus_file, extra=None, out="run", name="cfg.ini"):
     """Merged INI writer: ``extra`` maps section -> {key: value} overrides."""
@@ -35,6 +38,16 @@ def scaled_ckpt(tmp_path, factor, name):
     params = ParamSet((n, a * factor) for n, a in model.init_params(7))
     path = tmp_path / name
     checkpoint.save(path, model.arch(), params, model.structures(), model.groups())
+    return path
+
+
+def crafted_ckpt(tmp_path, name, edit):
+    """Checkpoint of the write_cfg MLP whose (params, structures, groups) pass
+    through ``edit`` before saving."""
+    model = zoo.Mlp([data.mlp_feature_width(4), 12, data.VOCAB])
+    params, structures, groups = edit(model.init_params(7), model.structures(), model.groups())
+    path = tmp_path / name
+    checkpoint.save(path, model.arch(), params, structures, groups)
     return path
 
 
@@ -68,6 +81,23 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/cfg.ini")
+
+    def test_settings_per_criterion(self, tmp_path, corpus_file):
+        extra = {"moreau": {"eta": 1e-4, "gs_rho": 0.3, "gs_gamma": 1e-3},
+                 "noise": {"m": 3, "smooth_m": 7}}
+        cfg = load_config(str(write_cfg(tmp_path, corpus_file, extra=extra)))
+        assert cfg.settings("plain") is None
+        assert cfg.settings("smooth") == NoiseSpec(scale=0.05, m=7, seed=7)
+        noise = NoiseSpec(scale=0.05, m=3, seed=7)
+        assert cfg.settings("moreau") == MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=noise)
+        assert cfg.settings("moreau-gs") == MoreauConfig(
+            rho=0.3, gamma=1e-3, steps=5, eta=1e-4, noise=noise
+        )
+
+    def test_unknown_robustness_criterion_rejected(self, tmp_path, corpus_file):
+        extra = {"robustness": {"criteria": "plain,moreau-sg"}}
+        with pytest.raises(ConfigError, match="unknown criterion 'moreau-sg'"):
+            load_config(str(write_cfg(tmp_path, corpus_file, extra=extra)))
 
     def test_ratio_bounds(self, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"prune": {"ratio": 1.0}})
@@ -219,6 +249,49 @@ class TestPrune:
         assert rc == cli.EXIT_CONFIG
 
 
+class TestDamagedCheckpoint:
+    """A checkpoint whose parameters or tables do not fit its architecture is
+    rejected on load with exit 2, before any criterion runs."""
+
+    def prune(self, tmp_path, corpus_file, ckpt, capsys):
+        cfg = write_cfg(tmp_path, corpus_file)
+        rc = cli.main(["prune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return rc, err
+
+    def test_renamed_parameter_exits_2(self, tmp_path, corpus_file, capsys):
+        def rename(params, structures, groups):
+            renamed = ParamSet(("bias1" if n == "b1" else n, a) for n, a in params)
+            return renamed, structures, groups
+
+        ckpt = crafted_ckpt(tmp_path, "renamed.ckpt", rename)
+        rc, err = self.prune(tmp_path, corpus_file, ckpt, capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert "'bias1'" in err and "do not match the architecture" in err
+
+    def test_slice_of_unknown_parameter_exits_2(self, tmp_path, corpus_file, capsys):
+        def bad_slice(params, structures, groups):
+            st = structures[0]
+            moved = replace(st, slices=(replace(st.slices[0], param="w9"), *st.slices[1:]))
+            return params, [moved, *structures[1:]], groups
+
+        ckpt = crafted_ckpt(tmp_path, "slice.ckpt", bad_slice)
+        rc, err = self.prune(tmp_path, corpus_file, ckpt, capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert "unknown parameter 'w9'" in err
+
+    def test_group_of_unknown_structure_exits_2(self, tmp_path, corpus_file, capsys):
+        def bad_group(params, structures, groups):
+            return params, structures, [replace(groups[0], structures=(999,)), *groups[1:]]
+
+        ckpt = crafted_ckpt(tmp_path, "group.ckpt", bad_group)
+        rc, err = self.prune(tmp_path, corpus_file, ckpt, capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert "unknown structure id 999" in err
+
+
 class TestRobustness:
     def test_identity_spec_all_jaccard_one(self, trained_ckpt, tmp_path):
         cfg, ckpt = trained_ckpt
@@ -255,6 +328,17 @@ class TestRobustness:
         err = capsys.readouterr().err
         assert "overflows the finite fp16 range" in err and "flat index" in err
         assert "Traceback" not in err
+
+    def test_gaussian_without_prunable_weights_exits_2(self, tmp_path, corpus_file, capsys):
+        """An empty structure table leaves the gaussian ball no direction to
+        scale to its radius."""
+        cfg = write_cfg(tmp_path, corpus_file, extra={"robustness": {"specs": "gaussian"}})
+        ckpt = crafted_ckpt(tmp_path, "bare.ckpt", lambda p, st, g: (p, [], []))
+        rc = cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "rbare")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "needs prunable weights" in err and "Traceback" not in err
 
     def test_strict_divergence_exits_5(self, trained_ckpt, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"moreau": {"rho": 1e6, "gamma": 1e6}}, name="cfg_rdiv.ini")

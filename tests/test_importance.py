@@ -179,12 +179,26 @@ def test_run_criterion_is_deterministic(corpus):
     from proxprune import data
 
     batch, _ = data.make_batch(model, corpus, 4, seed=(2, 0, 0))
-    kw = dict(agg="sum", moreau_config=moreau.MoreauConfig(
+    kw = dict(agg="sum", settings=moreau.MoreauConfig(
         rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.05, m=2, seed=5)))
     r1 = imp.run_criterion("moreau", model, params, model.structures(), model.groups(), batch, 0.25, **kw)
     r2 = imp.run_criterion("moreau", model, params, model.structures(), model.groups(), batch, 0.25, **kw)
     assert r1.prune_set == r2.prune_set
     assert r1.group_scores == r2.group_scores
+
+
+@pytest.mark.parametrize(
+    "criterion, given",
+    [("smooth", None), ("moreau", None), ("moreau-gs", None),
+     ("moreau", NoiseSpec(scale=0.05, m=2, seed=0)), ("smooth", moreau.MoreauConfig())],
+)
+def test_run_criterion_needs_matching_settings(criterion, given):
+    model = zoo.Mlp([4, 3, 2])
+    params = model.init_params(0)
+    batch = (np.ones((2, 4)), np.array([0, 1]))
+    with pytest.raises(ValueError, match=f"criterion {criterion!r} needs a"):
+        imp.run_criterion(criterion, model, params, model.structures(), model.groups(),
+                          batch, 0.25, settings=given)
 
 
 def test_report_csv_layout():

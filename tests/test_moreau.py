@@ -34,13 +34,6 @@ class TestConfig:
             MoreauConfig(steps=0)
         with pytest.raises(ValueError):
             MoreauConfig(eta=-1e-9)
-        with pytest.raises(ValueError):
-            MoreauConfig(mode="sparse")
-
-    def test_group_sparse_defaults(self):
-        cfg = MoreauConfig.group_sparse()
-        assert cfg.mode == "group-sparse"
-        assert cfg.rho == 0.2 and cfg.gamma == 2e-4 and cfg.eta == 5e-6
 
 
 class TestGroupSoftThreshold:
@@ -142,7 +135,8 @@ class TestMoreauGrad:
             assert np.array_equal(res.mg[n], res.displacement[n] / cfg.rho)
 
     def test_mode_mismatch_rejected(self):
-        cfg = MoreauConfig.group_sparse()
+        # the group penalty needs the groups: only group_sparse_moreau_grad applies eta
+        cfg = MoreauConfig(rho=0.2, gamma=2e-4, eta=5e-6)
         with pytest.raises(ValueError):
             moreau_grad(objectives.Quadratic(), objectives.wrap([1.0]), None, cfg)
 
@@ -169,7 +163,7 @@ class TestGroupSparse:
         plain = moreau_grad(model, params, batch, MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=noise))
         gs = group_sparse_moreau_grad(
             model, params, batch,
-            MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=0.0, mode="group-sparse", noise=noise),
+            MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=0.0, noise=noise),
             lay,
         )
         for n in plain.mg:
@@ -180,7 +174,7 @@ class TestGroupSparse:
         rng = np.random.default_rng(5)
         batch = (rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
         lay = channel_layout(params, model.structures())
-        cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=1e3, mode="group-sparse",
+        cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=1e3,
                            noise=NoiseSpec(scale=0.05, m=2, seed=0))
         res = group_sparse_moreau_grad(model, params, batch, cfg, lay)
         flat = res.mg_flat(params)
@@ -195,7 +189,7 @@ class TestGroupSparse:
         w = np.array([3.0, 4.0, 0.1, 0.1])
         rho, eta = 1.0, 0.5
         lay = GroupLayout([[0, 1], [2, 3]])
-        cfg = MoreauConfig(rho=rho, gamma=rho / 4, steps=200, eta=eta, mode="group-sparse", noise=EXACT)
+        cfg = MoreauConfig(rho=rho, gamma=rho / 4, steps=200, eta=eta, noise=EXACT)
         res = group_sparse_moreau_grad(objectives.Quadratic(), objectives.wrap(w), None, cfg, lay)
 
         def radial_optimum(w_g):
@@ -221,7 +215,7 @@ class TestGroupSparse:
         lay = channel_layout(params, model.structures())
         counts = []
         for eta in (0.0, 1e-4, 1e-2, 1.0, 1e3):
-            cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=5, eta=eta, mode="group-sparse",
+            cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=5, eta=eta,
                                noise=NoiseSpec(scale=0.05, m=2, seed=9))
             res = group_sparse_moreau_grad(model, params, batch, cfg, lay)
             counts.append(len(res.zeroed_groups))

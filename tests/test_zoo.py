@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 
 from proxprune import autodiff as ad
 from proxprune import checkpoint, data, zoo
-from proxprune.params import ParamSet, validate_groups, validate_structures
+from proxprune.params import (
+    ParamSet,
+    PruneStructure,
+    Slice,
+    validate_groups,
+    validate_structures,
+)
 
 TRANSFORMER_32_16_4_2_SEED3_LOSS = 3.6850120833072966  # pinned on first verified run
 
@@ -17,6 +23,25 @@ def test_mlp_structure_counting():
     assert all(st.n_elements(shapes) == 4 + 1 + 3 for st in model.structures())
     validate_structures(params, model.structures())
     validate_groups(model.structures(), groups)
+
+
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(1, 4)), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_validate_structures_flags_overlap_iff_some_pair_overlaps(spans):
+    """The neighbour check after sorting agrees with testing every pair."""
+    ps = ParamSet([("w", np.zeros((3, 16)))])
+    slices = [Slice("w", 1, lo, lo + n) for lo, n in spans]
+    structures = [PruneStructure(id=i, slices=(s,), block="b") for i, s in enumerate(slices)]
+    overlap = any(
+        a.start < b.stop and b.start < a.stop
+        for i, a in enumerate(slices)
+        for b in slices[i + 1 :]
+    )
+    if overlap:
+        with pytest.raises(ValueError, match="overlaps an existing slice"):
+            validate_structures(ps, structures)
+    else:
+        validate_structures(ps, structures)
 
 
 def test_mlp_rejects_bad_widths():
