@@ -26,10 +26,9 @@ def main():
     batches = [data.make_batch(model, corpus, 16, seed=(7, 1, i))[0] for i in range(10)]
     params, _ = zoo.recover_finetune(model, params, batches, epochs=2, lr=0.5)
     batch, _ = data.make_batch(model, corpus, 10, seed=(args.seed, 0, 0))
-    structures, groups = model.structures(), model.groups()
 
     base = importance.run_criterion(
-        "moreau", model, params, structures, groups, batch, args.ratio,
+        "moreau", model, params, batch, args.ratio,
         settings=MoreauConfig(rho=0.05, gamma=1e-3, steps=10,
                               noise=NoiseSpec(scale=0.05, m=4, seed=args.seed)))
     print(f"{'eta':>10s} {'zeroed':>7s} {'pruned':>7s} {'jaccard vs moreau':>18s}")
@@ -38,8 +37,7 @@ def main():
         cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=eta,
                            noise=NoiseSpec(scale=0.05, m=4, seed=args.seed))
         rep = importance.run_criterion(
-            "moreau-gs", model, params, structures, groups, batch, args.ratio,
-            settings=cfg)
+            "moreau-gs", model, params, batch, args.ratio, settings=cfg)
         jac = robustness.jaccard(rep.prune_set, base.prune_set)
         print(f"{eta:>10.2g} {rep.extra['zeroed_groups']:>7d} "
               f"{len(rep.prune_set):>7d} {jac:>18.3f}")

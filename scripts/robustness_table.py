@@ -44,7 +44,6 @@ def main():
         print(f"sharpened w1 by x{args.sharpen:g}")
 
     criteria = tuple(c.strip() for c in args.criteria.split(","))
-    structures, groups = model.structures(), model.groups()
     print(f"\n{'criterion':>10s} {'seed':>4s} {'|dI|':>10s} {'rel':>8s} "
           f"{'jaccard':>8s} {'symdiff':>7s}")
     agg = {c: [] for c in criteria}
@@ -52,7 +51,7 @@ def main():
         batch, _ = data.make_batch(model, corpus, args.calib, seed=(seed, 0, 0))
         noise = NoiseSpec(scale=0.05, m=args.m, seed=seed)
         rows = robustness.consistency_experiment(
-            model, params, structures, groups, batch, criteria,
+            model, params, batch, criteria,
             PerturbSpec(kind="bf16-roundtrip"), args.ratio,
             baseline_spec=PerturbSpec(kind="fp16-roundtrip"),
             settings={

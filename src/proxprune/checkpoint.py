@@ -11,22 +11,19 @@ from __future__ import annotations
 
 import json
 import struct
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 
-from .params import (
-    ParamSet,
-    PruneGroup,
-    PruneStructure,
-    Slice,
-    validate_groups,
-    validate_structures,
-)
-from .zoo import model_from_arch
+from .params import ParamSet
+from .zoo import ZooError, model_from_arch
 
 MAGIC = b"MPRUNE01"
 FORMAT_VERSION = 1
+# what interpreting a damaged header can raise, besides CheckpointError itself
+_MALFORMED = (struct.error, LookupError, TypeError, AttributeError, ValueError,
+              ArithmeticError, ZooError)
 
 
 class CheckpointError(Exception):
@@ -43,20 +40,15 @@ def _group_table(structures, groups) -> dict:
     }
 
 
-def _parse_group_table(table: dict):
-    structures = [
-        PruneStructure(
-            id=int(sid),
-            slices=tuple(Slice(p, int(ax), int(lo), int(hi)) for p, ax, lo, hi in slices),
-            block=block,
-        )
-        for sid, block, slices in table.get("structures", [])
-    ]
-    groups = [
-        PruneGroup(id=int(gid), structures=tuple(int(s) for s in sids), cls=cls)
-        for gid, cls, sids in table.get("groups", [])
-    ]
-    return structures, groups
+def _first_difference(stored: dict, want: dict) -> str:
+    """Names the first entry in which a stored group table differs from the
+    architecture's own."""
+    for key in ("structures", "groups"):
+        for i, (got, own) in enumerate(zip_longest(stored[key], want[key])):
+            if got != own:
+                return (f"group table {key[:-1]} entry {i} is {json.dumps(got)}, "
+                        f"the architecture's is {json.dumps(own)}")
+    return f"group table keys {sorted(stored)} are not {sorted(want)}"
 
 
 def save(path, arch: dict, params: ParamSet, structures, groups, meta: dict | None = None) -> None:
@@ -77,13 +69,20 @@ def save(path, arch: dict, params: ParamSet, structures, groups, meta: dict | No
 
 
 def load(path):
-    """Returns (arch, ParamSet, structures, groups, meta), after checking
-    that the parameter names and shapes are the ones ``arch`` builds and
-    that the structure and group tables fit them."""
+    """Returns (model, ParamSet, meta). The model is built from the header's
+    ``arch``; the parameter names and shapes and the group table must be
+    exactly the ones it defines."""
     raw = Path(path).read_bytes()
     if raw[:8] != MAGIC:
         raise CheckpointError(f"bad magic in {path}")
-    (hlen,) = struct.unpack("<Q", raw[8:16])
+    try:
+        return _parse(path, raw)
+    except _MALFORMED as e:
+        raise CheckpointError(f"{path}: malformed checkpoint: {e!r}") from e
+
+
+def _parse(path, raw: bytes):
+    (hlen,) = struct.unpack_from("<Q", raw, 8)
     header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
@@ -95,8 +94,8 @@ def load(path):
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape)
         items.append((spec["name"], arr.astype(np.float64)))
         pos += count * 8
-    arch, params = header["arch"], ParamSet(items)
-    got, want = params.shapes(), model_from_arch(arch).init_params(0).shapes()
+    model, params = model_from_arch(header["arch"]), ParamSet(items)
+    got, want = params.shapes(), model.init_params(0).shapes()
     if list(got) != list(want):
         raise CheckpointError(
             f"{path}: parameters {list(got)} do not match the architecture's {list(want)}"
@@ -106,10 +105,7 @@ def load(path):
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {got[name]}, the architecture's is {shape}"
             )
-    structures, groups = _parse_group_table(header.get("group_table", {}))
-    try:
-        validate_structures(params, structures)
-        validate_groups(structures, groups)
-    except ValueError as e:
-        raise CheckpointError(f"{path}: {e}") from e
-    return arch, params, structures, groups, header.get("meta", {})
+    stored, table = header["group_table"], _group_table(model.structures(), model.groups())
+    if stored != table:
+        raise CheckpointError(f"{path}: {_first_difference(stored, table)}")
+    return model, params, dict(header.get("meta", {}))

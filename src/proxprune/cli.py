@@ -90,12 +90,11 @@ def _load_ckpt(path: str):
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"checkpoint not found: {path}")
-    arch, params, structures, groups, meta = checkpoint.load(p)
-    return zoo.model_from_arch(arch), params, structures, groups, meta
+    return checkpoint.load(p)
 
 
 def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
-    model, params, structures, groups, _ = _load_ckpt(ckpt_path)
+    model, params, _ = _load_ckpt(ckpt_path)
     corpus = data.load_corpus(cfg.corpus)
     batch, starts = _batch(model, corpus, cfg, cfg.calib_size, _CALIB)
     holdout, _ = _batch(model, corpus, cfg, cfg.holdout_size, _HOLDOUT)
@@ -104,8 +103,6 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
         cfg.criterion,
         model,
         params,
-        structures,
-        groups,
         batch,
         cfg.ratio,
         agg=cfg.agg,
@@ -114,9 +111,7 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
     )
     report.extra["calibration_starts"] = starts
 
-    new_model, new_params, index_maps = importance.prune_model(
-        model, params, structures, groups, report.prune_set
-    )
+    new_model, new_params, index_maps = importance.prune_model(model, params, report.prune_set)
     loss_before = zoo.batch_loss(model, params, holdout)
     loss_after = zoo.batch_loss(new_model, new_params, holdout)
 
@@ -140,7 +135,7 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
 
 
 def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
-    model, params, structures, groups, _ = _load_ckpt(ckpt_path)
+    model, params, _ = _load_ckpt(ckpt_path)
     corpus = data.load_corpus(cfg.corpus)
     batch, starts = _batch(model, corpus, cfg, cfg.calib_size, _CALIB)
     rows, comparisons = [], []
@@ -148,8 +143,6 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
         legs = robustness.consistency_experiment(
             model,
             params,
-            structures,
-            groups,
             batch,
             cfg.criteria,
             spec,
@@ -184,7 +177,7 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
 
 
 def cmd_recover(cfg: RunConfig, ckpt_path: str) -> int:
-    model, params, structures, groups, meta = _load_ckpt(ckpt_path)
+    model, params, meta = _load_ckpt(ckpt_path)
     corpus = data.load_corpus(cfg.corpus)
     dataset = [
         _batch(model, corpus, cfg, cfg.batch_size, _TRAIN, index=i)[0]
@@ -196,9 +189,10 @@ def cmd_recover(cfg: RunConfig, ckpt_path: str) -> int:
         print(f"recovery diverged: {e}", file=sys.stderr)
         return EXIT_TRAINING
     out = _out_dir(cfg) / "recovered.ckpt"
-    meta = dict(meta)
     meta["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    checkpoint.save(out, model.arch(), new_params, structures, groups, meta=meta)
+    checkpoint.save(
+        out, model.arch(), new_params, model.structures(), model.groups(), meta=meta
+    )
     print("epoch losses: " + ", ".join(f"{x:.6f}" for x in info.epoch_losses))
     if info.non_decreasing:
         print("warning: epoch loss failed to decrease monotonically")

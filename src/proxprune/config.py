@@ -195,6 +195,15 @@ def _check(cfg: RunConfig) -> None:
     for criterion in (cfg.criterion, *cfg.criteria):
         if criterion not in CRITERIA:
             raise ConfigError(f"unknown criterion {criterion!r} (one of {', '.join(CRITERIA)})")
+    if cfg.model_kind == "transformer":
+        if min(cfg.d_model, cfg.n_heads, cfg.n_layers) < 1:
+            raise ConfigError("[model] d_model, n_heads and n_layers must be >= 1")
+        if cfg.d_model % cfg.n_heads:
+            raise ConfigError(
+                f"[model] d_model {cfg.d_model} is not a multiple of n_heads {cfg.n_heads}"
+            )
+    if cfg.steps_per_epoch < 1:
+        raise ConfigError("[train] steps_per_epoch must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
     if cfg.calib_size < 1 or cfg.seq_len < 2:

@@ -120,11 +120,7 @@ def rank_and_select(
 
 
 def prune_model(
-    model,
-    params: ParamSet,
-    structures,
-    groups,
-    prune_set,
+    model, params: ParamSet, prune_set
 ) -> tuple[object, ParamSet, dict[str, dict[int, np.ndarray]]]:
     """Physically delete the slices of every structure in the selected groups.
 
@@ -133,8 +129,9 @@ def prune_model(
     WouldEmptyLayerError if a block would lose all of its structures.
     """
     prune_set = set(prune_set)
+    structures = model.structures()
     by_id = {st.id: st for st in structures}
-    group_by_id = {g.id: g for g in groups}
+    group_by_id = {g.id: g for g in model.groups()}
     for gid in prune_set:
         if gid not in group_by_id:
             raise PruningError(f"unknown group id {gid}")
@@ -226,8 +223,6 @@ def run_criterion(
     criterion: str,
     model,
     params: ParamSet,
-    structures,
-    groups,
     batch,
     ratio: float,
     *,
@@ -236,7 +231,8 @@ def run_criterion(
     settings: NoiseSpec | _moreau.MoreauConfig | None = None,
     layout: _moreau.GroupLayout | None = None,
 ) -> ImportanceReport:
-    """Full deterministic pipeline: criterion -> scores -> ranked prune set.
+    """Full deterministic pipeline: criterion -> scores -> ranked prune set
+    over the model's own structures and groups.
 
     ``settings`` is what the criterion needs besides the batch (see
     ``RunConfig.settings``): nothing for plain, a NoiseSpec for smooth and a
@@ -244,6 +240,7 @@ def run_criterion(
     of the structures for moreau-gs; it is built here when not given."""
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; known: {CRITERIA}")
+    structures, groups = model.structures(), model.groups()
     need = _SETTINGS.get(criterion)
     if need is not None and not isinstance(settings, need):
         raise ValueError(f"criterion {criterion!r} needs a {need.__name__}, got {settings!r}")

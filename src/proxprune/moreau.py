@@ -62,7 +62,7 @@ class MoreauConfig:
             raise ValueError("gamma must satisfy 0 < gamma <= rho")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise ValueError("eta must be >= 0")
 
 

@@ -163,54 +163,6 @@ class PruneGroup:
     cls: str  # "channel" | "head"
 
 
-def validate_structures(ps: ParamSet, structures: Iterable[PruneStructure]) -> None:
-    """Bounds and per-(param, axis) disjointness checks."""
-    shapes = ps.shapes()
-    spans: dict[tuple[str, int], list[tuple[int, int, int]]] = {}
-    for st in structures:
-        for s in st.slices:
-            if s.param not in shapes:
-                raise ValueError(f"structure {st.id}: unknown parameter {s.param!r}")
-            shape = shapes[s.param]
-            if not (0 <= s.axis < len(shape)):
-                raise ValueError(f"structure {st.id}: axis {s.axis} out of range for {s.param!r}")
-            if not (0 <= s.start < s.stop <= shape[s.axis]):
-                raise ValueError(
-                    f"structure {st.id}: slice [{s.start}:{s.stop}] out of bounds "
-                    f"for {s.param!r} axis {s.axis} (extent {shape[s.axis]})"
-                )
-            spans.setdefault((s.param, s.axis), []).append((s.start, s.stop, st.id))
-    # sorted by start, any overlap shows up between neighbours
-    for (param, axis), found in spans.items():
-        found.sort()
-        for (_, hi, _), (lo, stop, sid) in zip(found, found[1:]):
-            if lo < hi:
-                raise ValueError(
-                    f"structure {sid}: slice [{lo}:{stop}] overlaps an "
-                    f"existing slice on {param!r} axis {axis}"
-                )
-
-
-def validate_groups(
-    structures: Iterable[PruneStructure], groups: Iterable[PruneGroup]
-) -> None:
-    """Groups must partition the structure set, each with >= 1 member."""
-    sids = {st.id for st in structures}
-    covered: set[int] = set()
-    for g in groups:
-        if len(g.structures) < 1:
-            raise ValueError(f"group {g.id}: empty member list")
-        for sid in g.structures:
-            if sid not in sids:
-                raise ValueError(f"group {g.id}: unknown structure id {sid}")
-            if sid in covered:
-                raise ValueError(f"structure {sid} belongs to more than one group")
-            covered.add(sid)
-    if covered != sids:
-        missing = sorted(sids - covered)
-        raise ValueError(f"structures not covered by any group: {missing}")
-
-
 def structure_flat_indices(
     ps: ParamSet, structure: PruneStructure
 ) -> np.ndarray:

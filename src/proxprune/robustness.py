@@ -33,7 +33,7 @@ class PerturbSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"perturbation kind must be one of {KINDS}")
-        if self.kind == "gaussian-ball" and self.epsilon < 0:
+        if self.kind == "gaussian-ball" and not self.epsilon >= 0:
             raise ValueError("gaussian-ball epsilon must be >= 0")
 
     def label(self) -> str:
@@ -144,8 +144,6 @@ def _prunable_vector(params: ParamSet, layout, values: dict[str, np.ndarray]) ->
 def consistency_experiment(
     model,
     params: ParamSet,
-    structures,
-    groups,
     batch,
     criteria,
     spec: PerturbSpec,
@@ -166,6 +164,7 @@ def consistency_experiment(
     """
     if not criteria:
         raise ValueError("need at least one criterion")
+    structures = model.structures()
     prunable = {s.param for st in structures for s in st.slices}
     params_a = perturb(params, baseline_spec, prunable) if baseline_spec else params
     params_b = perturb(params, spec, prunable)
@@ -183,8 +182,6 @@ def consistency_experiment(
                 criterion,
                 model,
                 p,
-                structures,
-                groups,
                 batch,
                 ratio,
                 agg=agg,

@@ -41,7 +41,7 @@ class NoiseSpec:
     mode: str = "relative"
 
     def __post_init__(self):
-        if self.scale < 0:
+        if not self.scale >= 0:
             raise ValueError("noise scale must be >= 0")
         if self.m < 1:
             raise ValueError("noise sample count m must be >= 1")

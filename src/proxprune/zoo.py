@@ -381,8 +381,8 @@ def recover_finetune(
     """
     if epochs < 1:
         raise ZooError("recover_finetune: epochs must be >= 1")
-    if lr < 0:
-        raise ZooError("recover_finetune: lr must be >= 0")
+    if not (lr >= 0 and math.isfinite(lr)):
+        raise ZooError(f"recover_finetune: lr must be finite and >= 0, got {lr}")
     if len(dataset) == 0:
         raise EmptyBatchError("recover_finetune: empty dataset")
     current = params.copy()

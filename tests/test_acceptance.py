@@ -198,7 +198,7 @@ def test_06_group_sparsity_monotonicity(trained_mlp, corpus):
 
 
 def test_07_dead_channel_invariance():
-    model, params, groups = zoo.build_mlp([4, 8, 3], seed=7)
+    model, params, _ = zoo.build_mlp([4, 8, 3], seed=7)
     structures = model.structures()
     dead = 5
     params["w0"][:, dead] = 0.0
@@ -207,8 +207,7 @@ def test_07_dead_channel_invariance():
     elem = importance.element_importance({n: np.ones_like(a) for n, a in params}, params)
     struct_scores = importance.structure_importance(elem, structures)
     assert struct_scores[dead] == 0.0  # exactly zero
-    pruned_model, pruned_params, _ = importance.prune_model(
-        model, params, structures, groups, (dead,))
+    pruned_model, pruned_params, _ = importance.prune_model(model, params, (dead,))
     X = np.random.default_rng(17).uniform(-1, 1, size=(100, 4))
     before = model.logits({n: ad.Tensor(a) for n, a in params}, X).data
     after = pruned_model.logits({n: ad.Tensor(a) for n, a in pruned_params}, X).data
@@ -229,7 +228,6 @@ def test_08_format_robustness_directional(corpus):
     params, _ = zoo.recover_finetune(model, params, batches, epochs=1, lr=0.1)
     sharp = params.copy()
     sharp["w1"][:] *= 50.0  # sharpen the loss landscape
-    structures, groups = model.structures(), model.groups()
     wins = 0
     lines = []
     for seed in range(5):
@@ -237,7 +235,7 @@ def test_08_format_robustness_directional(corpus):
         mcfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=10,
                             noise=NoiseSpec(scale=0.05, m=48, seed=seed))
         plain, env = robustness.consistency_experiment(
-            model, sharp, structures, groups, batch, ("plain", "moreau"),
+            model, sharp, batch, ("plain", "moreau"),
             PerturbSpec(kind="bf16-roundtrip"), ratio=0.2,
             baseline_spec=PerturbSpec(kind="fp16-roundtrip"), settings={"moreau": mcfg})
         ok = (env.importance_rel <= plain.importance_rel

@@ -1,9 +1,12 @@
 import json
+import struct
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxprune import checkpoint, cli, data, zoo
 from proxprune.config import ConfigError, load_config
@@ -51,6 +54,50 @@ def crafted_ckpt(tmp_path, name, edit):
     return path
 
 
+def rewritten_header_ckpt(tmp_path, name, model, edit):
+    """Checkpoint of ``model`` whose JSON header passes through ``edit``."""
+    path = tmp_path / name
+    checkpoint.save(path, model.arch(), model.init_params(7), model.structures(), model.groups())
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16 : 16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+    return path
+
+
+def _ten_bytes(tmp_path):
+    path = tmp_path / "ten.ckpt"
+    path.write_bytes(checkpoint.MAGIC + b"\0\0")
+    return path
+
+
+def _magic_only(tmp_path):
+    path = tmp_path / "magic.ckpt"
+    path.write_bytes(checkpoint.MAGIC)
+    return path
+
+
+def _no_params(tmp_path):
+    model = zoo.Mlp([data.mlp_feature_width(4), 12, data.VOCAB])
+    return rewritten_header_ckpt(tmp_path, "noparams.ckpt", model, lambda h: h.pop("params"))
+
+
+def _mlp_without_widths(tmp_path):
+    model = zoo.Mlp([data.mlp_feature_width(4), 12, data.VOCAB])
+    return rewritten_header_ckpt(
+        tmp_path, "nowidths.ckpt", model, lambda h: h.update(arch={"kind": "mlp"})
+    )
+
+
+def _transformer_without_max_len(tmp_path):
+    model = zoo.TinyTransformer.build(data.VOCAB, 8, 2, 1, max_len=8)
+    return rewritten_header_ckpt(
+        tmp_path, "nomaxlen.ckpt", model, lambda h: h["arch"].pop("max_len")
+    )
+
+
 @pytest.fixture()
 def trained_ckpt(tmp_path, corpus_file):
     cfg = write_cfg(tmp_path, corpus_file)
@@ -81,6 +128,27 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/cfg.ini")
+
+    @pytest.mark.parametrize(
+        "section, values, message",
+        [
+            ("model", {"n_heads": 0}, "d_model, n_heads and n_layers must be >= 1"),
+            ("model", {"d_model": 0}, "d_model, n_heads and n_layers must be >= 1"),
+            ("model", {"d_model": 10}, "d_model 10 is not a multiple of n_heads 4"),
+            ("model", {"n_layers": -1}, "d_model, n_heads and n_layers must be >= 1"),
+            ("train", {"steps_per_epoch": 0}, "steps_per_epoch must be >= 1"),
+        ],
+        ids=["n_heads=0", "d_model=0", "d_model%n_heads", "n_layers=-1", "steps_per_epoch=0"],
+    )
+    def test_bad_geometry_exits_2(self, tmp_path, corpus_file, capsys, section, values, message):
+        model = {"kind": "transformer", "d_model": 8, "n_heads": 4, "n_layers": 1}
+        extra = {"model": model, "data": {"seq_len": 8}}
+        extra.setdefault(section, {}).update(values)
+        cfg = write_cfg(tmp_path, corpus_file, extra=extra)
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_settings_per_criterion(self, tmp_path, corpus_file):
         extra = {"moreau": {"eta": 1e-4, "gs_rho": 0.3, "gs_gamma": 1e-3},
@@ -113,6 +181,14 @@ class TestConfig:
 
 
 class TestTrain:
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_nonfinite_lr_exits_2(self, tmp_path, corpus_file, capsys, lr):
+        cfg = write_cfg(tmp_path, corpus_file, extra={"train": {"lr": lr}})
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"lr must be finite and >= 0, got {lr}" in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_repeat_runs_are_byte_identical(self, tmp_path, corpus_file):
         cfg = write_cfg(tmp_path, corpus_file)
         assert cli.main(["train", "--config", str(cfg)]) == 0
@@ -150,8 +226,8 @@ class TestPrune:
                        "--ratio", "0.0", "--out", str(tmp_path / "p0")])
         assert rc == 0
         assert "pruned 0 of" in capsys.readouterr().out
-        arch, params, *_ = checkpoint.load(tmp_path / "p0" / "pruned.ckpt")
-        arch0, params0, *_ = checkpoint.load(ckpt)
+        _, params, _ = checkpoint.load(tmp_path / "p0" / "pruned.ckpt")
+        _, params0, _ = checkpoint.load(ckpt)
         assert params.size == params0.size
 
     def test_ratio_drops_floor_per_class(self, trained_ckpt, tmp_path):
@@ -212,12 +288,9 @@ class TestPrune:
         assert rc == cli.EXIT_PRUNE
 
         # the guard itself, through the real function
-        from proxprune import zoo
-
-        arch, params, structures, groups, _ = checkpoint.load(ckpt)
-        model = zoo.model_from_arch(arch)
+        model, params, _ = checkpoint.load(ckpt)
         with pytest.raises(imp.WouldEmptyLayerError):
-            imp.prune_model(model, params, structures, groups, tuple(g.id for g in groups))
+            imp.prune_model(model, params, tuple(g.id for g in model.groups()))
 
     def test_divergent_config_exits_5(self, trained_ckpt, tmp_path, corpus_file):
         """A deliberately huge step size (with the matching huge rho, so the
@@ -250,8 +323,9 @@ class TestPrune:
 
 
 class TestDamagedCheckpoint:
-    """A checkpoint whose parameters or tables do not fit its architecture is
-    rejected on load with exit 2, before any criterion runs."""
+    """A checkpoint whose header is malformed, or whose parameters or tables
+    do not fit its architecture, is rejected on load with exit 2, before any
+    criterion runs."""
 
     def prune(self, tmp_path, corpus_file, ckpt, capsys):
         cfg = write_cfg(tmp_path, corpus_file)
@@ -280,7 +354,7 @@ class TestDamagedCheckpoint:
         ckpt = crafted_ckpt(tmp_path, "slice.ckpt", bad_slice)
         rc, err = self.prune(tmp_path, corpus_file, ckpt, capsys)
         assert rc == cli.EXIT_CONFIG
-        assert "unknown parameter 'w9'" in err
+        assert 'group table structure entry 0 is [0, "hidden1", [["w9", 1, 0, 1]' in err
 
     def test_group_of_unknown_structure_exits_2(self, tmp_path, corpus_file, capsys):
         def bad_group(params, structures, groups):
@@ -289,7 +363,19 @@ class TestDamagedCheckpoint:
         ckpt = crafted_ckpt(tmp_path, "group.ckpt", bad_group)
         rc, err = self.prune(tmp_path, corpus_file, ckpt, capsys)
         assert rc == cli.EXIT_CONFIG
-        assert "unknown structure id 999" in err
+        assert (
+            'group table group entry 0 is [0, "channel", [999]], '
+            'the architecture\'s is [0, "channel", [0]]'
+        ) in err
+
+    @pytest.mark.parametrize(
+        "make",
+        [_ten_bytes, _magic_only, _no_params, _mlp_without_widths, _transformer_without_max_len],
+    )
+    def test_malformed_header_exits_2(self, tmp_path, corpus_file, capsys, make):
+        rc, err = self.prune(tmp_path, corpus_file, make(tmp_path), capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert "malformed checkpoint" in err
 
 
 class TestRobustness:
@@ -329,11 +415,15 @@ class TestRobustness:
         assert "overflows the finite fp16 range" in err and "flat index" in err
         assert "Traceback" not in err
 
-    def test_gaussian_without_prunable_weights_exits_2(self, tmp_path, corpus_file, capsys):
-        """An empty structure table leaves the gaussian ball no direction to
-        scale to its radius."""
+    def test_gaussian_without_prunable_weights_exits_2(
+        self, tmp_path, corpus_file, capsys, monkeypatch
+    ):
+        """A model without prune structures leaves the gaussian ball no
+        direction to scale to its radius."""
+        monkeypatch.setattr(zoo.Mlp, "structures", lambda self: [])
+        monkeypatch.setattr(zoo.Mlp, "groups", lambda self: [])
         cfg = write_cfg(tmp_path, corpus_file, extra={"robustness": {"specs": "gaussian"}})
-        ckpt = crafted_ckpt(tmp_path, "bare.ckpt", lambda p, st, g: (p, [], []))
+        ckpt = scaled_ckpt(tmp_path, 1.0, "bare.ckpt")
         rc = cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
                        "--out", str(tmp_path / "rbare")])
         assert rc == cli.EXIT_CONFIG
@@ -355,9 +445,9 @@ class TestRecover:
         rc = cli.main(["recover", "--config", str(cfg_path), "--checkpoint", str(ckpt),
                        "--out", str(tmp_path / "rec")])
         assert rc == 0
-        a_arch, a_params, *_ , a_meta = checkpoint.load(ckpt)
-        b_arch, b_params, *_, b_meta = checkpoint.load(tmp_path / "rec" / "recovered.ckpt")
-        assert a_arch == b_arch
+        a_model, a_params, a_meta = checkpoint.load(ckpt)
+        b_model, b_params, b_meta = checkpoint.load(tmp_path / "rec" / "recovered.ckpt")
+        assert a_model.arch() == b_model.arch()
         for (n1, x), (n2, y) in zip(a_params, b_params):
             assert n1 == n2 and x.tobytes() == y.tobytes()
         assert "created" in b_meta and "created" not in a_meta
@@ -406,10 +496,84 @@ class TestTransformerPipeline:
         pruned_chans = sum(1 for g in doc["groups"] if g["class"] == "channel" and g["pruned"])
         assert pruned_heads == int(0.25 * 8)
         assert pruned_chans == int(0.25 * 128)
-        arch, params, *_ = checkpoint.load(tmp_path / "tp" / "pruned.ckpt")
-        assert sum(arch["heads"]) == 8 - pruned_heads
-        assert sum(arch["ffn"]) == 128 - pruned_chans
+        model, _, _ = checkpoint.load(tmp_path / "tp" / "pruned.ckpt")
+        assert sum(model.arch()["heads"]) == 8 - pruned_heads
+        assert sum(model.arch()["ffn"]) == 128 - pruned_chans
         rc = cli.main(["recover", "--config", str(cfg),
                        "--checkpoint", str(tmp_path / "tp" / "pruned.ckpt"),
                        "--out", str(tmp_path / "tr")])
         assert rc == 0
+
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_TRAINING, cli.EXIT_PRUNE,
+              cli.EXIT_OPTIMIZER, cli.EXIT_STRICT}
+
+
+class TestExitCodeFuzz:
+    """Damaged checkpoints and odd integer settings end in a documented exit
+    code; no exception escapes ``cli.main``."""
+
+    @pytest.fixture(scope="class")
+    def prune_setup(self, tmp_path_factory, corpus_file):
+        tmp = tmp_path_factory.mktemp("fuzz_prune")
+        cfg = write_cfg(tmp, corpus_file, extra={
+            "model": {"hidden": 3},
+            "data": {"calib_size": 2, "holdout_size": 2},
+            "prune": {"criterion": "plain"},
+        })
+        model = zoo.Mlp([data.mlp_feature_width(4), 3, data.VOCAB])
+        good = tmp / "good.ckpt"
+        checkpoint.save(good, model.arch(), model.init_params(0), model.structures(), model.groups())
+        return tmp, cfg, good.read_bytes()
+
+    def prune(self, setup, raw: bytes) -> int:
+        tmp, cfg, _ = setup
+        ckpt = tmp / "fuzzed.ckpt"
+        ckpt.write_bytes(raw)
+        return cli.main(["prune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--out", str(tmp / "out")])
+
+    @given(draw=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_checkpoint(self, prune_setup, draw):
+        raw = prune_setup[2]
+        cut = draw.draw(st.integers(0, len(raw)), label="cut")
+        assert self.prune(prune_setup, raw[:cut]) in EXIT_CODES
+
+    @given(draw=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_header_byte(self, prune_setup, draw):
+        raw = prune_setup[2]
+        (hlen,) = struct.unpack("<Q", raw[8:16])
+        pos = draw.draw(st.integers(0, 16 + hlen - 1), label="pos")
+        byte = draw.draw(st.integers(0, 255).filter(lambda b: b != raw[pos]), label="byte")
+        damaged = raw[:pos] + bytes([byte]) + raw[pos + 1 :]
+        assert self.prune(prune_setup, damaged) in EXIT_CODES
+
+    @given(
+        kind=st.sampled_from(["mlp", "transformer"]),
+        values=st.fixed_dictionaries({
+            "context": st.integers(1, 3), "hidden": st.integers(1, 4),
+            "d_model": st.integers(1, 8), "n_heads": st.integers(1, 4),
+            "n_layers": st.integers(1, 2), "epochs": st.integers(1, 2),
+            "batch_size": st.integers(1, 3), "steps_per_epoch": st.integers(1, 2),
+        }),
+        bad=st.none() | st.tuples(
+            st.sampled_from(["context", "hidden", "d_model", "n_heads", "n_layers",
+                             "epochs", "batch_size", "steps_per_epoch"]),
+            st.integers(-2, 0),
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_integer_settings_through_train(self, tmp_path_factory, corpus_file, kind, values, bad):
+        """Every key in range, or one of them at zero or below."""
+        if bad is not None:
+            values[bad[0]] = bad[1]
+        model_keys = ("context", "hidden", "d_model", "n_heads", "n_layers")
+        tmp = tmp_path_factory.mktemp("fuzz_train")
+        cfg = write_cfg(tmp, corpus_file, extra={
+            "model": {"kind": kind, **{k: values[k] for k in model_keys}},
+            "data": {"seq_len": 8},
+            "train": {k: v for k, v in values.items() if k not in model_keys},
+        })
+        assert cli.main(["train", "--config", str(cfg)]) in EXIT_CODES

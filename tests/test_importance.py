@@ -125,7 +125,7 @@ class TestPruneModel:
         return t.data
 
     def test_empty_prune_set_is_identity(self):
-        m2, p2, maps = imp.prune_model(self.model, self.params, self.structures, self.groups, ())
+        m2, p2, maps = imp.prune_model(self.model, self.params, ())
         assert m2.widths == self.model.widths
         assert np.array_equal(self._logits(m2, p2, self.X), self._logits(self.model, self.params, self.X))
 
@@ -138,14 +138,14 @@ class TestPruneModel:
         scores = imp.element_importance({n: np.ones_like(a) for n, a in params}, params)
         struct_scores = imp.structure_importance(scores, self.structures)
         assert struct_scores[j] == 0.0  # exactly, all products vanish
-        m2, p2, _ = imp.prune_model(self.model, params, self.structures, self.groups, (j,))
+        m2, p2, _ = imp.prune_model(self.model, params, (j,))
         before = self._logits(self.model, params, self.X)
         after = self._logits(m2, p2, self.X)
         assert np.max(np.abs(before - after)) <= 1e-12
         assert m2.widths == [4, 7, 3]
 
     def test_index_maps_predict_parameter_counts(self):
-        m2, p2, maps = imp.prune_model(self.model, self.params, self.structures, self.groups, (0, 3))
+        m2, p2, maps = imp.prune_model(self.model, self.params, (0, 3))
         for name, a2 in p2:
             expected = tuple(len(maps[name][ax]) for ax in range(a2.ndim))
             assert a2.shape == expected
@@ -153,13 +153,12 @@ class TestPruneModel:
 
     def test_would_empty_layer(self):
         with pytest.raises(imp.WouldEmptyLayerError, match="hidden1"):
-            imp.prune_model(self.model, self.params, self.structures, self.groups, tuple(range(8)))
+            imp.prune_model(self.model, self.params, tuple(range(8)))
 
     def test_transformer_head_pruning_shrinks_blocks(self):
         model, params, groups = zoo.build_tiny_transformer(16, 8, 2, 1, seed=1, max_len=8)
-        structures = model.structures()
         head_groups = [g.id for g in groups if g.cls == "head"]
-        m2, p2, _ = imp.prune_model(model, params, structures, groups, (head_groups[0],))
+        m2, p2, _ = imp.prune_model(model, params, (head_groups[0],))
         assert m2.a.heads == [1]
         assert p2["l0.wq"].shape == (8, 4)
         assert p2["l0.wo"].shape == (4, 8)
@@ -170,7 +169,7 @@ class TestPruneModel:
         model, params, groups = zoo.build_tiny_transformer(16, 8, 2, 1, seed=1, max_len=8)
         head_ids = tuple(g.id for g in groups if g.cls == "head")
         with pytest.raises(imp.WouldEmptyLayerError, match="attn"):
-            imp.prune_model(model, params, model.structures(), groups, head_ids)
+            imp.prune_model(model, params, head_ids)
 
 
 def test_run_criterion_is_deterministic(corpus):
@@ -181,8 +180,8 @@ def test_run_criterion_is_deterministic(corpus):
     batch, _ = data.make_batch(model, corpus, 4, seed=(2, 0, 0))
     kw = dict(agg="sum", settings=moreau.MoreauConfig(
         rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.05, m=2, seed=5)))
-    r1 = imp.run_criterion("moreau", model, params, model.structures(), model.groups(), batch, 0.25, **kw)
-    r2 = imp.run_criterion("moreau", model, params, model.structures(), model.groups(), batch, 0.25, **kw)
+    r1 = imp.run_criterion("moreau", model, params, batch, 0.25, **kw)
+    r2 = imp.run_criterion("moreau", model, params, batch, 0.25, **kw)
     assert r1.prune_set == r2.prune_set
     assert r1.group_scores == r2.group_scores
 
@@ -197,8 +196,7 @@ def test_run_criterion_needs_matching_settings(criterion, given):
     params = model.init_params(0)
     batch = (np.ones((2, 4)), np.array([0, 1]))
     with pytest.raises(ValueError, match=f"criterion {criterion!r} needs a"):
-        imp.run_criterion(criterion, model, params, model.structures(), model.groups(),
-                          batch, 0.25, settings=given)
+        imp.run_criterion(criterion, model, params, batch, 0.25, settings=given)
 
 
 def test_report_csv_layout():

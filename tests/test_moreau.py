@@ -34,6 +34,8 @@ class TestConfig:
             MoreauConfig(steps=0)
         with pytest.raises(ValueError):
             MoreauConfig(eta=-1e-9)
+        with pytest.raises(ValueError, match="eta must be >= 0"):
+            MoreauConfig(eta=float("nan"))
 
 
 class TestGroupSoftThreshold:

@@ -20,6 +20,8 @@ def test_spec_validation():
         PerturbSpec(kind="fp8-roundtrip")
     with pytest.raises(ValueError):
         PerturbSpec(kind="gaussian-ball", epsilon=-1.0)
+    with pytest.raises(ValueError, match="epsilon must be >= 0"):
+        PerturbSpec(kind="gaussian-ball", epsilon=float("nan"))
 
 
 def test_zero_radius_ball_is_identity():
@@ -63,14 +65,14 @@ def small_setup(corpus):
     model = zoo.Mlp([4 * 256, 8, 256])
     params = model.init_params(5)
     batch, _ = data.make_batch(model, corpus, 6, seed=(3, 0, 0))
-    return model, params, model.structures(), model.groups(), batch
+    return model, params, batch
 
 
 def test_identity_perturbation_all_metrics_trivial(small_setup):
-    model, params, structures, groups, batch = small_setup
+    model, params, batch = small_setup
     mcfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.05, m=2, seed=1))
     rows = consistency_experiment(
-        model, params, structures, groups, batch,
+        model, params, batch,
         ("plain", "moreau"),
         PerturbSpec(kind="gaussian-ball", epsilon=0.0, seed=1),
         ratio=0.25,
@@ -85,10 +87,10 @@ def test_identity_perturbation_all_metrics_trivial(small_setup):
 
 
 def test_format_pair_experiment_produces_row_per_criterion(small_setup):
-    model, params, structures, groups, batch = small_setup
+    model, params, batch = small_setup
     mcfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.05, m=2, seed=1))
     rows = consistency_experiment(
-        model, params, structures, groups, batch,
+        model, params, batch,
         ("plain", "moreau"),
         PerturbSpec(kind="bf16-roundtrip"),
         ratio=0.25,
@@ -105,9 +107,9 @@ def test_format_pair_experiment_produces_row_per_criterion(small_setup):
 
 
 def test_report_json_and_csv_round_trip(tmp_path, small_setup):
-    model, params, structures, groups, batch = small_setup
+    model, params, batch = small_setup
     rows = consistency_experiment(
-        model, params, structures, groups, batch,
+        model, params, batch,
         ("plain",),
         PerturbSpec(kind="fp16-roundtrip"),
         ratio=0.25,
@@ -131,8 +133,8 @@ def test_report_json_and_csv_round_trip(tmp_path, small_setup):
 def test_importance_report_schema(tmp_path, small_setup):
     from proxprune import importance as imp
 
-    model, params, structures, groups, batch = small_setup
-    rep = imp.run_criterion("plain", model, params, structures, groups, batch, 0.25)
+    model, params, batch = small_setup
+    rep = imp.run_criterion("plain", model, params, batch, 0.25)
     reports.write_json(tmp_path / "imp.json", rep.to_json_dict())
     loaded = json.loads((tmp_path / "imp.json").read_text())
     jsonschema = pytest.importorskip("jsonschema")

@@ -14,6 +14,8 @@ def test_spec_validation():
         NoiseSpec(m=0)
     with pytest.raises(ValueError):
         NoiseSpec(mode="cauchy")
+    with pytest.raises(ValueError, match="noise scale must be >= 0"):
+        NoiseSpec(scale=float("nan"))
 
 
 def test_zero_scale_gives_zero_noise():
