@@ -6,8 +6,7 @@ import argparse
 from pathlib import Path
 
 from proxprune import data, importance, robustness, zoo
-from proxprune.moreau import MoreauConfig
-from proxprune.smoothing import NoiseSpec
+from proxprune.config import RunConfig
 
 
 def main():
@@ -29,15 +28,13 @@ def main():
 
     base = importance.run_criterion(
         "moreau", model, params, batch, args.ratio,
-        settings=MoreauConfig(rho=0.05, gamma=1e-3, steps=10,
-                              noise=NoiseSpec(scale=0.05, m=4, seed=args.seed)))
+        settings=RunConfig(seed=args.seed).settings("moreau"))
     print(f"{'eta':>10s} {'zeroed':>7s} {'pruned':>7s} {'jaccard vs moreau':>18s}")
     for eta_s in args.etas.split(","):
         eta = float(eta_s)
-        cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=eta,
-                           noise=NoiseSpec(scale=0.05, m=4, seed=args.seed))
         rep = importance.run_criterion(
-            "moreau-gs", model, params, batch, args.ratio, settings=cfg)
+            "moreau-gs", model, params, batch, args.ratio,
+            settings=RunConfig(seed=args.seed, eta=eta).settings("moreau-gs"))
         jac = robustness.jaccard(rep.prune_set, base.prune_set)
         print(f"{eta:>10.2g} {rep.extra['zeroed_groups']:>7d} "
               f"{len(rep.prune_set):>7d} {jac:>18.3f}")

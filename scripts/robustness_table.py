@@ -11,9 +11,8 @@ from pathlib import Path
 import numpy as np
 
 from proxprune import data, robustness, zoo
-from proxprune.moreau import MoreauConfig
+from proxprune.config import RunConfig
 from proxprune.robustness import PerturbSpec
-from proxprune.smoothing import NoiseSpec
 
 
 def main():
@@ -49,16 +48,12 @@ def main():
     agg = {c: [] for c in criteria}
     for seed in range(args.seeds):
         batch, _ = data.make_batch(model, corpus, args.calib, seed=(seed, 0, 0))
-        noise = NoiseSpec(scale=0.05, m=args.m, seed=seed)
+        cfg = RunConfig(seed=seed, noise_m=args.m)
         rows = robustness.consistency_experiment(
             model, params, batch, criteria,
             PerturbSpec(kind="bf16-roundtrip"), args.ratio,
             baseline_spec=PerturbSpec(kind="fp16-roundtrip"),
-            settings={
-                "smooth": NoiseSpec(scale=0.05, m=100, seed=seed),
-                "moreau": MoreauConfig(rho=0.05, gamma=1e-3, steps=10, noise=noise),
-                "moreau-gs": MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=5e-6, noise=noise),
-            },
+            settings={c: cfg.settings(c) for c in criteria},
         )
         for r in rows:
             agg[r.criterion].append((r.importance_rel, r.jaccard, r.symdiff))

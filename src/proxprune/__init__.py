@@ -31,13 +31,6 @@ from .moreau import (
 from .params import ParamSet, PruneGroup, PruneStructure, Slice
 from .robustness import PerturbSpec, RobustnessReport, consistency_experiment, perturb
 from .smoothing import NoiseSpec, sample_noise, smoothed_grad
-from .zoo import (
-    Mlp,
-    TinyTransformer,
-    batch_loss,
-    build_mlp,
-    build_tiny_transformer,
-    recover_finetune,
-)
+from .zoo import Mlp, TinyTransformer, batch_loss, recover_finetune
 
 __version__ = "0.1.0"

@@ -3,13 +3,15 @@
 Layout: 8-byte magic ``MPRUNE01``, little-endian uint64 header length, a
 UTF-8 JSON header (format version, architecture descriptor, parameter
 names/shapes, group table, free-form meta), then the raw little-endian
-float64 parameter data concatenated in header order. Round-trips are
-bit-exact; the optional ``meta["created"]`` timestamp is the only field a
-rewriting command may touch.
+float64 parameter data concatenated in header order, and nothing after it.
+Every stored value must be finite. Round-trips are bit-exact; the optional
+``meta["created"]`` timestamp is the only field a rewriting command may
+touch.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from itertools import zip_longest
 from pathlib import Path
@@ -86,14 +88,23 @@ def _parse(path, raw: bytes):
     header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
-    pos = 16 + hlen
-    items = []
-    for spec in header["params"]:
-        shape = tuple(int(s) for s in spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).reshape(shape)
-        items.append((spec["name"], arr.astype(np.float64)))
-        pos += count * 8
+    names = [spec["name"] for spec in header["params"]]
+    shapes = [tuple(int(s) for s in spec["shape"]) for spec in header["params"]]
+    sizes = [math.prod(shape) for shape in shapes]
+    end = 16 + hlen + 8 * sum(sizes)
+    if len(raw) != end:
+        raise CheckpointError(f"{path}: file is {len(raw)} bytes, its header describes {end}")
+    flat = np.frombuffer(raw, dtype="<f8", count=sum(sizes), offset=16 + hlen)
+    items, pos = [], 0
+    for name, shape, size in zip(names, shapes, sizes):
+        arr = flat[pos : pos + size]
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise CheckpointError(
+                f"{path}: parameter {name!r} holds {arr[bad[0]]} at flat index {bad[0]}"
+            )
+        items.append((name, arr.reshape(shape).astype(np.float64)))
+        pos += size
     model, params = model_from_arch(header["arch"]), ParamSet(items)
     got, want = params.shapes(), model.init_params(0).shapes()
     if list(got) != list(want):

@@ -55,6 +55,13 @@ def _batch(model, corpus, cfg: RunConfig, n: int, stream: int, index: int = 0):
     )
 
 
+def _train_batches(model, corpus, cfg: RunConfig) -> list:
+    return [
+        _batch(model, corpus, cfg, cfg.batch_size, _TRAIN, index=i)[0]
+        for i in range(cfg.steps_per_epoch)
+    ]
+
+
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -65,16 +72,9 @@ def cmd_train(cfg: RunConfig) -> int:
     corpus = data.load_corpus(cfg.corpus)
     model = _build_model(cfg)
     params = model.init_params(cfg.seed)
-    dataset = [
-        _batch(model, corpus, cfg, cfg.batch_size, _TRAIN, index=i)[0]
-        for i in range(cfg.steps_per_epoch)
-    ]
+    dataset = _train_batches(model, corpus, cfg)
     init_loss = zoo.batch_loss(model, params, dataset[0])
-    try:
-        params, info = zoo.recover_finetune(model, params, dataset, cfg.epochs, cfg.lr)
-    except zoo.TrainingDivergedError as e:
-        print(f"training diverged: {e}", file=sys.stderr)
-        return EXIT_TRAINING
+    params, info = zoo.recover_finetune(model, params, dataset, cfg.epochs, cfg.lr)
     out = _out_dir(cfg) / "model.ckpt"
     checkpoint.save(out, model.arch(), params, model.structures(), model.groups())
     final_loss = info.epoch_losses[-1]
@@ -111,7 +111,7 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
     )
     report.extra["calibration_starts"] = starts
 
-    new_model, new_params, index_maps = importance.prune_model(model, params, report.prune_set)
+    new_model, new_params = importance.prune_model(model, params, report.prune_set)
     loss_before = zoo.batch_loss(model, params, holdout)
     loss_after = zoo.batch_loss(new_model, new_params, holdout)
 
@@ -178,16 +178,8 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
 
 def cmd_recover(cfg: RunConfig, ckpt_path: str) -> int:
     model, params, meta = _load_ckpt(ckpt_path)
-    corpus = data.load_corpus(cfg.corpus)
-    dataset = [
-        _batch(model, corpus, cfg, cfg.batch_size, _TRAIN, index=i)[0]
-        for i in range(cfg.steps_per_epoch)
-    ]
-    try:
-        new_params, info = zoo.recover_finetune(model, params, dataset, cfg.epochs, cfg.lr)
-    except zoo.TrainingDivergedError as e:
-        print(f"recovery diverged: {e}", file=sys.stderr)
-        return EXIT_TRAINING
+    dataset = _train_batches(model, data.load_corpus(cfg.corpus), cfg)
+    new_params, info = zoo.recover_finetune(model, params, dataset, cfg.epochs, cfg.lr)
     out = _out_dir(cfg) / "recovered.ckpt"
     meta["created"] = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     checkpoint.save(
@@ -260,6 +252,9 @@ def main(argv=None) -> int:
     except (DivergenceError, SmoothingError) as e:
         print(f"optimizer error: {e}", file=sys.stderr)
         return EXIT_OPTIMIZER
+    except zoo.TrainingDivergedError as e:
+        print(f"training diverged: {e}", file=sys.stderr)
+        return EXIT_TRAINING
     except (zoo.ZooError, AutodiffError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -11,7 +11,7 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .importance import CRITERIA
+from .importance import AGGREGATORS, CRITERIA
 from .moreau import MoreauConfig
 from .robustness import PerturbSpec
 from .smoothing import NoiseSpec
@@ -195,6 +195,8 @@ def _check(cfg: RunConfig) -> None:
     for criterion in (cfg.criterion, *cfg.criteria):
         if criterion not in CRITERIA:
             raise ConfigError(f"unknown criterion {criterion!r} (one of {', '.join(CRITERIA)})")
+    if cfg.agg not in AGGREGATORS:
+        raise ConfigError(f"[prune] agg must be one of {', '.join(AGGREGATORS)}, got {cfg.agg!r}")
     if cfg.model_kind == "transformer":
         if min(cfg.d_model, cfg.n_heads, cfg.n_layers) < 1:
             raise ConfigError("[model] d_model, n_heads and n_layers must be >= 1")

@@ -8,6 +8,7 @@ default) and removal is physical: slices are deleted, never masked.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -119,13 +120,10 @@ def rank_and_select(
     return tuple(sorted(selected))
 
 
-def prune_model(
-    model, params: ParamSet, prune_set
-) -> tuple[object, ParamSet, dict[str, dict[int, np.ndarray]]]:
+def prune_model(model, params: ParamSet, prune_set) -> tuple[object, ParamSet]:
     """Physically delete the slices of every structure in the selected groups.
 
-    Returns the rebuilt (smaller) model, its ParamSet and per-parameter
-    index maps {param: {axis: kept old indices}}. Raises
+    Returns the rebuilt (smaller) model and its ParamSet. Raises
     WouldEmptyLayerError if a block would lose all of its structures.
     """
     prune_set = set(prune_set)
@@ -135,42 +133,27 @@ def prune_model(
     for gid in prune_set:
         if gid not in group_by_id:
             raise PruningError(f"unknown group id {gid}")
-    removed_sids = {
-        sid for gid in prune_set for sid in group_by_id[gid].structures
-    }
+    removed_sids = {sid for gid in prune_set for sid in group_by_id[gid].structures}
 
-    block_total: dict[str, int] = {}
-    block_removed: dict[str, int] = {}
-    for st in structures:
-        block_total[st.block] = block_total.get(st.block, 0) + 1
+    block_removed: Counter[str] = Counter()
+    drop: dict[tuple[str, int], list[int]] = {}  # indices to delete per (param, axis)
     for sid in removed_sids:
-        b = by_id[sid].block
-        block_removed[b] = block_removed.get(b, 0) + 1
-    for block, removed in block_removed.items():
-        if removed >= block_total[block]:
+        st = by_id[sid]
+        block_removed[st.block] += 1
+        for s in st.slices:
+            drop.setdefault((s.param, s.axis), []).extend(range(s.start, s.stop))
+    block_total = Counter(st.block for st in structures)
+    for block, n in block_removed.items():
+        if n >= block_total[block]:
             raise WouldEmptyLayerError(block)
 
-    # indices to drop, per (param, axis)
-    drop: dict[tuple[str, int], set[int]] = {}
-    for sid in removed_sids:
-        for s in by_id[sid].slices:
-            drop.setdefault((s.param, s.axis), set()).update(range(s.start, s.stop))
-
     new_items = []
-    index_maps: dict[str, dict[int, np.ndarray]] = {}
     for name, arr in params:
-        out = arr
         for axis in range(arr.ndim):
-            dropped = drop.get((name, axis))
-            kept = np.arange(arr.shape[axis])
-            if dropped:
-                kept = np.array([i for i in kept if i not in dropped], dtype=np.int64)
-                out = np.take(out, kept, axis=axis)
-            index_maps.setdefault(name, {})[axis] = kept
-        new_items.append((name, out))
-
-    new_model = model.shrink(block_removed)
-    return new_model, ParamSet(new_items), index_maps
+            if (name, axis) in drop:
+                arr = np.delete(arr, drop[(name, axis)], axis=axis)
+        new_items.append((name, arr))
+    return model.shrink(block_removed), ParamSet(new_items)
 
 
 @dataclass

@@ -4,11 +4,13 @@ Two architectures:
 
 * ``Mlp`` -- relu stack over float feature vectors with a softmax/NLL head.
   Each hidden unit is one structure coupling its fan-in column, bias entry
-  and fan-out row; every structure is its own group (class "channel").
+  and fan-out row.
 * ``TinyTransformer`` -- byte/int token causal LM. Removing attention head h
   couples the Q/K/V column blocks, their bias segments and the output
-  projection row block (class "head"); each feed-forward hidden unit is a
-  channel group, as in the Mlp.
+  projection row block; each feed-forward hidden unit is a structure, as in
+  the Mlp.
+
+In both, every structure is its own group (see ``own_groups``).
 
 Embedding tables, positional table, layer norms and the output head are
 never prunable.
@@ -16,7 +18,7 @@ never prunable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +40,17 @@ class TrainingDivergedError(ZooError):
         super().__init__(f"non-finite loss at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
+
+
+def own_groups(structures) -> list[PruneGroup]:
+    """One group per structure: class "head" for an attention block, else
+    "channel"."""
+    return [
+        PruneGroup(
+            id=st.id, structures=(st.id,), cls="head" if st.block.endswith(".attn") else "channel"
+        )
+        for st in structures
+    ]
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -112,10 +125,7 @@ class Mlp:
         return out
 
     def groups(self) -> list[PruneGroup]:
-        return [
-            PruneGroup(id=st.id, structures=(st.id,), cls="channel")
-            for st in self.structures()
-        ]
+        return own_groups(self.structures())
 
     def shrink(self, removed_per_block: dict[str, int]) -> "Mlp":
         widths = list(self.widths)
@@ -131,18 +141,10 @@ class TransformerArch:
     heads: list[int]  # per layer
     d_head: int
     ffn: list[int]  # per layer hidden width
-    max_len: int = 128
+    max_len: int
 
     def as_dict(self) -> dict:
-        return {
-            "kind": "transformer",
-            "vocab": self.vocab,
-            "d_model": self.d_model,
-            "heads": list(self.heads),
-            "d_head": self.d_head,
-            "ffn": list(self.ffn),
-            "max_len": self.max_len,
-        }
+        return {"kind": "transformer", **asdict(self)}
 
 
 class TinyTransformer:
@@ -164,15 +166,11 @@ class TinyTransformer:
         if d_model % n_heads != 0:
             raise ZooError(f"d_model {d_model} not divisible by n_heads {n_heads}")
         d_ff = 4 * d_model if d_ff is None else d_ff
-        arch = TransformerArch(
-            vocab=vocab,
-            d_model=d_model,
-            heads=[n_heads] * n_layers,
-            d_head=d_model // n_heads,
-            ffn=[d_ff] * n_layers,
-            max_len=max_len,
+        return cls(
+            TransformerArch(
+                vocab, d_model, [n_heads] * n_layers, d_model // n_heads, [d_ff] * n_layers, max_len
+            )
         )
-        return cls(arch)
 
     def arch(self) -> dict:
         return self.a.as_dict()
@@ -312,48 +310,24 @@ class TinyTransformer:
         return out
 
     def groups(self) -> list[PruneGroup]:
-        out = []
-        for st in self.structures():
-            cls = "head" if st.block.endswith(".attn") else "channel"
-            out.append(PruneGroup(id=st.id, structures=(st.id,), cls=cls))
-        return out
+        return own_groups(self.structures())
 
     def shrink(self, removed_per_block: dict[str, int]) -> "TinyTransformer":
         a = self.a
         heads = [a.heads[l] - removed_per_block.get(f"l{l}.attn", 0) for l in range(self.n_layers)]
         ffn = [a.ffn[l] - removed_per_block.get(f"l{l}.ffn", 0) for l in range(self.n_layers)]
-        return TinyTransformer(
-            TransformerArch(a.vocab, a.d_model, heads, a.d_head, ffn, a.max_len)
-        )
-
-
-def build_mlp(widths, seed: int):
-    """(model, initial ParamSet, groups) for a relu MLP."""
-    model = Mlp(widths)
-    return model, model.init_params(seed), model.groups()
-
-
-def build_tiny_transformer(vocab, d_model, n_heads, n_layers, seed, max_len=128, d_ff=None):
-    """(model, initial ParamSet, groups) for a causal toy LM."""
-    model = TinyTransformer.build(vocab, d_model, n_heads, n_layers, max_len, d_ff)
-    return model, model.init_params(seed), model.groups()
+        return TinyTransformer(replace(a, heads=heads, ffn=ffn))
 
 
 def model_from_arch(arch: dict):
+    """The model an ``arch()`` descriptor names; a missing or unknown field
+    raises TypeError."""
+    fields = {k: v for k, v in arch.items() if k != "kind"}
     kind = arch.get("kind")
     if kind == "mlp":
-        return Mlp(arch["widths"])
+        return Mlp(**fields)
     if kind == "transformer":
-        return TinyTransformer(
-            TransformerArch(
-                vocab=arch["vocab"],
-                d_model=arch["d_model"],
-                heads=list(arch["heads"]),
-                d_head=arch["d_head"],
-                ffn=list(arch["ffn"]),
-                max_len=arch["max_len"],
-            )
-        )
+        return TinyTransformer(TransformerArch(**fields))
     raise ZooError(f"unknown architecture kind {kind!r}")
 
 

@@ -25,14 +25,16 @@ def report(num, text):
 
 def test_01_gradient_correctness(corpus):
     t0 = time.time()
-    model, params, _ = zoo.build_mlp([4, 8, 3], seed=7)
+    model = zoo.Mlp([4, 8, 3])
+    params = model.init_params(7)
     rng = np.random.default_rng(0)
     batch = (rng.uniform(-1, 1, size=(6, 4)), rng.integers(0, 3, size=6))
     rep_mlp = ad.grad_check(model.loss, dict(params), batch, step=1e-5,
                             tolerance=1e-5, n_coords=50, seed=1)
     assert rep_mlp.max_rel_err < 1e-5, rep_mlp.per_param_max
 
-    tmodel, tparams, _ = zoo.build_tiny_transformer(32, 16, 4, 2, seed=3, max_len=16)
+    tmodel = zoo.TinyTransformer.build(32, 16, 4, 2, max_len=16)
+    tparams = tmodel.init_params(3)
     ids = rng.integers(0, 32, size=(2, 10))
     rep_tr = ad.grad_check(tmodel.loss, dict(tparams), ids, step=1e-5,
                            tolerance=1e-5, n_coords=50, seed=2)
@@ -198,7 +200,8 @@ def test_06_group_sparsity_monotonicity(trained_mlp, corpus):
 
 
 def test_07_dead_channel_invariance():
-    model, params, _ = zoo.build_mlp([4, 8, 3], seed=7)
+    model = zoo.Mlp([4, 8, 3])
+    params = model.init_params(7)
     structures = model.structures()
     dead = 5
     params["w0"][:, dead] = 0.0
@@ -207,7 +210,7 @@ def test_07_dead_channel_invariance():
     elem = importance.element_importance({n: np.ones_like(a) for n, a in params}, params)
     struct_scores = importance.structure_importance(elem, structures)
     assert struct_scores[dead] == 0.0  # exactly zero
-    pruned_model, pruned_params, _ = importance.prune_model(model, params, (dead,))
+    pruned_model, pruned_params = importance.prune_model(model, params, (dead,))
     X = np.random.default_rng(17).uniform(-1, 1, size=(100, 4))
     before = model.logits({n: ad.Tensor(a) for n, a in params}, X).data
     after = pruned_model.logits({n: ad.Tensor(a) for n, a in pruned_params}, X).data

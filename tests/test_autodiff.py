@@ -80,7 +80,8 @@ def test_nonfinite_error_carries_index():
 
 def test_pinned_mlp_loss():
     """Regression constant plus the independent scalar-loop oracle."""
-    model, params, _ = zoo.build_mlp([4, 8, 3], seed=7)
+    model = zoo.Mlp([4, 8, 3])
+    params = model.init_params(7)
     rng = np.random.default_rng(11)
     X = rng.normal(size=(6, 4))
     y = rng.integers(0, 3, size=6)
@@ -110,7 +111,8 @@ def test_pinned_mlp_loss():
 
 
 def test_batch_of_identical_samples_equals_single():
-    model, params, _ = zoo.build_mlp([4, 8, 3], seed=7)
+    model = zoo.Mlp([4, 8, 3])
+    params = model.init_params(7)
     x = np.random.default_rng(2).normal(size=(1, 4))
     y = np.array([1])
     single = zoo.batch_loss(model, params, (x, y))
@@ -120,7 +122,8 @@ def test_batch_of_identical_samples_equals_single():
 
 
 def test_determinism_bit_identical():
-    model, params, _ = zoo.build_mlp([6, 5, 4], seed=1)
+    model = zoo.Mlp([6, 5, 4])
+    params = model.init_params(1)
     X = np.random.default_rng(3).normal(size=(4, 6))
     y = np.array([0, 1, 2, 3])
     l1, g1 = ad.gradient(model.loss, dict(params), (X, y))
@@ -233,7 +236,8 @@ def test_relu_adjoint_at_zero_is_zero():
 
 
 def test_transformer_gradients_match_fd(corpus):
-    model, params, _ = zoo.build_tiny_transformer(32, 16, 4, 2, seed=3, max_len=16)
+    model = zoo.TinyTransformer.build(32, 16, 4, 2, max_len=16)
+    params = model.init_params(3)
     ids = np.random.default_rng(9).integers(0, 32, size=(2, 10))
     rep = ad.grad_check(model.loss, dict(params), ids, n_coords=50, seed=10)
     assert rep.passed, rep.per_param_max
@@ -243,7 +247,8 @@ def test_transformer_gradients_match_fd(corpus):
 @settings(max_examples=25, deadline=None)
 def test_grad_check_passes_on_random_mlps(seed):
     rng = np.random.default_rng(seed)
-    model, params, _ = zoo.build_mlp([3, 4, 2], seed=seed % 1000)
+    model = zoo.Mlp([3, 4, 2])
+    params = model.init_params(seed % 1000)
     X = rng.uniform(-1, 1, size=(3, 3))
     y = rng.integers(0, 2, size=3)
     rep = ad.grad_check(model.loss, dict(params), (X, y), n_coords=10, seed=seed % 97)
@@ -251,7 +256,8 @@ def test_grad_check_passes_on_random_mlps(seed):
 
 
 def test_out_of_vocab_token_reports_sample_index():
-    model, params, _ = zoo.build_tiny_transformer(8, 4, 2, 1, seed=0, max_len=8)
+    model = zoo.TinyTransformer.build(8, 4, 2, 1, max_len=8)
+    params = model.init_params(0)
     ids = np.array([[1, 2, 3], [1, 99, 2]])
     with pytest.raises(ad.OutOfVocabError) as exc:
         zoo.batch_loss(model, params, ids)

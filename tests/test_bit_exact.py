@@ -1,9 +1,9 @@
 """Bit-exact oracles for the allocation-lean hot loops.
 
 The Monte Carlo loop, the proximal loop, gelu and softmax run in place on
-flat buffers. Each is pinned here, bit for bit (uint64 views), against the
-straightforward per-parameter formulation it replaced, kept below as the
-oracle. The oracles are test code only; the package has one runtime path.
+flat buffers, and physical pruning deletes each parameter's slices in one
+call. Each is pinned here, bit for bit (uint64 views), against the
+straightforward formulation it replaced, kept below as the oracle. The oracles are test code only; the package has one runtime path.
 """
 import math
 
@@ -12,6 +12,7 @@ import pytest
 
 from proxprune import autodiff as ad
 from proxprune import zoo
+from proxprune.importance import prune_model
 from proxprune.moreau import (
     GroupLayout,
     MoreauConfig,
@@ -120,17 +121,38 @@ def oracle_structure_flat_indices(ps: ParamSet, structure):
     return np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)
 
 
+def oracle_pruned_params(model, params: ParamSet, prune_set) -> ParamSet:
+    by_id = {st.id: st for st in model.structures()}
+    groups = {g.id: g for g in model.groups()}
+    drop: dict[tuple[str, int], set[int]] = {}
+    for sid in {sid for gid in prune_set for sid in groups[gid].structures}:
+        for s in by_id[sid].slices:
+            drop.setdefault((s.param, s.axis), set()).update(range(s.start, s.stop))
+    items = []
+    for name, arr in params:
+        out = arr
+        for axis in range(arr.ndim):
+            dropped = drop.get((name, axis))
+            if dropped:
+                kept = np.array([i for i in range(arr.shape[axis]) if i not in dropped])
+                out = np.take(out, kept, axis=axis)
+        items.append((name, out))
+    return ParamSet(items)
+
+
 # --- fixtures --------------------------------------------------------------
 
 
 def mlp_case():
-    model, params, _ = zoo.build_mlp([6, 5, 4], seed=1)
+    model = zoo.Mlp([6, 5, 4])
+    params = model.init_params(1)
     rng = np.random.default_rng(3)
     return model, params, (rng.normal(size=(5, 6)), rng.integers(0, 4, size=5))
 
 
 def transformer_case():
-    model, params, _ = zoo.build_tiny_transformer(16, 8, 2, 1, seed=2, max_len=8)
+    model = zoo.TinyTransformer.build(16, 8, 2, 1, max_len=8)
+    params = model.init_params(2)
     rng = np.random.default_rng(4)
     return model, params, rng.integers(0, 16, size=(2, 8))
 
@@ -288,6 +310,28 @@ def test_structure_flat_indices_on_benchmark_sized_models():
             assert np.array_equal(
                 structure_flat_indices(params, st), oracle_structure_flat_indices(params, st)
             )
+
+
+@pytest.mark.parametrize(
+    "model", [zoo.Mlp([6, 5, 4]), zoo.TinyTransformer.build(256, 32, 4, 2)], ids=["mlp", "transformer"]
+)
+def test_prune_model_matches_take_oracle(model):
+    """Random prune sets that leave every block at least one structure."""
+    params = model.init_params(0)
+    rng = np.random.default_rng(9)
+    blocks = {}
+    for st in model.structures():
+        blocks.setdefault(st.block, []).append(st.id)
+    for _ in range(5):
+        prune_set = tuple(sorted(
+            sid for ids in blocks.values()
+            for sid in rng.choice(ids, size=rng.integers(0, len(ids)), replace=False)
+        ))
+        _, got = prune_model(model, params, prune_set)
+        want = oracle_pruned_params(model, params, prune_set)
+        assert got.shapes() == want.shapes()
+        for (_, a), (_, b) in zip(got, want):
+            assert_same_bits(a, b)
 
 
 class TestGroupLayoutChecks:

@@ -98,6 +98,13 @@ def _transformer_without_max_len(tmp_path):
     )
 
 
+def _arch_with_unknown_key(tmp_path):
+    model = zoo.Mlp([data.mlp_feature_width(4), 12, data.VOCAB])
+    return rewritten_header_ckpt(
+        tmp_path, "extrakey.ckpt", model, lambda h: h["arch"].update(depth=2)
+    )
+
+
 @pytest.fixture()
 def trained_ckpt(tmp_path, corpus_file):
     cfg = write_cfg(tmp_path, corpus_file)
@@ -162,6 +169,13 @@ class TestConfig:
             rho=0.3, gamma=1e-3, steps=5, eta=1e-4, noise=noise
         )
 
+    def test_unknown_agg_exits_2(self, tmp_path, corpus_file, capsys):
+        cfg = write_cfg(tmp_path, corpus_file, extra={"prune": {"agg": "mean"}})
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "[prune] agg must be one of sum, max, prod, got 'mean'" in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_unknown_robustness_criterion_rejected(self, tmp_path, corpus_file):
         extra = {"robustness": {"criteria": "plain,moreau-sg"}}
         with pytest.raises(ConfigError, match="unknown criterion 'moreau-sg'"):
@@ -188,6 +202,18 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"lr must be finite and >= 0, got {lr}" in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("command", ["train", "recover"])
+    def test_divergence_exits_3(self, tmp_path, corpus_file, capsys, command):
+        cfg = write_cfg(tmp_path, corpus_file, extra={"train": {"lr": 1e300}})
+        argv = [command, "--config", str(cfg)]
+        if command == "recover":
+            argv += ["--checkpoint", str(scaled_ckpt(tmp_path, 1.0, "start.ckpt"))]
+        assert cli.main(argv) == cli.EXIT_TRAINING
+        err = capsys.readouterr().err
+        assert "training diverged: non-finite loss at epoch 0, step 1" in err
+        assert not list((tmp_path / "run").glob("*.ckpt"))
 
     def test_repeat_runs_are_byte_identical(self, tmp_path, corpus_file):
         cfg = write_cfg(tmp_path, corpus_file)
@@ -370,12 +396,42 @@ class TestDamagedCheckpoint:
 
     @pytest.mark.parametrize(
         "make",
-        [_ten_bytes, _magic_only, _no_params, _mlp_without_widths, _transformer_without_max_len],
+        [_ten_bytes, _magic_only, _no_params, _mlp_without_widths, _transformer_without_max_len,
+         _arch_with_unknown_key],
     )
     def test_malformed_header_exits_2(self, tmp_path, corpus_file, capsys, make):
         rc, err = self.prune(tmp_path, corpus_file, make(tmp_path), capsys)
         assert rc == cli.EXIT_CONFIG
         assert "malformed checkpoint" in err
+
+    def test_trailing_bytes_exit_2(self, tmp_path, corpus_file, capsys):
+        ckpt = scaled_ckpt(tmp_path, 1.0, "long.ckpt")
+        size = ckpt.stat().st_size
+        ckpt.write_bytes(ckpt.read_bytes() + b"\0" * 7)
+        rc, err = self.prune(tmp_path, corpus_file, ckpt, capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert f"file is {size + 7} bytes, its header describes {size}" in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "argv",
+        [["prune", "--criterion", c] for c in ("plain", "smooth", "moreau", "moreau-gs")]
+        + [["robustness"], ["recover"]],
+        ids=lambda argv: "-".join(argv[::2]),
+    )
+    def test_nonfinite_weight_exits_2(self, tmp_path, corpus_file, capsys, argv, value):
+        def poison(params, structures, groups):
+            params["w1"].reshape(-1)[5] = value
+            return params, structures, groups
+
+        ckpt = crafted_ckpt(tmp_path, "poisoned.ckpt", poison)
+        cfg = write_cfg(tmp_path, corpus_file)
+        rc = cli.main([argv[0], "--config", str(cfg), "--checkpoint", str(ckpt), *argv[1:]])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"parameter 'w1' holds {value} at flat index 5" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "run").glob("*"))
 
 
 class TestRobustness:

@@ -112,7 +112,9 @@ def test_selection_invariant_under_positive_scaling(c):
 
 class TestPruneModel:
     def setup_method(self):
-        self.model, self.params, self.groups = zoo.build_mlp([4, 8, 3], seed=7)
+        self.model = zoo.Mlp([4, 8, 3])
+        self.params = self.model.init_params(7)
+        self.groups = self.model.groups()
         self.structures = self.model.structures()
         rng = np.random.default_rng(0)
         self.X = rng.normal(size=(100, 4))
@@ -125,7 +127,7 @@ class TestPruneModel:
         return t.data
 
     def test_empty_prune_set_is_identity(self):
-        m2, p2, maps = imp.prune_model(self.model, self.params, ())
+        m2, p2 = imp.prune_model(self.model, self.params, ())
         assert m2.widths == self.model.widths
         assert np.array_equal(self._logits(m2, p2, self.X), self._logits(self.model, self.params, self.X))
 
@@ -138,17 +140,19 @@ class TestPruneModel:
         scores = imp.element_importance({n: np.ones_like(a) for n, a in params}, params)
         struct_scores = imp.structure_importance(scores, self.structures)
         assert struct_scores[j] == 0.0  # exactly, all products vanish
-        m2, p2, _ = imp.prune_model(self.model, params, (j,))
+        m2, p2 = imp.prune_model(self.model, params, (j,))
         before = self._logits(self.model, params, self.X)
         after = self._logits(m2, p2, self.X)
         assert np.max(np.abs(before - after)) <= 1e-12
         assert m2.widths == [4, 7, 3]
 
-    def test_index_maps_predict_parameter_counts(self):
-        m2, p2, maps = imp.prune_model(self.model, self.params, (0, 3))
-        for name, a2 in p2:
-            expected = tuple(len(maps[name][ax]) for ax in range(a2.ndim))
-            assert a2.shape == expected
+    def test_pruned_slices_predict_parameter_counts(self):
+        m2, p2 = imp.prune_model(self.model, self.params, (0, 3))
+        kept = [1, 2, 4, 5, 6, 7]
+        assert np.array_equal(p2["w0"], self.params["w0"][:, kept])
+        assert np.array_equal(p2["b0"], self.params["b0"][kept])
+        assert np.array_equal(p2["w1"], self.params["w1"][kept, :])
+        assert np.array_equal(p2["b1"], self.params["b1"])
         assert p2.size == self.params.size - 2 * 8  # two structures of 8 elements
 
     def test_would_empty_layer(self):
@@ -156,17 +160,21 @@ class TestPruneModel:
             imp.prune_model(self.model, self.params, tuple(range(8)))
 
     def test_transformer_head_pruning_shrinks_blocks(self):
-        model, params, groups = zoo.build_tiny_transformer(16, 8, 2, 1, seed=1, max_len=8)
+        model = zoo.TinyTransformer.build(16, 8, 2, 1, max_len=8)
+        params = model.init_params(1)
+        groups = model.groups()
         head_groups = [g.id for g in groups if g.cls == "head"]
-        m2, p2, _ = imp.prune_model(model, params, (head_groups[0],))
+        m2, p2 = imp.prune_model(model, params, (head_groups[0],))
         assert m2.a.heads == [1]
-        assert p2["l0.wq"].shape == (8, 4)
-        assert p2["l0.wo"].shape == (4, 8)
+        assert np.array_equal(p2["l0.wq"], params["l0.wq"][:, 4:])
+        assert np.array_equal(p2["l0.wo"], params["l0.wo"][4:, :])
         ids = np.random.default_rng(2).integers(0, 16, size=(2, 6))
         assert np.isfinite(zoo.batch_loss(m2, p2, ids))
 
     def test_whole_attention_block_cannot_vanish(self):
-        model, params, groups = zoo.build_tiny_transformer(16, 8, 2, 1, seed=1, max_len=8)
+        model = zoo.TinyTransformer.build(16, 8, 2, 1, max_len=8)
+        params = model.init_params(1)
+        groups = model.groups()
         head_ids = tuple(g.id for g in groups if g.cls == "head")
         with pytest.raises(imp.WouldEmptyLayerError, match="attn"):
             imp.prune_model(model, params, head_ids)

@@ -129,7 +129,8 @@ class TestMoreauGrad:
 
     def test_mg_is_displacement_over_rho_exactly(self):
         cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=NoiseSpec(scale=0.05, m=2, seed=4))
-        model, params, _ = zoo.build_mlp([4, 5, 3], seed=2)
+        model = zoo.Mlp([4, 5, 3])
+        params = model.init_params(2)
         rng = np.random.default_rng(1)
         batch = (rng.normal(size=(3, 4)), rng.integers(0, 3, size=3))
         res = moreau_grad(model, params, batch, cfg)
@@ -157,7 +158,8 @@ class TestMoreauGrad:
 
 class TestGroupSparse:
     def test_eta_zero_matches_plain_bitwise(self):
-        model, params, _ = zoo.build_mlp([4, 6, 3], seed=1)
+        model = zoo.Mlp([4, 6, 3])
+        params = model.init_params(1)
         rng = np.random.default_rng(5)
         batch = (rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
         noise = NoiseSpec(scale=0.05, m=3, seed=11)
@@ -172,7 +174,8 @@ class TestGroupSparse:
             assert np.array_equal(plain.mg[n], gs.mg[n])
 
     def test_huge_eta_zeroes_every_group(self):
-        model, params, _ = zoo.build_mlp([4, 6, 3], seed=1)
+        model = zoo.Mlp([4, 6, 3])
+        params = model.init_params(1)
         rng = np.random.default_rng(5)
         batch = (rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
         lay = channel_layout(params, model.structures())

@@ -25,14 +25,14 @@ def test_spec_validation():
 
 
 def test_zero_radius_ball_is_identity():
-    _, params, _ = zoo.build_mlp([4, 5, 3], seed=0)
+    params = zoo.Mlp([4, 5, 3]).init_params(0)
     out = perturb(params, PerturbSpec(kind="gaussian-ball", epsilon=0.0, seed=1))
     for (n1, a1), (n2, a2) in zip(params, out):
         assert np.array_equal(a1, a2)
 
 
 def test_roundtrip_of_representable_params_is_identity():
-    _, params, _ = zoo.build_mlp([4, 5, 3], seed=0)
+    params = zoo.Mlp([4, 5, 3]).init_params(0)
     once = perturb(params, PerturbSpec(kind="fp16-roundtrip"))
     twice = perturb(once, PerturbSpec(kind="fp16-roundtrip"))
     for (n1, a1), (n2, a2) in zip(once, twice):
@@ -40,7 +40,7 @@ def test_roundtrip_of_representable_params_is_identity():
 
 
 def test_gaussian_ball_radius_is_exact():
-    _, params, _ = zoo.build_mlp([6, 8, 4], seed=3)
+    params = zoo.Mlp([6, 8, 4]).init_params(3)
     eps = 0.01
     out = perturb(params, PerturbSpec(kind="gaussian-ball", epsilon=eps, seed=7))
     delta = out.flatten() - params.flatten()
@@ -48,7 +48,7 @@ def test_gaussian_ball_radius_is_exact():
 
 
 def test_perturb_respects_prunable_subset():
-    _, params, _ = zoo.build_mlp([4, 5, 3], seed=0)
+    params = zoo.Mlp([4, 5, 3]).init_params(0)
     out = perturb(params, PerturbSpec(kind="bf16-roundtrip"), prunable={"w0"})
     assert not np.array_equal(out["w0"], params["w0"])
     assert np.array_equal(out["w1"], params["w1"])

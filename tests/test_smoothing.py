@@ -56,7 +56,8 @@ def test_seed_determinism():
 
 
 def test_reduction_to_plain_gradient_is_bit_exact():
-    model, params, _ = zoo.build_mlp([4, 5, 3], seed=1)
+    model = zoo.Mlp([4, 5, 3])
+    params = model.init_params(1)
     rng = np.random.default_rng(0)
     batch = (rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
     from proxprune import autodiff as ad
@@ -69,7 +70,8 @@ def test_reduction_to_plain_gradient_is_bit_exact():
 
 
 def test_smoothed_grad_fixed_seed_reproducible():
-    model, params, _ = zoo.build_mlp([4, 5, 3], seed=1)
+    model = zoo.Mlp([4, 5, 3])
+    params = model.init_params(1)
     rng = np.random.default_rng(0)
     batch = (rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
     spec = NoiseSpec(scale=0.05, m=5, seed=21)

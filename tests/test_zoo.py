@@ -30,7 +30,9 @@ def assert_well_formed(params, structures, groups):
 
 
 def test_mlp_structure_counting():
-    model, params, groups = zoo.build_mlp([4, 8, 3], seed=7)
+    model = zoo.Mlp([4, 8, 3])
+    params = model.init_params(7)
+    groups = model.groups()
     assert len(groups) == 8
     shapes = params.shapes()
     assert all(st.n_elements(shapes) == 4 + 1 + 3 for st in model.structures())
@@ -45,14 +47,16 @@ def test_mlp_rejects_bad_widths():
 
 
 def test_mlp_seed_determinism():
-    _, p1, _ = zoo.build_mlp([5, 6, 2], seed=13)
-    _, p2, _ = zoo.build_mlp([5, 6, 2], seed=13)
+    p1 = zoo.Mlp([5, 6, 2]).init_params(13)
+    p2 = zoo.Mlp([5, 6, 2]).init_params(13)
     for (n1, a1), (n2, a2) in zip(p1, p2):
         assert n1 == n2 and np.array_equal(a1, a2)
 
 
 def test_transformer_group_counting():
-    model, params, groups = zoo.build_tiny_transformer(32, 16, 4, 2, seed=0, max_len=16)
+    model = zoo.TinyTransformer.build(32, 16, 4, 2, max_len=16)
+    params = model.init_params(0)
+    groups = model.groups()
     heads = [g for g in groups if g.cls == "head"]
     channels = [g for g in groups if g.cls == "channel"]
     assert len(heads) == 2 * 4
@@ -66,27 +70,31 @@ def test_transformer_head_divisibility():
 
 
 def test_transformer_one_token_input_is_empty_target():
-    model, params, _ = zoo.build_tiny_transformer(16, 8, 2, 1, seed=0, max_len=8)
+    model = zoo.TinyTransformer.build(16, 8, 2, 1, max_len=8)
+    params = model.init_params(0)
     with pytest.raises(ad.EmptyTargetError):
         zoo.batch_loss(model, params, np.array([[5]]))
 
 
 def test_transformer_pinned_loss():
-    model, params, _ = zoo.build_tiny_transformer(32, 16, 4, 2, seed=3, max_len=16)
+    model = zoo.TinyTransformer.build(32, 16, 4, 2, max_len=16)
+    params = model.init_params(3)
     ids = np.random.default_rng(9).integers(0, 32, size=(3, 12))
     assert zoo.batch_loss(model, params, ids) == TRANSFORMER_32_16_4_2_SEED3_LOSS
 
 
 def test_uniform_logits_loss_is_log_vocab():
     """With the head zeroed the predictive distribution is exactly uniform."""
-    model, params, _ = zoo.build_tiny_transformer(32, 16, 4, 2, seed=3, max_len=16)
+    model = zoo.TinyTransformer.build(32, 16, 4, 2, max_len=16)
+    params = model.init_params(3)
     params["head.w"][:] = 0.0
     params["head.b"][:] = 0.0
     ids = np.random.default_rng(1).integers(0, 32, size=(4, 9))
     loss = zoo.batch_loss(model, params, ids)
     assert loss == pytest.approx(np.log(32), rel=1e-12)
     # a freshly initialized model is near-uniform: within 2 percent
-    model2, params2, _ = zoo.build_tiny_transformer(256, 16, 4, 2, seed=5, max_len=16)
+    model2 = zoo.TinyTransformer.build(256, 16, 4, 2, max_len=16)
+    params2 = model2.init_params(5)
     params2["head.w"][:] = 0.0
     params2["head.b"][:] = 0.0
     ids2 = np.random.default_rng(2).integers(0, 256, size=(4, 9))
@@ -94,13 +102,15 @@ def test_uniform_logits_loss_is_log_vocab():
 
 
 def test_empty_batch_raises():
-    model, params, _ = zoo.build_mlp([4, 5, 3], seed=0)
+    model = zoo.Mlp([4, 5, 3])
+    params = model.init_params(0)
     with pytest.raises(zoo.EmptyBatchError):
         zoo.batch_loss(model, params, (np.zeros((0, 4)), np.zeros(0, dtype=int)))
 
 
 def test_batch_loss_permutation_invariant():
-    model, params, _ = zoo.build_mlp([4, 6, 3], seed=2)
+    model = zoo.Mlp([4, 6, 3])
+    params = model.init_params(2)
     rng = np.random.default_rng(6)
     X = rng.normal(size=(7, 4))
     y = rng.integers(0, 3, size=7)
@@ -123,7 +133,9 @@ def test_paramset_flatten_roundtrip(seed):
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path, corpus):
-    model, params, groups = zoo.build_tiny_transformer(32, 16, 4, 2, seed=0, max_len=16)
+    model = zoo.TinyTransformer.build(32, 16, 4, 2, max_len=16)
+    params = model.init_params(0)
+    groups = model.groups()
     params["embed"][0, 0] = -0.0  # sign of zero must survive
     path = tmp_path / "m.ckpt"
     checkpoint.save(path, model.arch(), params, model.structures(), groups)
@@ -163,7 +175,8 @@ def test_recover_two_epochs_improves(trained_mlp, corpus):
 
 
 def test_recover_validates_arguments():
-    model, params, _ = zoo.build_mlp([4, 5, 3], seed=0)
+    model = zoo.Mlp([4, 5, 3])
+    params = model.init_params(0)
     with pytest.raises(zoo.ZooError):
         zoo.recover_finetune(model, params, [((np.zeros((1, 4))), np.zeros(1, dtype=int))], epochs=0, lr=0.1)
     for lr in (-0.1, float("nan"), float("inf")):
@@ -172,7 +185,8 @@ def test_recover_validates_arguments():
 
 
 def test_mlp_label_out_of_vocab():
-    model, params, _ = zoo.build_mlp([4, 5, 3], seed=0)
+    model = zoo.Mlp([4, 5, 3])
+    params = model.init_params(0)
     X = np.zeros((2, 4))
     with pytest.raises(ad.OutOfVocabError) as exc:
         zoo.batch_loss(model, params, (X, np.array([0, 3])))
