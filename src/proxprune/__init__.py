@@ -6,7 +6,7 @@ models, and an experiment harness quantifying how stable each criterion's
 pruning outcome is under weight perturbations such as fp16/bf16 rounding.
 """
 
-from .autodiff import GradMap, backward, forward, grad_check, gradient
+from .autodiff import GradMap, backward, forward, gradient
 from .importance import (
     ImportanceReport,
     element_importance,
@@ -22,10 +22,8 @@ from .moreau import (
     MoreauConfig,
     MoreauResult,
     channel_layout,
-    closed_form_oracle,
     group_soft_threshold,
     group_sparse_moreau_grad,
-    lipschitz_probe,
     moreau_grad,
 )
 from .params import ParamSet, PruneGroup, PruneStructure, Slice

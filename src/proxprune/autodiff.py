@@ -72,7 +72,6 @@ class Tape:
         self.leaves: dict[int, tuple[str, tuple[int, ...]]] = {}
         self.output_node: int | None = None
         self.consumed = False
-        self.relu_signs: list[np.ndarray] = []
         self._next = 0
 
     def new_node(self) -> int:
@@ -233,8 +232,6 @@ def relu(x) -> Tensor:
     """max(x, 0); the adjoint at exactly 0 is 0 (subgradient convention)."""
     xd, xt, xn = _parts(x)
     mask = xd > 0.0
-    if xt is not None:
-        xt.relu_signs.append(mask)
     out = np.where(mask, xd, 0.0)
     return _finish("relu", out, xt, [(xn, lambda g: g * mask)])
 
@@ -428,15 +425,6 @@ def transpose(x, axes) -> Tensor:
     return _finish("transpose", out, xt, [(xn, lambda g: g.transpose(inv))])
 
 
-def sum_all(x) -> Tensor:
-    """Scalar sum of all entries, composed from reshape + matmul with a ones vector."""
-    xd, _, _ = _parts(x)
-    n = xd.size
-    row = reshape(x, (1, n))
-    total = matmul(row, np.ones((n, 1)))
-    return reshape(total, ())
-
-
 def forward(program, params: Mapping[str, np.ndarray], batch=None) -> tuple[float, Tape]:
     """Run program(leaves, batch) on a fresh tape.
 
@@ -493,72 +481,3 @@ def gradient(program, params, batch=None) -> tuple[float, GradMap]:
     loss, tape = forward(program, params, batch)
     return loss, backward(tape)
 
-
-@dataclass
-class GradCheckReport:
-    per_param_max: dict[str, float]
-    max_rel_err: float
-    checked: int
-    excluded: list[tuple[str, int]]
-    passed: bool
-    tolerance: float
-
-
-def grad_check(
-    program,
-    params: Mapping[str, np.ndarray],
-    batch=None,
-    step: float = 1e-5,
-    tolerance: float = 1e-5,
-    n_coords: int = 50,
-    seed: int = 0,
-) -> GradCheckReport:
-    """Compare reverse-mode gradients against central finite differences.
-
-    Relative error uses |a-b| / max(|a|, |b|, 1): at tiny gradient scales it
-    degrades to absolute error, keeping the finite-difference noise floor
-    (~1e-11 at step 1e-5) well below any meaningful tolerance. Coordinates
-    whose +/-step evaluations land on different sides of a relu kink are
-    excluded and listed in the report.
-    """
-    if step <= 0:
-        raise ValueError("grad_check: step must be positive")
-    _, grads = gradient(program, params, batch)
-    coords: list[tuple[str, int]] = []
-    for name, arr in params.items():
-        coords.extend((name, i) for i in range(np.asarray(arr).size))
-    rng = np.random.default_rng(seed)
-    if len(coords) > n_coords:
-        picked = rng.choice(len(coords), size=n_coords, replace=False)
-        coords = [coords[i] for i in sorted(picked)]
-
-    def eval_at(name, idx, delta):
-        shifted = {k: np.array(v, dtype=np.float64, copy=True) for k, v in params.items()}
-        shifted[name].reshape(-1)[idx] += delta
-        loss, tape = forward(program, shifted, batch)
-        return loss, tape.relu_signs
-
-    per_param: dict[str, float] = {name: 0.0 for name in params}
-    excluded: list[tuple[str, int]] = []
-    checked = 0
-    for name, idx in coords:
-        lo, signs_lo = eval_at(name, idx, -step)
-        hi, signs_hi = eval_at(name, idx, +step)
-        kink = any(not np.array_equal(a, b) for a, b in zip(signs_lo, signs_hi))
-        if kink:
-            excluded.append((name, idx))
-            continue
-        fd = (hi - lo) / (2.0 * step)
-        an = float(np.asarray(grads.get(name, np.zeros(np.shape(params[name])))).reshape(-1)[idx])
-        err = abs(an - fd) / max(abs(an), abs(fd), 1.0)
-        per_param[name] = max(per_param[name], err)
-        checked += 1
-    max_err = max(per_param.values()) if per_param else 0.0
-    return GradCheckReport(
-        per_param_max=per_param,
-        max_rel_err=max_err,
-        checked=checked,
-        excluded=excluded,
-        passed=max_err < tolerance,
-        tolerance=tolerance,
-    )

@@ -195,6 +195,13 @@ def _check(cfg: RunConfig) -> None:
     for criterion in (cfg.criterion, *cfg.criteria):
         if criterion not in CRITERIA:
             raise ConfigError(f"unknown criterion {criterion!r} (one of {', '.join(CRITERIA)})")
+    for key in ("specs", "criteria"):
+        if not getattr(cfg, key):
+            raise ConfigError(f"[robustness] {key} must name at least one entry")
+    try:
+        cfg.experiments()
+    except ValueError as e:
+        raise ConfigError(f"[robustness] {e}") from e
     if cfg.agg not in AGGREGATORS:
         raise ConfigError(f"[prune] agg must be one of {', '.join(AGGREGATORS)}, got {cfg.agg!r}")
     if cfg.model_kind == "transformer":

@@ -82,13 +82,12 @@ def mlp_feature_width(context: int) -> int:
     return context * VOCAB
 
 
-def make_batch(model, corpus: ByteCorpus, n: int, seed: int, *, seq_len: int = 128, context: int | None = None):
+def make_batch(model, corpus: ByteCorpus, n: int, seed: int, *, seq_len: int = 128):
     """Model-appropriate batch plus its logged start offsets."""
     if model.kind == "transformer":
         return sequence_batch(corpus, n, seq_len, seed)
     if model.kind == "mlp":
-        if context is None:
-            context = model.widths[0] // VOCAB
+        context = model.widths[0] // VOCAB
         if context * VOCAB != model.widths[0]:
             raise CorpusError(
                 f"mlp input width {model.widths[0]} is not a multiple of the byte vocab"

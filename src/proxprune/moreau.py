@@ -56,14 +56,14 @@ class MoreauConfig:
     noise: NoiseSpec = field(default_factory=lambda: NoiseSpec(scale=0.05, m=4, seed=0))
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
+        if not 0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite")
         if not (0 < self.gamma <= self.rho):
             raise ValueError("gamma must satisfy 0 < gamma <= rho")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
-        if not self.eta >= 0:
-            raise ValueError("eta must be >= 0")
+        if not 0 <= self.eta < math.inf:
+            raise ValueError("eta must be >= 0 and finite")
 
 
 class GroupLayout:
@@ -206,86 +206,3 @@ def group_sparse_moreau_grad(
     code path bit-for-bit."""
     return _proximal_loop(model, params, batch, config, layout=layout)
 
-
-ORACLE_IDS = ("quadratic", "linear", "scaled-abs")
-
-
-def closed_form_oracle(function_id: str, w: np.ndarray, rho: float, u=None, beta: float = 1.0):
-    """Exact (proximal point, envelope gradient) for the validation functions.
-
-    quadratic 0.5||w||^2 : prox = w/(1+rho),        grad = w/(1+rho)
-    linear    u.w        : prox = w - rho*u,        grad = u
-    scaled-abs beta||w||_1: prox = soft-threshold by rho*beta,
-                            grad = sign(w)*min(|w|/rho, beta)  (per coordinate)
-    """
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    if function_id == "quadratic":
-        prox = w / (1.0 + rho)
-        return prox, prox.copy()
-    if function_id == "linear":
-        if u is None:
-            raise ValueError("linear oracle needs the coefficient vector u")
-        u = np.broadcast_to(np.asarray(u, dtype=np.float64), w.shape)
-        return w - rho * u, u.copy()
-    if function_id == "scaled-abs":
-        thresh = rho * beta
-        prox = np.sign(w) * np.maximum(np.abs(w) - thresh, 0.0)
-        grad = np.sign(w) * np.minimum(np.abs(w) / rho, beta)
-        return prox, grad
-    raise ValueError(f"unknown oracle function id {function_id!r}; known: {ORACLE_IDS}")
-
-
-@dataclass
-class ProbeReport:
-    ratios: list[float]
-    adjusted: list[float]  # ratio minus its slack
-    max_ratio: float
-    max_adjusted: float
-    bound: float
-    skipped: int
-    passed: bool
-    vacuous: bool  # every pair was coincident
-
-
-def lipschitz_probe(grad_fn, pairs, bound: float, slack=0.0) -> ProbeReport:
-    """Empirical gradient-smoothness probe: per pair (w1, w2) the ratio
-    ||grad_fn(w1) - grad_fn(w2)|| / ||w1 - w2||, passed iff every ratio
-    stays within bound after subtracting its Monte Carlo slack.
-
-    ``slack`` is additive, scalar or per-pair. Coincident pairs are skipped
-    and counted; if nothing remains the probe passes vacuously.
-    """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("lipschitz_probe: need at least one pair")
-    if bound <= 0:
-        raise ValueError("lipschitz_probe: bound must be positive")
-    slacks = np.broadcast_to(np.asarray(slack, dtype=np.float64), (len(pairs),))
-    ratios: list[float] = []
-    adjusted: list[float] = []
-    skipped = 0
-    for (w1, w2), s in zip(pairs, slacks):
-        w1 = np.atleast_1d(np.asarray(w1, dtype=np.float64))
-        w2 = np.atleast_1d(np.asarray(w2, dtype=np.float64))
-        dw = float(np.linalg.norm(w1 - w2))
-        if dw == 0.0:
-            skipped += 1
-            continue
-        dg = float(np.linalg.norm(np.asarray(grad_fn(w1)) - np.asarray(grad_fn(w2))))
-        ratios.append(dg / dw)
-        adjusted.append(dg / dw - float(s))
-    vacuous = not ratios
-    max_ratio = max(ratios) if ratios else 0.0
-    max_adjusted = max(adjusted) if adjusted else 0.0
-    return ProbeReport(
-        ratios=ratios,
-        adjusted=adjusted,
-        max_ratio=max_ratio,
-        max_adjusted=max_adjusted,
-        bound=bound,
-        skipped=skipped,
-        passed=vacuous or max_adjusted <= bound,
-        vacuous=vacuous,
-    )

@@ -141,17 +141,6 @@ class PruneStructure:
     slices: tuple[Slice, ...]
     block: str  # which layer/block the structure lives in, for survival checks
 
-    def n_elements(self, shapes: Mapping[str, tuple[int, ...]]) -> int:
-        total = 0
-        for s in self.slices:
-            shape = shapes[s.param]
-            other = 1
-            for ax, ext in enumerate(shape):
-                if ax != s.axis:
-                    other *= ext
-            total += (s.stop - s.start) * other
-        return total
-
 
 @dataclass(frozen=True)
 class PruneGroup:

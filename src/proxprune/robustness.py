@@ -33,8 +33,8 @@ class PerturbSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"perturbation kind must be one of {KINDS}")
-        if self.kind == "gaussian-ball" and not self.epsilon >= 0:
-            raise ValueError("gaussian-ball epsilon must be >= 0")
+        if self.kind == "gaussian-ball" and not 0 <= self.epsilon < math.inf:
+            raise ValueError("gaussian-ball epsilon must be >= 0 and finite")
 
     def label(self) -> str:
         if self.kind == "gaussian-ball":
@@ -100,18 +100,9 @@ class RobustnessReport:
         }
 
     def to_csv_row(self) -> list:
-        """One row under CSV_COLUMNS."""
-        return [
-            self.criterion,
-            self.spec_label,
-            self.baseline_label,
-            repr(self.importance_l2),
-            repr(self.importance_rel),
-            repr(self.jaccard),
-            self.symdiff,
-            repr(self.delta_w_l2),
-            repr(self.sensitivity),
-        ]
+        """One row under CSV_COLUMNS; csv writes each float as its repr."""
+        doc = self.to_json_dict()
+        return [doc[c] for c in CSV_COLUMNS]
 
 
 CSV_COLUMNS = [

@@ -41,8 +41,8 @@ class NoiseSpec:
     mode: str = "relative"
 
     def __post_init__(self):
-        if not self.scale >= 0:
-            raise ValueError("noise scale must be >= 0")
+        if not 0 <= self.scale < math.inf:
+            raise ValueError("noise scale must be >= 0 and finite")
         if self.m < 1:
             raise ValueError("noise sample count m must be >= 1")
         if self.mode not in ("relative", "absolute"):

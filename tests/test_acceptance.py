@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 
 from proxprune import autodiff as ad
-from proxprune import cli, data, importance, moreau, objectives, robustness, zoo
-from proxprune.moreau import GroupLayout, MoreauConfig, channel_layout, closed_form_oracle
+from proxprune import cli, data, importance, moreau, robustness, zoo
+from proxprune.moreau import GroupLayout, MoreauConfig, channel_layout
 from proxprune.robustness import PerturbSpec
 from proxprune.smoothing import NoiseSpec, smoothed_grad
+
+import oracles
 
 EXACT = NoiseSpec(scale=0.0, m=1, seed=0)
 
@@ -29,15 +31,15 @@ def test_01_gradient_correctness(corpus):
     params = model.init_params(7)
     rng = np.random.default_rng(0)
     batch = (rng.uniform(-1, 1, size=(6, 4)), rng.integers(0, 3, size=6))
-    rep_mlp = ad.grad_check(model.loss, dict(params), batch, step=1e-5,
-                            tolerance=1e-5, n_coords=50, seed=1)
+    rep_mlp = oracles.grad_check(model.loss, dict(params), batch, step=1e-5,
+                                 tolerance=1e-5, n_coords=50, seed=1)
     assert rep_mlp.max_rel_err < 1e-5, rep_mlp.per_param_max
 
     tmodel = zoo.TinyTransformer.build(32, 16, 4, 2, max_len=16)
     tparams = tmodel.init_params(3)
     ids = rng.integers(0, 32, size=(2, 10))
-    rep_tr = ad.grad_check(tmodel.loss, dict(tparams), ids, step=1e-5,
-                           tolerance=1e-5, n_coords=50, seed=2)
+    rep_tr = oracles.grad_check(tmodel.loss, dict(tparams), ids, step=1e-5,
+                                tolerance=1e-5, n_coords=50, seed=2)
     assert rep_tr.max_rel_err < 1e-5, rep_tr.per_param_max
     elapsed = time.time() - t0
     assert elapsed < 30, f"took {elapsed:.1f}s"
@@ -48,18 +50,16 @@ def test_01_gradient_correctness(corpus):
 def test_02_moreau_oracle_equivalence():
     t0 = time.time()
     cases = [
-        ("quadratic", objectives.Quadratic(), np.array([2.0, -4.0, 0.7]), 1.0, {}),
-        ("linear", objectives.Linear([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.2]), 0.1,
-         {"u": [1.0, -2.0, 0.5]}),
+        ("quadratic", oracles.Quadratic(), np.array([2.0, -4.0, 0.7]), 1.0),
+        ("linear", oracles.Linear([1.0, -2.0, 0.5]), np.array([0.3, 0.1, -0.2]), 0.1),
         # scaled-abs points sit outside the kink basin (|w| > rho*beta): a
         # fixed-step subgradient loop cannot settle below ~gamma*beta inside it
-        ("scaled-abs", objectives.ScaledAbs(1.0), np.array([2.0, -3.0, 1.2]), 0.5,
-         {"beta": 1.0}),
+        ("scaled-abs", oracles.ScaledAbs(1.0), np.array([2.0, -3.0, 1.2]), 0.5),
     ]
-    for fid, obj, w, rho, kw in cases:
+    for fid, obj, w, rho in cases:
         cfg = MoreauConfig(rho=rho, gamma=rho / 4, steps=200, noise=EXACT)
-        res = moreau.moreau_grad(obj, objectives.wrap(w), None, cfg)
-        prox, grad = closed_form_oracle(fid, w, rho, **kw)
+        res = moreau.moreau_grad(obj, oracles.wrap(w), None, cfg)
+        prox, grad = obj.prox(w, rho)
         assert np.max(np.abs(res.w_final["w"] - prox)) < 1e-5, fid
         assert np.max(np.abs(np.abs(res.mg["w"]) - np.abs(grad))) < 1e-5, fid
     elapsed = time.time() - t0
@@ -90,11 +90,11 @@ def _batched_mg(wvec, seed, eta=0.0, layout=None):
     noise = NoiseSpec(scale=SIGMA, m=M_PROBE, seed=seed, mode="absolute")
     if layout is None:
         cfg = MoreauConfig(rho=RHO_PROBE, gamma=RHO_PROBE / 4, steps=T_PROBE, noise=noise)
-        res = moreau.moreau_grad(objectives.ScaledAbs(BETA), objectives.wrap(wvec), None, cfg)
+        res = moreau.moreau_grad(oracles.ScaledAbs(BETA), oracles.wrap(wvec), None, cfg)
     else:
         cfg = MoreauConfig(rho=RHO_PROBE, gamma=RHO_PROBE / 4, steps=T_PROBE, eta=eta, noise=noise)
         res = moreau.group_sparse_moreau_grad(
-            objectives.ScaledAbs(BETA), objectives.wrap(wvec), None, cfg, layout)
+            oracles.ScaledAbs(BETA), oracles.wrap(wvec), None, cfg, layout)
     return res.mg["w"]
 
 
@@ -119,7 +119,7 @@ def _probe(dim, seed0, eta=0.0, grouped=False):
         table[a[i].tobytes()] = mg_a[i]
         table[b[i].tobytes()] = mg_b[i]
     pairs = [(a[i], b[i]) for i in range(N_PAIRS)]
-    return moreau.lipschitz_probe(lambda w: table[w.tobytes()], pairs, PROBE_BOUND, slack=slack)
+    return oracles.lipschitz_probe(lambda w: table[w.tobytes()], pairs, PROBE_BOUND, slack=slack)
 
 
 def test_03_lipschitz_probe_plain():

@@ -181,6 +181,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown criterion 'moreau-sg'"):
             load_config(str(write_cfg(tmp_path, corpus_file, extra=extra)))
 
+    @pytest.mark.parametrize("key", ["specs", "criteria"])
+    def test_empty_robustness_list_rejected(self, tmp_path, corpus_file, key):
+        extra = {"robustness": {key: ""}}
+        with pytest.raises(ConfigError, match=rf"\[robustness\] {key} must name at least one entry"):
+            load_config(str(write_cfg(tmp_path, corpus_file, extra=extra)))
+
+    def test_unknown_spec_exits_2_in_train(self, tmp_path, corpus_file, capsys):
+        cfg = write_cfg(tmp_path, corpus_file, extra={"robustness": {"specs": "fp32"}})
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown perturbation spec 'fp32'" in err and "Traceback" not in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     def test_ratio_bounds(self, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"prune": {"ratio": 1.0}})
         with pytest.raises(ConfigError, match="ratio"):
@@ -340,6 +353,26 @@ class TestPrune:
         err = capsys.readouterr().err
         assert "in draw 0" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "section, key, criterion",
+        [
+            ("moreau", "rho", "moreau"),
+            ("moreau", "gs_rho", "moreau-gs"),
+            ("moreau", "eta", "moreau-gs"),
+            ("noise", "scale", "smooth"),
+            ("noise", "scale", "moreau"),
+        ],
+    )
+    def test_infinite_setting_exits_2(self, tmp_path, corpus_file, capsys, section, key, criterion):
+        cfg = write_cfg(tmp_path, corpus_file, extra={section: {key: "inf"}})
+        ckpt = scaled_ckpt(tmp_path, 1.0, "start.ckpt")
+        rc = cli.main(["prune", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--criterion", criterion, "--out", str(tmp_path / "inf")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+        assert not (tmp_path / "inf").exists()
+
     def test_gamma_exceeding_rho_exits_2(self, trained_ckpt, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"moreau": {"gamma": 1.0}}, name="cfg_gamma.ini")
         _, ckpt = trained_ckpt
@@ -485,6 +518,17 @@ class TestRobustness:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "needs prunable weights" in err and "Traceback" not in err
+
+    def test_infinite_epsilon_exits_2(self, tmp_path, corpus_file, capsys):
+        extra = {"robustness": {"specs": "gaussian", "criteria": "moreau", "epsilon": "inf"}}
+        cfg = write_cfg(tmp_path, corpus_file, extra=extra)
+        ckpt = scaled_ckpt(tmp_path, 1.0, "start.ckpt")
+        rc = cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "rinf")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "epsilon must be >= 0 and finite" in err and "Traceback" not in err
+        assert not (tmp_path / "rinf").exists()
 
     def test_strict_divergence_exits_5(self, trained_ckpt, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"moreau": {"rho": 1e6, "gamma": 1e6}}, name="cfg_rdiv.ini")

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxprune import importance as imp
-from proxprune import moreau, objectives, zoo
+from proxprune import moreau, zoo
 from proxprune.params import ParamSet, PruneGroup, PruneStructure, Slice
 from proxprune.smoothing import NoiseSpec
+
+import oracles
 
 
 def test_element_importance_definition():
@@ -24,8 +26,8 @@ def test_zero_weight_scores_zero():
 def test_element_importance_from_envelope_gradient():
     """Quadratic envelope at w=(2,-4), rho=1 gives |mg*w| = (2, 8)."""
     cfg = moreau.MoreauConfig(rho=1.0, gamma=0.5, steps=50, noise=NoiseSpec(scale=0.0, m=1, seed=0))
-    ps = objectives.wrap([2.0, -4.0])
-    res = moreau.moreau_grad(objectives.Quadratic(), ps, None, cfg)
+    ps = oracles.wrap([2.0, -4.0])
+    res = moreau.moreau_grad(oracles.Quadratic(), ps, None, cfg)
     scores = imp.element_importance(res.mg, ps)
     assert np.allclose(scores["w"], [2.0, 8.0], atol=1e-6)
 

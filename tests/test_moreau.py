@@ -4,18 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from proxprune import data, moreau, objectives, zoo
+from proxprune import data, moreau, zoo
 from proxprune.moreau import (
     GroupLayout,
     MoreauConfig,
     channel_layout,
-    closed_form_oracle,
     group_soft_threshold,
     group_sparse_moreau_grad,
-    lipschitz_probe,
     moreau_grad,
 )
 from proxprune.smoothing import NoiseSpec
+
+import oracles
 
 EXACT = NoiseSpec(scale=0.0, m=1, seed=0)
 
@@ -28,6 +28,8 @@ class TestConfig:
     def test_invariants(self):
         with pytest.raises(ValueError):
             MoreauConfig(rho=0.0)
+        with pytest.raises(ValueError, match="rho must be positive and finite"):
+            MoreauConfig(rho=float("inf"))
         with pytest.raises(ValueError):
             MoreauConfig(rho=0.1, gamma=0.2)  # gamma > rho breaks the damping factor
         with pytest.raises(ValueError):
@@ -36,6 +38,8 @@ class TestConfig:
             MoreauConfig(eta=-1e-9)
         with pytest.raises(ValueError, match="eta must be >= 0"):
             MoreauConfig(eta=float("nan"))
+        with pytest.raises(ValueError, match="eta must be >= 0 and finite"):
+            MoreauConfig(eta=float("inf"))
 
 
 class TestGroupSoftThreshold:
@@ -85,46 +89,43 @@ class TestGroupSoftThreshold:
 
 class TestOracle:
     def test_quadratic(self):
-        prox, grad = closed_form_oracle("quadratic", [2.0, -4.0], 1.0)
+        prox, grad = oracles.Quadratic().prox([2.0, -4.0], 1.0)
         assert np.allclose(prox, [1.0, -2.0]) and np.allclose(grad, [1.0, -2.0])
 
     def test_linear(self):
-        prox, grad = closed_form_oracle("linear", [0.5, 0.5], 0.1, u=[1.0, 1.0])
+        prox, grad = oracles.Linear([1.0, 1.0]).prox([0.5, 0.5], 0.1)
         assert np.allclose(grad, [1.0, 1.0])
         assert np.allclose(prox, [0.4, 0.4])
 
     def test_scaled_abs_interior(self):
-        prox, grad = closed_form_oracle("scaled-abs", [0.3], 1.0, beta=1.0)
+        prox, grad = oracles.ScaledAbs(1.0).prox([0.3], 1.0)
         assert prox[0] == 0.0
         assert grad[0] == pytest.approx(0.3, abs=1e-15)
 
     def test_scaled_abs_exterior(self):
-        prox, grad = closed_form_oracle("scaled-abs", [2.0, -3.0], 1.0, beta=1.0)
+        prox, grad = oracles.ScaledAbs(1.0).prox([2.0, -3.0], 1.0)
         assert np.allclose(prox, [1.0, -2.0])
         assert np.allclose(grad, [1.0, -1.0])
-
-    def test_unknown_id(self):
-        with pytest.raises(ValueError, match="unknown oracle"):
-            closed_form_oracle("cubic", [1.0], 1.0)
 
 
 class TestMoreauGrad:
     def test_quadratic_example(self):
         cfg = MoreauConfig(rho=1.0, gamma=0.5, steps=50, noise=EXACT)
-        res = moreau_grad(objectives.Quadratic(), objectives.wrap([2.0, -4.0]), None, cfg)
-        prox, grad = closed_form_oracle("quadratic", [2.0, -4.0], 1.0)
+        obj = oracles.Quadratic()
+        res = moreau_grad(obj, oracles.wrap([2.0, -4.0]), None, cfg)
+        prox, grad = obj.prox([2.0, -4.0], 1.0)
         assert np.allclose(res.w_final["w"], prox, atol=1e-6)
         assert np.allclose(np.abs(res.mg["w"]), np.abs(grad), atol=1e-6)
 
     def test_linear_envelope_gradient_norm(self):
         u = np.array([1.0, -2.0, 0.5])
         cfg = convergence_cfg(rho=0.1)
-        res = moreau_grad(objectives.Linear(u), objectives.wrap([0.1, 0.2, 0.3]), None, cfg)
+        res = moreau_grad(oracles.Linear(u), oracles.wrap([0.1, 0.2, 0.3]), None, cfg)
         assert np.linalg.norm(res.mg["w"]) == pytest.approx(np.linalg.norm(u), abs=1e-6)
 
     def test_tiny_gamma_single_step_gives_vanishing_mg(self):
         cfg = MoreauConfig(rho=1.0, gamma=1e-12, steps=1, noise=EXACT)
-        res = moreau_grad(objectives.Quadratic(), objectives.wrap([5.0, -3.0]), None, cfg)
+        res = moreau_grad(oracles.Quadratic(), oracles.wrap([5.0, -3.0]), None, cfg)
         assert np.max(np.abs(res.mg["w"])) < 1e-9
 
     def test_mg_is_displacement_over_rho_exactly(self):
@@ -141,18 +142,18 @@ class TestMoreauGrad:
         # the group penalty needs the groups: only group_sparse_moreau_grad applies eta
         cfg = MoreauConfig(rho=0.2, gamma=2e-4, eta=5e-6)
         with pytest.raises(ValueError):
-            moreau_grad(objectives.Quadratic(), objectives.wrap([1.0]), None, cfg)
+            moreau_grad(oracles.Quadratic(), oracles.wrap([1.0]), None, cfg)
 
     def test_divergence_guard_names_step(self):
         u = np.full(3, 1e7)
         cfg = MoreauConfig(rho=0.05, gamma=0.05, steps=10, noise=EXACT)
         with pytest.raises(moreau.DivergenceError) as exc:
-            moreau_grad(objectives.Linear(u), objectives.wrap([1.0, 1.0, 1.0]), None, cfg)
+            moreau_grad(oracles.Linear(u), oracles.wrap([1.0, 1.0, 1.0]), None, cfg)
         assert exc.value.step == 0
 
     def test_trace_length_matches_steps(self):
         cfg = MoreauConfig(rho=1.0, gamma=0.5, steps=7, noise=EXACT)
-        res = moreau_grad(objectives.Quadratic(), objectives.wrap([1.0]), None, cfg)
+        res = moreau_grad(oracles.Quadratic(), oracles.wrap([1.0]), None, cfg)
         assert len(res.trace) == 7
 
 
@@ -195,7 +196,7 @@ class TestGroupSparse:
         rho, eta = 1.0, 0.5
         lay = GroupLayout([[0, 1], [2, 3]])
         cfg = MoreauConfig(rho=rho, gamma=rho / 4, steps=200, eta=eta, noise=EXACT)
-        res = group_sparse_moreau_grad(objectives.Quadratic(), objectives.wrap(w), None, cfg, lay)
+        res = group_sparse_moreau_grad(oracles.Quadratic(), oracles.wrap(w), None, cfg, lay)
 
         def radial_optimum(w_g):
             # minimize 0.5*||w_g - t*unit||^2 + t^2/(2 rho) + eta*t over t >= 0
@@ -205,7 +206,7 @@ class TestGroupSparse:
             t = ts[np.argmin(vals)]
             return -t * w_g / norm  # displacement delta*
 
-        flat = res.mg_flat(objectives.wrap(w)) * rho  # displacement
+        flat = res.mg_flat(oracles.wrap(w)) * rho  # displacement
         for s, w_g in ((lay.subsets[0], w[:2]), (lay.subsets[1], w[2:])):
             expected = radial_optimum(w_g)
             assert np.allclose(flat[s], expected, atol=1e-5), (flat[s], expected)
@@ -235,21 +236,21 @@ class TestLipschitzProbe:
         pairs = [(rng.normal(size=4), rng.normal(size=4)) for _ in range(50)]
 
         def grad_fn(w):
-            return closed_form_oracle("quadratic", w, rho)[1]
+            return oracles.Quadratic().prox(w, rho)[1]
 
-        report = lipschitz_probe(grad_fn, pairs, bound=1.0 / (1.0 + rho) + 1e-9)
+        report = oracles.lipschitz_probe(grad_fn, pairs, bound=1.0 / (1.0 + rho) + 1e-9)
         assert report.passed
         assert report.max_ratio <= 1.0 / (1.0 + rho) + 1e-9
 
     def test_coincident_pair_skipped_and_vacuous(self):
         w = np.ones(3)
-        report = lipschitz_probe(lambda v: v, [(w, w.copy())], bound=1.0)
+        report = oracles.lipschitz_probe(lambda v: v, [(w, w.copy())], bound=1.0)
         assert report.skipped == 1
         assert report.vacuous and report.passed
 
     def test_slack_is_per_pair_additive(self):
         pairs = [(np.zeros(1), np.ones(1)), (np.zeros(1), np.full(1, 2.0))]
-        report = lipschitz_probe(lambda v: 3.0 * v, pairs, bound=2.0, slack=[1.5, 1.5])
+        report = oracles.lipschitz_probe(lambda v: 3.0 * v, pairs, bound=2.0, slack=[1.5, 1.5])
         assert report.max_ratio == pytest.approx(3.0)
         assert report.max_adjusted == pytest.approx(1.5)
         assert report.passed

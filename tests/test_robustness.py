@@ -22,6 +22,8 @@ def test_spec_validation():
         PerturbSpec(kind="gaussian-ball", epsilon=-1.0)
     with pytest.raises(ValueError, match="epsilon must be >= 0"):
         PerturbSpec(kind="gaussian-ball", epsilon=float("nan"))
+    with pytest.raises(ValueError, match="epsilon must be >= 0 and finite"):
+        PerturbSpec(kind="gaussian-ball", epsilon=float("inf"))
 
 
 def test_zero_radius_ball_is_identity():

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from proxprune import objectives, smoothing, zoo
+from proxprune import smoothing, zoo
 from proxprune.smoothing import NoiseSpec, sample_noise, smoothed_grad, smoothed_loss_and_grad
+
+import oracles
 
 
 def test_spec_validation():
@@ -16,37 +18,39 @@ def test_spec_validation():
         NoiseSpec(mode="cauchy")
     with pytest.raises(ValueError, match="noise scale must be >= 0"):
         NoiseSpec(scale=float("nan"))
+    with pytest.raises(ValueError, match="noise scale must be >= 0 and finite"):
+        NoiseSpec(scale=float("inf"))
 
 
 def test_zero_scale_gives_zero_noise():
-    ps = objectives.wrap([1.0, -2.0, 3.0])
+    ps = oracles.wrap([1.0, -2.0, 3.0])
     noise = sample_noise(ps, NoiseSpec(scale=0.0, m=1, seed=1), 0)
     assert np.array_equal(noise["w"], np.zeros(3))
 
 
 def test_zero_weight_gets_zero_noise_in_relative_mode():
-    ps = objectives.wrap([0.0, 2.0, 0.0])
+    ps = oracles.wrap([0.0, 2.0, 0.0])
     noise = sample_noise(ps, NoiseSpec(scale=0.05, m=1, seed=1), 0)
     assert noise["w"][0] == 0.0 and noise["w"][2] == 0.0
     assert noise["w"][1] != 0.0
 
 
 def test_draw_index_range_checked():
-    ps = objectives.wrap([1.0])
+    ps = oracles.wrap([1.0])
     with pytest.raises(ValueError):
         sample_noise(ps, NoiseSpec(scale=0.1, m=2, seed=0), 2)
 
 
 def test_noise_std_matches_gaussian_parameter():
     """Monte Carlo sanity check of the relative scale: std(noise) ~ s*|w|."""
-    ps = objectives.wrap(np.full(50, 2.0))
+    ps = oracles.wrap(np.full(50, 2.0))
     spec = NoiseSpec(scale=0.05, m=2000, seed=7)
     draws = np.concatenate([sample_noise(ps, spec, i)["w"] for i in range(spec.m)])
     assert draws.std() == pytest.approx(0.1, rel=0.02)
 
 
 def test_seed_determinism():
-    ps = objectives.wrap([1.0, 2.0])
+    ps = oracles.wrap([1.0, 2.0])
     spec = NoiseSpec(scale=0.1, m=3, seed=9)
     a = sample_noise(ps, spec, 2, step=5)
     b = sample_noise(ps, spec, 2, step=5)
@@ -85,8 +89,8 @@ def test_linear_loss_smoothing_is_exact():
     """The gradient of a linear map is constant, so every noisy draw returns
     exactly u and the average has no Monte Carlo error at all."""
     u = np.array([0.5, -1.5, 2.0])
-    ps = objectives.wrap([0.2, 0.4, -0.6])
-    grads = smoothed_grad(objectives.Linear(u), ps, None, NoiseSpec(scale=0.3, m=50, seed=2))
+    ps = oracles.wrap([0.2, 0.4, -0.6])
+    grads = smoothed_grad(oracles.Linear(u), ps, None, NoiseSpec(scale=0.3, m=50, seed=2))
     assert np.allclose(grads["w"], u, atol=1e-12)
 
 
@@ -95,7 +99,7 @@ def test_quadratic_smoothed_grad_within_monte_carlo_error():
     w = np.array([0.7])
     sigma, m = 0.5, 1000
     spec = NoiseSpec(scale=sigma, m=m, seed=11, mode="absolute")
-    grads, _ = smoothed_loss_and_grad(objectives.Quadratic(), objectives.wrap(w), None, spec)
+    grads, _ = smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w), None, spec)
     se = sigma / math.sqrt(m)
     assert abs(grads["w"][0] - w[0]) < 3 * se
 
@@ -105,7 +109,7 @@ def test_smoothed_grad_lipschitz_bound_on_abs():
     is (beta/sigma)-Lipschitz; checked on sampled pairs with 3 pooled-std
     slack for the Monte Carlo estimates."""
     beta, sigma = 1.0, 0.5
-    obj = objectives.ScaledAbs(beta)
+    obj = oracles.ScaledAbs(beta)
     rng = np.random.default_rng(17)
     reps, m = 5, 200
 
@@ -113,7 +117,7 @@ def test_smoothed_grad_lipschitz_bound_on_abs():
         vals = []
         for r in range(reps):
             spec = NoiseSpec(scale=sigma, m=m, seed=100 + r, mode="absolute")
-            vals.append(smoothed_grad(obj, objectives.wrap([w]), None, spec)["w"][0])
+            vals.append(smoothed_grad(obj, oracles.wrap([w]), None, spec)["w"][0])
         return np.mean(vals), np.std(vals, ddof=1) / math.sqrt(reps)
 
     for _ in range(12):
@@ -132,8 +136,8 @@ def test_nonfinite_draw_reports_index():
             from proxprune import autodiff as ad
 
             big = ad.multiply(p["w"], 1e300)
-            return ad.sum_all(ad.multiply(big, big))
+            return oracles.sum_all(ad.multiply(big, big))
 
     with pytest.raises(smoothing.SmoothingError) as exc:
-        smoothed_grad(Explodes(), objectives.wrap([1e5]), None, NoiseSpec(scale=0.1, m=2, seed=0))
+        smoothed_grad(Explodes(), oracles.wrap([1e5]), None, NoiseSpec(scale=0.1, m=2, seed=0))
     assert exc.value.draw_index == 0
