@@ -105,7 +105,6 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
         params,
         batch,
         cfg.ratio,
-        agg=cfg.agg,
         global_pool=cfg.global_pool,
         settings=cfg.settings(cfg.criterion),
     )
@@ -148,7 +147,6 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
             spec,
             cfg.ratio,
             baseline_spec=baseline_spec,
-            agg=cfg.agg,
             settings={c: cfg.settings(c) for c in cfg.criteria},
         )
         rows.extend(legs)

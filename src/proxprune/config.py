@@ -11,7 +11,7 @@ import configparser
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .importance import AGGREGATORS, CRITERIA
+from .importance import CRITERIA
 from .moreau import MoreauConfig
 from .robustness import PerturbSpec
 from .smoothing import NoiseSpec
@@ -43,7 +43,6 @@ class RunConfig:
     # [prune]
     criterion: str = "moreau"
     ratio: float = 0.2
-    agg: str = "sum"
     global_pool: bool = False
     # [moreau]
     rho: float = 0.05
@@ -124,8 +123,7 @@ _SECTIONS = {
              "holdout_size": "holdout_size"},
     "train": {"epochs": "epochs", "lr": "lr", "batch_size": "batch_size",
               "steps_per_epoch": "steps_per_epoch"},
-    "prune": {"criterion": "criterion", "ratio": "ratio", "agg": "agg",
-              "global_pool": "global_pool"},
+    "prune": {"criterion": "criterion", "ratio": "ratio", "global_pool": "global_pool"},
     "moreau": {"rho": "rho", "gamma": "gamma", "steps": "steps", "eta": "eta",
                "gs_rho": "gs_rho", "gs_gamma": "gs_gamma"},
     "noise": {"scale": "noise_scale", "mode": "noise_mode", "m": "noise_m",
@@ -202,8 +200,6 @@ def _check(cfg: RunConfig) -> None:
         cfg.experiments()
     except ValueError as e:
         raise ConfigError(f"[robustness] {e}") from e
-    if cfg.agg not in AGGREGATORS:
-        raise ConfigError(f"[prune] agg must be one of {', '.join(AGGREGATORS)}, got {cfg.agg!r}")
     if cfg.model_kind == "transformer":
         if min(cfg.d_model, cfg.n_heads, cfg.n_layers) < 1:
             raise ConfigError("[model] d_model, n_heads and n_layers must be >= 1")
@@ -217,3 +213,9 @@ def _check(cfg: RunConfig) -> None:
         raise ConfigError("seed must be non-negative")
     if cfg.calib_size < 1 or cfg.seq_len < 2:
         raise ConfigError("calib_size must be >= 1 and seq_len >= 2")
+    # every command checks [moreau] and [noise], whichever criterion it runs
+    for criterion in CRITERIA:
+        try:
+            cfg.settings(criterion)
+        except ValueError as e:
+            raise ConfigError(f"[moreau]/[noise] settings for {criterion}: {e}") from e

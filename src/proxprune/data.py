@@ -22,10 +22,6 @@ class CorpusError(Exception):
 class ByteCorpus:
     tokens: np.ndarray  # uint8 token ids
 
-    @property
-    def vocab(self) -> int:
-        return VOCAB
-
     def __len__(self) -> int:
         return len(self.tokens)
 

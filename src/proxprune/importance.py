@@ -1,9 +1,9 @@
 """Importance scoring, group ranking and physical slice removal.
 
 Element scores are |gradient-like * w|; structures sum their elements;
-groups fold member structures with a configurable aggregator. Selection
-happens per structural class (heads and channels keep separate pools by
-default) and removal is physical: slices are deleted, never masked.
+groups sum their member structures. Selection happens per structural class
+(heads and channels keep separate pools by default) and removal is
+physical: slices are deleted, never masked.
 """
 from __future__ import annotations
 
@@ -23,7 +23,6 @@ from .smoothing import NoiseSpec
 CRITERIA = ("plain", "smooth", "moreau", "moreau-gs")
 # the settings each criterion other than plain takes (see run_criterion)
 _SETTINGS = {"smooth": NoiseSpec, "moreau": _moreau.MoreauConfig, "moreau-gs": _moreau.MoreauConfig}
-AGGREGATORS = ("sum", "max", "prod")
 
 
 class PruningError(Exception):
@@ -73,27 +72,14 @@ def structure_importance(
     return out
 
 
-def group_importance(
-    structure_scores: Mapping[int, float], groups, agg: str = "sum"
-) -> dict[int, float]:
-    """Fold member structure scores in ascending structure-id order."""
-    if agg not in AGGREGATORS:
-        raise ValueError(f"agg must be one of {AGGREGATORS}")
+def group_importance(structure_scores: Mapping[int, float], groups) -> dict[int, float]:
+    """Sum of member structure scores, a left fold in ascending structure-id
+    order (builtin sum compensates on Python >= 3.12 and could change bytes)."""
     out = {}
     for g in groups:
-        members = [structure_scores[sid] for sid in sorted(g.structures)]
-        if agg == "sum":
-            acc = 0.0
-            for v in members:
-                acc += v
-        elif agg == "max":
-            acc = members[0]
-            for v in members[1:]:
-                acc = max(acc, v)
-        else:
-            acc = 1.0
-            for v in members:
-                acc *= v
+        acc = 0.0
+        for sid in sorted(g.structures):
+            acc += structure_scores[sid]
         out[g.id] = acc
     return out
 
@@ -160,7 +146,6 @@ def prune_model(model, params: ParamSet, prune_set) -> tuple[object, ParamSet]:
 class ImportanceReport:
     criterion: str
     ratio: float
-    agg: str
     element_scores: dict[str, np.ndarray]
     structure_scores: dict[int, float]
     group_scores: dict[int, float]
@@ -174,7 +159,7 @@ class ImportanceReport:
         return {
             "criterion": self.criterion,
             "ratio": self.ratio,
-            "agg": self.agg,
+            "agg": "sum",  # the group fold; kept until the report schema changes
             "element_score_totals": {
                 name: float(arr.sum()) for name, arr in sorted(self.element_scores.items())
             },
@@ -209,7 +194,6 @@ def run_criterion(
     batch,
     ratio: float,
     *,
-    agg: str = "sum",
     global_pool: bool = False,
     settings: NoiseSpec | _moreau.MoreauConfig | None = None,
     layout: _moreau.GroupLayout | None = None,
@@ -247,12 +231,11 @@ def run_criterion(
     elem = element_importance(grad_like, params)
     struct = structure_importance(elem, structures)
     cls = {g.id: g.cls for g in groups}
-    group = group_importance(struct, groups, agg)
+    group = group_importance(struct, groups)
     selected = rank_and_select(group, ratio, cls, global_pool=global_pool)
     return ImportanceReport(
         criterion=criterion,
         ratio=ratio,
-        agg=agg,
         element_scores=elem,
         structure_scores=struct,
         group_scores=group,

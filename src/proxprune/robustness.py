@@ -141,7 +141,6 @@ def consistency_experiment(
     ratio: float,
     *,
     baseline_spec: PerturbSpec | None = None,
-    agg: str = "sum",
     settings: Mapping[str, NoiseSpec | MoreauConfig | None] | None = None,
 ) -> list[RobustnessReport]:
     """Importance + prune-set stability for each criterion between two weight
@@ -175,7 +174,6 @@ def consistency_experiment(
                 p,
                 batch,
                 ratio,
-                agg=agg,
                 settings=(settings or {}).get(criterion),
                 layout=layout,
             )

@@ -42,6 +42,16 @@ class TrainingDivergedError(ZooError):
         self.step = step
 
 
+def _hidden_unit(sid: int, w_in: str, b: str, w_out: str, j: int, block: str) -> PruneStructure:
+    """Hidden unit j of a linear pair: its fan-in column of w_in, its bias
+    entry and its fan-out row of w_out."""
+    return PruneStructure(
+        id=sid,
+        slices=(Slice(w_in, 1, j, j + 1), Slice(b, 0, j, j + 1), Slice(w_out, 0, j, j + 1)),
+        block=block,
+    )
+
+
 def own_groups(structures) -> list[PruneGroup]:
     """One group per structure: class "head" for an attention block, else
     "channel"."""
@@ -106,22 +116,12 @@ class Mlp:
 
     def structures(self) -> list[PruneStructure]:
         out = []
-        sid = 0
         for layer in range(1, len(self.widths) - 1):
             i = layer - 1  # hidden layer `layer` is the output of linear i
             for j in range(self.widths[layer]):
                 out.append(
-                    PruneStructure(
-                        id=sid,
-                        slices=(
-                            Slice(f"w{i}", 1, j, j + 1),
-                            Slice(f"b{i}", 0, j, j + 1),
-                            Slice(f"w{i + 1}", 0, j, j + 1),
-                        ),
-                        block=f"hidden{layer}",
-                    )
+                    _hidden_unit(len(out), f"w{i}", f"b{i}", f"w{i + 1}", j, f"hidden{layer}")
                 )
-                sid += 1
         return out
 
     def groups(self) -> list[PruneGroup]:
@@ -162,13 +162,14 @@ class TinyTransformer:
         self.a = arch
 
     @classmethod
-    def build(cls, vocab, d_model, n_heads, n_layers, max_len=128, d_ff=None):
+    def build(cls, vocab, d_model, n_heads, n_layers, max_len=128):
+        """Uniform layers with a 4 * d_model feed-forward width."""
         if d_model % n_heads != 0:
             raise ZooError(f"d_model {d_model} not divisible by n_heads {n_heads}")
-        d_ff = 4 * d_model if d_ff is None else d_ff
         return cls(
             TransformerArch(
-                vocab, d_model, [n_heads] * n_layers, d_model // n_heads, [d_ff] * n_layers, max_len
+                vocab, d_model, [n_heads] * n_layers, d_model // n_heads,
+                [4 * d_model] * n_layers, max_len,
             )
         )
 
@@ -273,14 +274,13 @@ class TinyTransformer:
     def structures(self) -> list[PruneStructure]:
         a = self.a
         out = []
-        sid = 0
         for l in range(self.n_layers):
             dh = a.d_head
             for head in range(a.heads[l]):
                 lo, hi = head * dh, (head + 1) * dh
                 out.append(
                     PruneStructure(
-                        id=sid,
+                        id=len(out),
                         slices=(
                             Slice(f"l{l}.wq", 1, lo, hi),
                             Slice(f"l{l}.bq", 0, lo, hi),
@@ -293,20 +293,10 @@ class TinyTransformer:
                         block=f"l{l}.attn",
                     )
                 )
-                sid += 1
             for c in range(a.ffn[l]):
                 out.append(
-                    PruneStructure(
-                        id=sid,
-                        slices=(
-                            Slice(f"l{l}.w1", 1, c, c + 1),
-                            Slice(f"l{l}.b1", 0, c, c + 1),
-                            Slice(f"l{l}.w2", 0, c, c + 1),
-                        ),
-                        block=f"l{l}.ffn",
-                    )
+                    _hidden_unit(len(out), f"l{l}.w1", f"l{l}.b1", f"l{l}.w2", c, f"l{l}.ffn")
                 )
-                sid += 1
         return out
 
     def groups(self) -> list[PruneGroup]:

@@ -1,3 +1,4 @@
+import configparser
 import json
 import struct
 from dataclasses import replace
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxprune import checkpoint, cli, data, zoo
-from proxprune.config import ConfigError, load_config
+from proxprune import checkpoint, cli, config, data, zoo
+from proxprune.config import ConfigError, RunConfig, load_config
 from proxprune.moreau import MoreauConfig
 from proxprune.params import ParamSet
 from proxprune.smoothing import NoiseSpec
@@ -170,11 +171,57 @@ class TestConfig:
         )
 
     def test_unknown_agg_exits_2(self, tmp_path, corpus_file, capsys):
-        cfg = write_cfg(tmp_path, corpus_file, extra={"prune": {"agg": "mean"}})
+        cfg = write_cfg(tmp_path, corpus_file, extra={"prune": {"agg": "max"}})
         assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "[prune] agg must be one of sum, max, prod, got 'mean'" in err
+        assert "unknown key 'agg'" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("moreau", "gamma", "1.0", "gamma must satisfy 0 < gamma <= rho"),
+            ("noise", "m", "0", "noise sample count m must be >= 1"),
+            ("noise", "mode", "gaussian", "noise mode must be relative or absolute"),
+        ],
+        ids=["gamma>rho", "m=0", "mode=gaussian"],
+    )
+    def test_bad_criterion_setting_exits_2_in_train(
+        self, tmp_path, corpus_file, capsys, section, key, value, message
+    ):
+        """[moreau] and [noise] are checked at load by every command, not
+        only by those that run a criterion reading them."""
+        cfg = write_cfg(tmp_path, corpus_file, extra={section: {key: value}})
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_moreau_setting_exits_2_before_reading_inputs(self, tmp_path, capsys):
+        """prune --criterion plain reads no [moreau] key, yet gamma > rho
+        exits 2 before the (missing) checkpoint and corpus are opened."""
+        cfg = write_cfg(tmp_path, tmp_path / "no-corpus.txt", extra={"moreau": {"gamma": 1.0}})
+        rc = cli.main(["prune", "--config", str(cfg), "--checkpoint", str(tmp_path / "no.ckpt"),
+                       "--criterion", "plain"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "gamma must satisfy 0 < gamma <= rho" in err and "not found" not in err
+        assert not (tmp_path / "run").exists()
+
+    def test_readme_config_block_is_the_defaults(self, tmp_path):
+        """The README's INI block loads, shows every key and differs from
+        RunConfig() only in its example corpus."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "readme.ini"
+        path.write_text(block)
+        loaded, defaults = load_config(str(path)), RunConfig()
+        assert loaded.corpus != defaults.corpus
+        assert replace(loaded, corpus=defaults.corpus) == defaults
+        shown = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        shown.read_string(block)
+        for section, keys in config._SECTIONS.items():
+            assert set(keys) == set(shown[section]), section
 
     def test_unknown_robustness_criterion_rejected(self, tmp_path, corpus_file):
         extra = {"robustness": {"criteria": "plain,moreau-sg"}}

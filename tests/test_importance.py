@@ -61,12 +61,39 @@ def test_structure_importance_bounds_checked():
 def test_group_importance_aggregators():
     scores = {0: 1.5, 1: 0.5}
     groups = [PruneGroup(id=0, structures=(0, 1), cls="channel")]
-    assert imp.group_importance(scores, groups, "sum")[0] == 2.0
-    assert imp.group_importance(scores, groups, "max")[0] == 1.5
-    assert imp.group_importance(scores, groups, "prod")[0] == 0.75
+    assert imp.group_importance(scores, groups)[0] == 2.0
     single = [PruneGroup(id=1, structures=(0,), cls="channel")]
-    for agg in ("sum", "max", "prod"):
-        assert imp.group_importance(scores, single, agg)[1] == 1.5
+    assert imp.group_importance(scores, single)[1] == 1.5
+
+
+def _pruned_transformer():
+    model = zoo.TinyTransformer.build(256, 32, 4, 2)
+    params = model.init_params(0)
+    groups = model.groups()
+    drop = [g.id for g in groups if g.cls == "head"][:3] + [g.id for g in groups][-5:]
+    return imp.prune_model(model, params, drop)[0]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [zoo.Mlp([4 * 256, 64, 256]), zoo.TinyTransformer.build(256, 32, 4, 2), _pruned_transformer()],
+    ids=["mlp", "transformer", "pruned-transformer"],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_group_scores_are_structure_scores_bit_for_bit(model, data):
+    """Every zoo group holds one structure, so the group fold returns each
+    structure score unchanged -- which is why importance.json can name a
+    single aggregator."""
+    sids = [s.id for s in model.structures()]
+    values = data.draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(min_value=0.0, allow_nan=False)),
+        min_size=len(sids), max_size=len(sids),
+    ))
+    scores = dict(zip(sids, values))
+    groups = imp.group_importance(scores, model.groups())
+    assert sorted(groups) == sids
+    assert all(np.float64(groups[i]).tobytes() == np.float64(scores[i]).tobytes() for i in sids)
 
 
 def test_rank_and_select_basics():
@@ -188,7 +215,7 @@ def test_run_criterion_is_deterministic(corpus):
     from proxprune import data
 
     batch, _ = data.make_batch(model, corpus, 4, seed=(2, 0, 0))
-    kw = dict(agg="sum", settings=moreau.MoreauConfig(
+    kw = dict(settings=moreau.MoreauConfig(
         rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.05, m=2, seed=5)))
     r1 = imp.run_criterion("moreau", model, params, batch, 0.25, **kw)
     r2 = imp.run_criterion("moreau", model, params, batch, 0.25, **kw)
@@ -211,7 +238,7 @@ def test_run_criterion_needs_matching_settings(criterion, given):
 
 def test_report_csv_layout():
     rep = imp.ImportanceReport(
-        criterion="plain", ratio=0.5, agg="sum",
+        criterion="plain", ratio=0.5,
         element_scores={}, structure_scores={0: 1.0, 1: 2.0},
         group_scores={0: 1.0, 1: 2.0}, cls_map={0: "channel", 1: "channel"},
         prune_set=(0,),
