@@ -444,17 +444,13 @@ def forward(program, params: Mapping[str, np.ndarray], batch=None) -> tuple[floa
 
 
 def backward(tape: Tape) -> GradMap:
-    """Replay adjoints in reverse; returns gradients for every leaf that
-    participated in the forward pass. Tapes are single-use."""
+    """Replay adjoints in reverse; returns a gradient for every leaf, zeros
+    of the leaf's shape where the output does not depend on it. Tapes are
+    single-use."""
     if tape.consumed:
         raise TapeConsumedError("tape already consumed by a previous backward()")
     tape.consumed = True
     adj: dict[int, np.ndarray] = {}
-    participated: set[int] = set()
-    for e in tape.entries:
-        for n in e.inputs:
-            if n in tape.leaves:
-                participated.add(n)
     if tape.output_node is not None:
         adj[tape.output_node] = np.ones(())
     for e in reversed(tape.entries):
@@ -466,14 +462,10 @@ def backward(tape: Tape) -> GradMap:
                 adj[node] = adj[node] + contrib
             else:
                 adj[node] = contrib
-    grads: GradMap = {}
-    for node, (name, shape) in tape.leaves.items():
-        if node in participated:
-            g = adj.get(node)
-            if g is None:
-                g = np.zeros(shape)
-            grads[name] = np.asarray(g, dtype=np.float64)
-    return grads
+    return {
+        name: np.asarray(adj[node], dtype=np.float64) if node in adj else np.zeros(shape)
+        for node, (name, shape) in tape.leaves.items()
+    }
 
 
 def gradient(program, params, batch=None) -> tuple[float, GradMap]:

@@ -147,6 +147,7 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
             spec,
             cfg.ratio,
             baseline_spec=baseline_spec,
+            global_pool=cfg.global_pool,
             settings={c: cfg.settings(c) for c in cfg.criteria},
         )
         rows.extend(legs)

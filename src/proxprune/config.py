@@ -8,6 +8,7 @@ explicit (no ambient entropy anywhere in a run).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -200,6 +201,8 @@ def _check(cfg: RunConfig) -> None:
         cfg.experiments()
     except ValueError as e:
         raise ConfigError(f"[robustness] {e}") from e
+    if cfg.model_kind == "mlp" and (cfg.context < 1 or min(cfg.hidden, default=0) < 1):
+        raise ConfigError("[model] context and hidden must be >= 1, with at least one hidden width")
     if cfg.model_kind == "transformer":
         if min(cfg.d_model, cfg.n_heads, cfg.n_layers) < 1:
             raise ConfigError("[model] d_model, n_heads and n_layers must be >= 1")
@@ -207,12 +210,15 @@ def _check(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"[model] d_model {cfg.d_model} is not a multiple of n_heads {cfg.n_heads}"
             )
-    if cfg.steps_per_epoch < 1:
-        raise ConfigError("[train] steps_per_epoch must be >= 1")
+    for key in ("epochs", "batch_size", "steps_per_epoch"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"[train] {key} must be >= 1")
+    if not (cfg.lr >= 0 and math.isfinite(cfg.lr)):
+        raise ConfigError(f"[train] lr must be finite and >= 0, got {cfg.lr}")
     if cfg.seed < 0:
         raise ConfigError("seed must be non-negative")
-    if cfg.calib_size < 1 or cfg.seq_len < 2:
-        raise ConfigError("calib_size must be >= 1 and seq_len >= 2")
+    if min(cfg.calib_size, cfg.holdout_size) < 1 or cfg.seq_len < 2:
+        raise ConfigError("[data] calib_size and holdout_size must be >= 1 and seq_len >= 2")
     # every command checks [moreau] and [noise], whichever criterion it runs
     for criterion in CRITERIA:
         try:

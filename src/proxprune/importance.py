@@ -36,16 +36,13 @@ class WouldEmptyLayerError(PruningError):
 
 
 def element_importance(grad_like: Mapping[str, np.ndarray], params: ParamSet) -> dict[str, np.ndarray]:
-    """|g * w| per element; parameters absent from grad_like score zero."""
+    """|g * w| per element; grad_like must name every parameter."""
     scores = {}
     for name, w in params:
-        if name in grad_like:
-            g = np.asarray(grad_like[name], dtype=np.float64)
-            if g.shape != w.shape:
-                raise ValueError(f"gradient shape {g.shape} != weight shape {w.shape} for {name!r}")
-            scores[name] = np.abs(g * w)
-        else:
-            scores[name] = np.zeros_like(w)
+        g = np.asarray(grad_like[name], dtype=np.float64)
+        if g.shape != w.shape:
+            raise ValueError(f"gradient shape {g.shape} != weight shape {w.shape} for {name!r}")
+        scores[name] = np.abs(g * w)
     return scores
 
 

@@ -81,27 +81,19 @@ class ParamSet:
         return off
 
     def add(self, delta: Mapping[str, np.ndarray], scale: float = 1.0) -> "ParamSet":
-        """Return self + scale * delta; names missing from delta are unchanged."""
-        out = []
-        for n, a in self:
-            if n in delta:
-                out.append((n, a + scale * np.asarray(delta[n])))
-            else:
-                out.append((n, a.copy()))
-        return ParamSet(out)
+        """Return self + scale * delta; delta must name every parameter."""
+        return ParamSet((n, a + scale * np.asarray(delta[n])) for n, a in self)
 
 
 def flatten_map(ps: ParamSet, mapping: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Flatten a ParamSet-shaped mapping in ps order; missing names are zero."""
+    """Flatten a ParamSet-shaped mapping in ps order; the mapping must name
+    every parameter of ps, each with its shape."""
     chunks = []
     for n, a in ps:
-        if n in mapping:
-            m = np.asarray(mapping[n], dtype=np.float64)
-            if m.shape != a.shape:
-                raise ValueError(f"shape mismatch for {n!r}: {m.shape} vs {a.shape}")
-            chunks.append(m.reshape(-1))
-        else:
-            chunks.append(np.zeros(a.size))
+        m = np.asarray(mapping[n], dtype=np.float64)
+        if m.shape != a.shape:
+            raise ValueError(f"shape mismatch for {n!r}: {m.shape} vs {a.shape}")
+        chunks.append(m.reshape(-1))
     return np.concatenate(chunks) if chunks else np.zeros(0)
 
 

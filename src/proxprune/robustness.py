@@ -18,7 +18,7 @@ import numpy as np
 from . import importance as imp
 from . import lowprec
 from .moreau import MoreauConfig, channel_layout
-from .params import ParamSet
+from .params import ParamSet, flatten_map
 from .smoothing import NoiseSpec
 
 KINDS = ("fp16-roundtrip", "bf16-roundtrip", "gaussian-ball")
@@ -127,9 +127,8 @@ def jaccard(a, b) -> float:
     return len(a & b) / len(union)
 
 
-def _prunable_vector(params: ParamSet, layout, values: dict[str, np.ndarray]) -> np.ndarray:
-    flat = np.concatenate([np.asarray(values[n]).reshape(-1) for n, _ in params])
-    return flat[layout.indices]
+def _prunable_vector(params: ParamSet, layout, values) -> np.ndarray:
+    return flatten_map(params, values)[layout.indices]
 
 
 def consistency_experiment(
@@ -141,13 +140,15 @@ def consistency_experiment(
     ratio: float,
     *,
     baseline_spec: PerturbSpec | None = None,
+    global_pool: bool = False,
     settings: Mapping[str, NoiseSpec | MoreauConfig | None] | None = None,
 ) -> list[RobustnessReport]:
     """Importance + prune-set stability for each criterion between two weight
     encodings: baseline_spec (None = raw weights) versus spec. Both legs share
-    the calibration batch and all noise seeds. ``settings`` maps each
-    criterion to the settings ``importance.run_criterion`` takes for it;
-    plain needs none.
+    the calibration batch and all noise seeds. ``global_pool`` and
+    ``settings`` are passed to ``importance.run_criterion``, so each leg
+    ranks as ``prune`` would; ``settings`` maps each criterion to what it
+    takes, and plain needs none.
 
     Distances are measured over the elements covered by prune structures --
     exactly the coordinates that decide what gets removed.
@@ -161,8 +162,8 @@ def consistency_experiment(
     # one layout serves both legs of every criterion: perturbations keep shapes
     layout = channel_layout(params, structures)
 
-    w_a = _prunable_vector(params, layout, {n: a for n, a in params_a})
-    w_b = _prunable_vector(params, layout, {n: a for n, a in params_b})
+    w_a = _prunable_vector(params, layout, params_a)
+    w_b = _prunable_vector(params, layout, params_b)
     dw = float(np.linalg.norm(w_a - w_b))
 
     reports = []
@@ -174,6 +175,7 @@ def consistency_experiment(
                 p,
                 batch,
                 ratio,
+                global_pool=global_pool,
                 settings=(settings or {}).get(criterion),
                 layout=layout,
             )

@@ -100,8 +100,9 @@ def smoothed_loss_and_grad(
     ``w`` is the flat weight vector to evaluate at (default
     ``params.flatten()``; params then only supply names and shapes).
     The mean gradient is written into the flat vector ``out`` (allocated
-    when absent) and returned as per-parameter views of it; parameters the
-    loss does not reach get a zero gradient. Each draw is scaled and added
+    when absent) and returned as per-parameter views of it; it names every
+    parameter, as ``autodiff.backward`` gives a gradient for every leaf
+    (zero where the loss does not reach it). Each draw is scaled and added
     in place into one buffer the tape sees as per-parameter views, and the
     draw gradients are summed in place into ``out``. ``work`` is scratch of
     shape (2, P) for callers that evaluate repeatedly (allocated when absent).
@@ -138,10 +139,7 @@ def smoothed_loss_and_grad(
 
 def _store(dest: dict[str, np.ndarray], grads: GradMap) -> None:
     for name, d in dest.items():
-        if name in grads:
-            np.copyto(d, grads[name])
-        else:
-            d.fill(0.0)
+        np.copyto(d, grads[name])
 
 
 def _eval(model, leaves: dict[str, np.ndarray], batch, draw: int):

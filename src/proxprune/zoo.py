@@ -159,6 +159,8 @@ class TinyTransformer:
             raise ZooError("transformer: head and ffn counts must be positive")
         if len(arch.heads) != len(arch.ffn):
             raise ZooError("transformer: per-layer head/ffn lists must align")
+        if not arch.heads:
+            raise ZooError("transformer needs at least one layer")
         self.a = arch
 
     @classmethod

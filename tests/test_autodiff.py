@@ -43,6 +43,21 @@ def test_constant_function_zero_grad():
     assert grads["w"] == 0.0
 
 
+def test_identity_program_differentiates_to_one():
+    _, grads = ad.gradient(lambda p, batch: p["w"], {"w": np.asarray(2.0)})
+    assert grads == {"w": 1.0}
+
+
+def test_unread_leaf_gets_zeros_of_its_shape():
+    def prog(p, batch):
+        return ad.multiply(p["w"], 3.0)
+
+    _, grads = ad.gradient(prog, {"w": np.asarray(2.0), "unread": np.ones((2, 3))})
+    assert list(grads) == ["w", "unread"] and grads["w"] == 3.0
+    assert grads["unread"].shape == (2, 3) and grads["unread"].dtype == np.float64
+    assert not grads["unread"].any()
+
+
 def test_tape_is_single_use():
     def prog(p, batch):
         return ad.multiply(p["w"], p["w"])

@@ -208,6 +208,41 @@ class TestConfig:
         assert "gamma must satisfy 0 < gamma <= rho" in err and "not found" not in err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("train", "epochs", "0", "[train] epochs must be >= 1"),
+            ("train", "batch_size", "0", "[train] batch_size must be >= 1"),
+            ("data", "holdout_size", "0", "calib_size and holdout_size must be >= 1"),
+            ("train", "lr", "nan", "[train] lr must be finite and >= 0, got nan"),
+            ("train", "lr", "inf", "[train] lr must be finite and >= 0, got inf"),
+            ("train", "lr", "-1", "[train] lr must be finite and >= 0, got -1.0"),
+            ("model", "context", "0", "[model] context and hidden must be >= 1"),
+            ("model", "hidden", "0", "[model] context and hidden must be >= 1"),
+            ("model", "hidden", "8,0", "[model] context and hidden must be >= 1"),
+            ("model", "hidden", "", "with at least one hidden width"),
+        ],
+        ids=["epochs=0", "batch_size=0", "holdout_size=0", "lr=nan", "lr=inf", "lr=-1",
+             "context=0", "hidden=0", "hidden=8,0", "hidden="],
+    )
+    @pytest.mark.parametrize("command", ["train", "prune", "robustness"])
+    def test_bad_count_or_rate_exits_2_before_reading_inputs(
+        self, tmp_path, capsys, command, section, key, value, message
+    ):
+        """Every command checks the [train], [data] and mlp [model] counts and
+        lr at load, before the (missing) checkpoint and corpus are opened."""
+        cfg = write_cfg(tmp_path, tmp_path / "no-corpus.txt", extra={section: {key: value}})
+        argv = [command, "--config", str(cfg)]
+        if command != "train":
+            argv += ["--checkpoint", str(tmp_path / "no.ckpt")]
+        if command == "prune":
+            argv += ["--criterion", "plain"]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert "not found" not in err and "No such file" not in err
+        assert not (tmp_path / "run").exists()
+
     def test_readme_config_block_is_the_defaults(self, tmp_path):
         """The README's INI block loads, shows every key and differs from
         RunConfig() only in its example corpus."""
@@ -492,6 +527,22 @@ class TestDamagedCheckpoint:
         assert rc == cli.EXIT_CONFIG
         assert f"file is {size + 7} bytes, its header describes {size}" in err
 
+    @pytest.mark.parametrize("argv", [["prune", "--criterion", "moreau"], ["robustness"]])
+    def test_transformer_without_layers_exits_2(self, tmp_path, corpus_file, capsys, argv):
+        """A zero-layer transformer checkpoint, whose parameters fit its
+        header, is rejected on load like [model] n_layers = 0."""
+        model = zoo.TinyTransformer.build(data.VOCAB, 8, 2, 1, max_len=8)
+        params = ParamSet((n, a) for n, a in model.init_params(7) if not n.startswith("l0."))
+        ckpt = tmp_path / "nolayers.ckpt"
+        checkpoint.save(ckpt, {**model.arch(), "heads": [], "ffn": []}, params, [], [])
+        cfg = write_cfg(tmp_path, corpus_file, extra={"data": {"seq_len": 8}})
+        rc = cli.main([argv[0], "--config", str(cfg), "--checkpoint", str(ckpt), *argv[1:]])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "malformed checkpoint" in err and "transformer needs at least one layer" in err
+        assert "Traceback" not in err
+        assert not list((tmp_path / "run").glob("*"))
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize(
         "argv",
@@ -527,6 +578,28 @@ class TestRobustness:
         assert len(doc["rows"]) == 2
         assert all(r["jaccard"] == 1.0 for r in doc["rows"])
         assert all(r["importance_l2"] == 0.0 for r in doc["rows"])
+
+    def test_global_pool_ranks_as_prune_does(self, tmp_path, corpus_file):
+        """With [prune] global_pool, the unperturbed leg of robustness selects
+        what prune selects. At ratio 0.3 the per-class pools of this 2-head,
+        32-channel transformer select 0 + 9 groups and the shared pool 10."""
+        extra = {
+            "model": {"kind": "transformer", "d_model": 8, "n_heads": 2, "n_layers": 1},
+            "data": {"seq_len": 8, "calib_size": 2, "holdout_size": 2},
+            "prune": {"ratio": 0.3, "global_pool": "true"},
+            "robustness": {"specs": "identity", "criteria": "plain"},
+        }
+        cfg = write_cfg(tmp_path, corpus_file, extra=extra)
+        model = zoo.TinyTransformer.build(data.VOCAB, 8, 2, 1, max_len=8)
+        ckpt = tmp_path / "tf.ckpt"
+        checkpoint.save(ckpt, model.arch(), model.init_params(7), model.structures(), model.groups())
+        argv = ["--config", str(cfg), "--checkpoint", str(ckpt)]
+        assert cli.main(["prune", *argv, "--criterion", "plain", "--out", str(tmp_path / "p")]) == 0
+        assert cli.main(["robustness", *argv, "--out", str(tmp_path / "r")]) == 0
+        pruned = json.loads((tmp_path / "p" / "importance.json").read_text())["prune_set"]
+        (row,) = json.loads((tmp_path / "r" / "robustness.json").read_text())["rows"]
+        assert len(pruned) == 10
+        assert row["prune_set_a"] == pruned
 
     def test_format_grid_two_rows_and_csv(self, trained_ckpt, tmp_path):
         cfg, ckpt = trained_ckpt

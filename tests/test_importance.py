@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from proxprune import importance as imp
 from proxprune import moreau, zoo
-from proxprune.params import ParamSet, PruneGroup, PruneStructure, Slice
+from proxprune.params import ParamSet, PruneGroup, PruneStructure, Slice, flatten_map
 from proxprune.smoothing import NoiseSpec
 
 import oracles
@@ -36,6 +36,21 @@ def test_element_importance_shape_mismatch():
     ps = ParamSet([("w", np.ones(3))])
     with pytest.raises(ValueError):
         imp.element_importance({"w": np.ones(4)}, ps)
+
+
+def test_flatten_map_shape_mismatch():
+    ps = ParamSet([("w", np.ones(3))])
+    with pytest.raises(ValueError, match="shape mismatch for 'w'"):
+        flatten_map(ps, {"w": np.ones(4)})
+
+
+def test_gradient_maps_must_name_every_parameter():
+    """A map missing a parameter is an error, not an implicit zero gradient."""
+    ps = ParamSet([("w", np.ones(3)), ("b", np.ones(2))])
+    partial = {"w": np.ones(3)}
+    for consume in (imp.element_importance, lambda g, p: flatten_map(p, g), lambda g, p: p.add(g)):
+        with pytest.raises(KeyError, match="'b'"):
+            consume(partial, ps)
 
 
 def test_structure_importance_sums_slices():
