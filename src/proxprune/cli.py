@@ -163,7 +163,7 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
     reports.write_csv(out / "robustness.csv", csv_rows)
     for r in rows:
         print(
-            f"{r.criterion:10s} {r.baseline_label}->{r.spec_label}: "
+            f"{r.criterion:10s} {r.baseline}->{r.perturbation}: "
             f"|dI|={r.importance_l2:.4g} rel={r.importance_rel:.4g} "
             f"jaccard={r.jaccard:.3f} symdiff={r.symdiff}"
         )

@@ -1,10 +1,12 @@
 """Simulated float16 / bfloat16 rounding of float64 values.
 
-round_trip converts each 64-bit value to the 16-bit format and back using
-round-to-nearest-even directly on the float64 significand (no intermediate
-float32 step, so no double rounding). Subnormal targets are honoured, not
-flushed to zero. Values that would overflow the target's finite range raise,
-carrying the flat index of the first offender.
+round_trip rounds each value to nearest-even on the target's grid, whose
+spacing at any exponent is a power of two: scale by that power (exact in
+float64), np.rint (half to even, sign of zero kept), scale back (exact). So
+each value is rounded once, straight from float64, with no float32 step.
+Subnormal targets keep their fixed grid instead of flushing to zero. Values
+that would overflow the target's finite range raise, carrying the flat index
+of the first offender.
 """
 from __future__ import annotations
 
@@ -15,9 +17,10 @@ FORMATS = {"fp16": (10, 5), "bf16": (7, 8)}
 
 
 class PrecisionOverflowError(Exception):
-    def __init__(self, fmt: str, index: int, value: float):
+    def __init__(self, fmt: str, index: int, value: float, param: str | None = None):
+        where = "" if param is None else f"parameter {param!r}: "
         super().__init__(
-            f"value {value!r} at flat index {index} overflows the finite {fmt} range"
+            f"{where}value {value!r} at flat index {index} overflows the finite {fmt} range"
         )
         self.fmt = fmt
         self.index = index
@@ -25,49 +28,28 @@ class PrecisionOverflowError(Exception):
 
 
 def round_trip(x, fmt: str):
-    """Nearest-even 16-bit quantization of float64 input; idempotent by
-    construction (representable values have zero rounding remainder)."""
+    """Nearest-even 16-bit quantization of float64 input. With e from
+    np.frexp, the grid spacing is 2**s for s = max(e - 1, 1 - bias) - mant.
+    ldexp(a, -s) is exact (it scales down only into [2**mant, 2**(mant + 1)),
+    far from float64's subnormals), rint rounds it once, half to even, and
+    ldexp(., s) is exact again. Grid points scale to integers, so the round
+    trip is idempotent."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; known: {sorted(FORMATS)}")
     mant, ebits = FORMATS[fmt]
     arr = np.asarray(x, dtype=np.float64)
-    scalar = arr.ndim == 0
-    a = np.atleast_1d(arr)
+    a = arr.reshape(-1)
     if not np.all(np.isfinite(a)):
         bad = int(np.flatnonzero(~np.isfinite(a))[0])
         raise ValueError(f"round_trip: non-finite input at flat index {bad}")
 
     bias = (1 << (ebits - 1)) - 1
-    emax = bias  # largest unbiased exponent of a normal target value
-    emin = 1 - bias
-    fmax = (2.0 - 2.0 ** (-mant)) * 2.0**emax
-
-    bits = a.view(np.uint64)
-    sign = np.where(bits >> np.uint64(63) != 0, -1.0, 1.0)
-    exp_field = ((bits >> np.uint64(52)) & np.uint64(0x7FF)).astype(np.int64)
-    frac = bits & np.uint64((1 << 52) - 1)
-
-    is_sub = exp_field == 0
-    e = np.where(is_sub, -1022, exp_field - 1023)
-    sig = np.where(is_sub, frac, frac | np.uint64(1 << 52)).astype(np.uint64)
-
-    shift = (52 - mant) + np.maximum(0, emin - e)
-    shift = np.minimum(shift, 54).astype(np.uint64)
-
-    one = np.uint64(1)
-    half = one << (shift - one)
-    rem = sig & ((one << shift) - one)
-    keep = sig >> shift
-    round_up = (rem > half) | ((rem == half) & ((keep & one) == one))
-    keep = keep + round_up.astype(np.uint64)
-
-    out = sign * np.ldexp(keep.astype(np.float64), (e - 52 + shift.astype(np.int64)))
+    fmax = (2.0 - 2.0 ** (-mant)) * 2.0**bias
+    _, e = np.frexp(a)
+    s = np.maximum(e - 1, 1 - bias) - mant
+    out = np.ldexp(np.rint(np.ldexp(a, -s)), s)
     over = np.abs(out) > fmax
     if over.any():
         idx = int(np.flatnonzero(over)[0])
-        raise PrecisionOverflowError(fmt, idx, float(a.reshape(-1)[idx]))
-    # preserve the sign of zero
-    out = np.where((keep == 0), sign * 0.0, out)
-    if scalar:
-        return float(out[0])
-    return out.reshape(arr.shape)
+        raise PrecisionOverflowError(fmt, idx, float(a[idx]))
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)

@@ -10,7 +10,7 @@ outcomes across bfloat16 and float16 deployments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -49,7 +49,7 @@ def perturb(params: ParamSet, spec: PerturbSpec, prunable: set[str] | None = Non
     if spec.kind in ("fp16-roundtrip", "bf16-roundtrip"):
         fmt = spec.kind.split("-")[0]
         return ParamSet(
-            (n, lowprec.round_trip(a, fmt) if n in names else a.copy()) for n, a in params
+            (n, _round_trip(n, a, fmt) if n in names else a.copy()) for n, a in params
         )
     # gaussian-ball: one direction over the concatenated prunable weights,
     # rescaled so the total l2 displacement is exactly epsilon
@@ -68,11 +68,21 @@ def perturb(params: ParamSet, spec: PerturbSpec, prunable: set[str] | None = Non
     )
 
 
+def _round_trip(name: str, a: np.ndarray, fmt: str) -> np.ndarray:
+    """lowprec.round_trip, with the parameter's name on an overflow."""
+    try:
+        return lowprec.round_trip(a, fmt)
+    except lowprec.PrecisionOverflowError as e:
+        raise lowprec.PrecisionOverflowError(fmt, e.index, e.value, param=name) from None
+
+
 @dataclass
 class RobustnessReport:
+    """One criterion's stability between two encodings; its fields are its JSON keys."""
+
     criterion: str
-    spec_label: str
-    baseline_label: str
+    perturbation: str
+    baseline: str
     importance_l2: float
     importance_rel: float
     jaccard: float
@@ -84,20 +94,7 @@ class RobustnessReport:
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "perturbation": self.spec_label,
-            "baseline": self.baseline_label,
-            "importance_l2": self.importance_l2,
-            "importance_rel": self.importance_rel,
-            "jaccard": self.jaccard,
-            "symdiff": self.symdiff,
-            "delta_w_l2": self.delta_w_l2,
-            "sensitivity": self.sensitivity,
-            "prune_set_a": list(self.prune_set_a),
-            "prune_set_b": list(self.prune_set_b),
-            "extra": self.extra,
-        }
+        return asdict(self)
 
     def to_csv_row(self) -> list:
         """One row under CSV_COLUMNS; csv writes each float as its repr."""
@@ -191,8 +188,8 @@ def consistency_experiment(
         reports.append(
             RobustnessReport(
                 criterion=criterion,
-                spec_label=spec.label(),
-                baseline_label=baseline_spec.label() if baseline_spec else "none",
+                perturbation=spec.label(),
+                baseline=baseline_spec.label() if baseline_spec else "none",
                 importance_l2=di,
                 importance_rel=rel,
                 jaccard=jaccard(rep_a.prune_set, rep_b.prune_set),

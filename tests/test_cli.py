@@ -613,15 +613,23 @@ class TestRobustness:
         assert len(csv_text) == 3
 
     def test_fp16_overflow_exits_2(self, tmp_path, corpus_file, capsys):
-        """Weights scaled by 1e6 leave the fp16 range inside a 2-d parameter;
-        the overflow maps to exit 2 and names the flat index."""
+        """One weight outside the fp16 range inside the 2-d parameter w1
+        (shape 12 x 256) maps to exit 2; the message names the parameter and
+        the flat index within it."""
+        def spike(params, structures, groups):
+            params["w1"][3, 5] = 7e4
+            return params, structures, groups
+
         cfg = write_cfg(tmp_path, corpus_file)
-        ckpt = scaled_ckpt(tmp_path, 1e6, "scaled.ckpt")
+        ckpt = crafted_ckpt(tmp_path, "spike.ckpt", spike)
         rc = cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
                        "--out", str(tmp_path / "rover")])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "overflows the finite fp16 range" in err and "flat index" in err
+        assert (
+            "parameter 'w1': value 70000.0 at flat index 773 "
+            "overflows the finite fp16 range"
+        ) in err
         assert "Traceback" not in err
 
     def test_gaussian_without_prunable_weights_exits_2(

@@ -128,3 +128,58 @@ def test_shape_and_scalar_handling():
     out = round_trip(arr, "bf16")
     assert out.shape == arr.shape
     assert isinstance(round_trip(0.1, "fp16"), float)
+
+
+
+def assert_bits_equal(got, want):
+    """Equal as float64 bit patterns, so the sign of zero counts too."""
+    got, want = np.asarray(got, np.float64), np.asarray(want, np.float64)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def grid_and_midpoints(fmt: str):
+    """Every finite non-negative value of fmt in increasing order (the bit
+    patterns from 0 up to the largest finite one) and the midpoint between
+    each pair of neighbours, exact in float64."""
+    if fmt == "fp16":
+        grid = np.arange(0x7C00, dtype=np.uint16).view(np.float16)
+    else:
+        grid = (np.arange(0x7F80, dtype=np.uint32) << np.uint32(16)).view(np.float32)
+    grid = grid.astype(np.float64)
+    return grid, (grid[:-1] + grid[1:]) / 2
+
+
+def bf16_rtne_from_float32(xs: np.ndarray) -> np.ndarray:
+    """Round values that float32 holds exactly to bf16 by nearest-even on the
+    float32's uint32 bits (drop the low 16 bits after adding just under half,
+    plus the kept lowest bit)."""
+    f32 = xs.astype(np.float32)
+    assert np.array_equal(f32.astype(np.float64), xs)
+    u = f32.view(np.uint32)
+    sixteen, one = np.uint32(16), np.uint32(1)
+    kept = (u + np.uint32(0x7FFF) + ((u >> sixteen) & one)) >> sixteen
+    return (kept << sixteen).view(np.float32).astype(np.float64)
+
+
+def test_fp16_every_value_midpoint_and_neighbour_matches_numpy():
+    grid, mids = grid_and_midpoints("fp16")
+    xs = np.concatenate([grid, mids, np.nextafter(mids, 0.0), np.nextafter(mids, np.inf)])
+    xs = np.concatenate([xs, -xs])
+    assert_bits_equal(round_trip(xs, "fp16"), xs.astype(np.float16))
+
+
+def test_bf16_every_value_and_midpoint_matches_float32_bit_rounding():
+    grid, mids = grid_and_midpoints("bf16")
+    xs = np.concatenate([grid, mids])
+    xs = np.concatenate([xs, -xs])
+    assert_bits_equal(round_trip(xs, "bf16"), bf16_rtne_from_float32(xs))
+
+
+def test_bf16_midpoint_neighbours_match_rational_oracle():
+    _, mids = grid_and_midpoints("bf16")
+    rng = np.random.default_rng(2)
+    picks = np.concatenate([mids[:8], rng.choice(mids, 200, replace=False), mids[-8:]])
+    xs = np.concatenate([np.nextafter(picks, 0.0), np.nextafter(picks, np.inf)])
+    xs = np.concatenate([xs, -xs])
+    want = [rtne_oracle(float(x), 7, 8) for x in xs]
+    assert_bits_equal(round_trip(xs, "bf16"), want)

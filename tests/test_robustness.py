@@ -102,7 +102,7 @@ def test_format_pair_experiment_produces_row_per_criterion(small_setup):
     assert [r.criterion for r in rows] == ["plain", "moreau"]
     for r in rows:
         assert r.delta_w_l2 > 0
-        assert r.baseline_label == "fp16-roundtrip"
+        assert r.baseline == "fp16-roundtrip"
         assert 0.0 <= r.jaccard <= 1.0
     comps = directional_comparisons(rows)
     assert comps and comps[0]["comparison"] == "moreau<=plain"
