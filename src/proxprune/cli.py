@@ -73,12 +73,11 @@ def cmd_train(cfg: RunConfig) -> int:
     model = _build_model(cfg)
     params = model.init_params(cfg.seed)
     dataset = _train_batches(model, corpus, cfg)
-    init_loss = zoo.batch_loss(model, params, dataset[0])
     params, info = zoo.recover_finetune(model, params, dataset, cfg.epochs, cfg.lr)
     out = _out_dir(cfg) / "model.ckpt"
     checkpoint.save(out, model.arch(), params, model.structures(), model.groups())
     final_loss = info.epoch_losses[-1]
-    print(f"initial loss {init_loss:.6f}")
+    print(f"initial loss {info.first_loss:.6f}")
     print(f"final loss {final_loss:.6f}")
     if info.non_decreasing:
         print("warning: epoch loss failed to decrease monotonically")

@@ -71,9 +71,9 @@ class GroupLayout:
     channel-level structure; ``labels`` carries the structure ids and
     ``indices`` every covered index in ascending order."""
 
-    def __init__(self, subsets, labels=None, size: int | None = None):
+    def __init__(self, subsets, labels, size: int):
         self.subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
-        self.labels = list(labels) if labels is not None else list(range(len(self.subsets)))
+        self.labels = list(labels)
         if len(self.labels) != len(self.subsets):
             raise ValueError("labels must align with subsets")
         # sort every index together with the subset it came from: a value
@@ -85,7 +85,7 @@ class GroupLayout:
         flat, owner = flat[order], owner[order]
         if np.any((flat[1:] == flat[:-1]) & (owner[1:] != owner[:-1])):
             raise ValueError("layout subsets must be disjoint")
-        if size is not None and flat.size and flat[-1] >= size:
+        if flat.size and flat[-1] >= size:
             raise ValueError("layout index out of range")
         self.indices = flat
 

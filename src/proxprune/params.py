@@ -132,6 +132,7 @@ class PruneStructure:
     id: int
     slices: tuple[Slice, ...]
     block: str  # which layer/block the structure lives in, for survival checks
+    cls: str  # "channel" | "head"
 
 
 @dataclass(frozen=True)

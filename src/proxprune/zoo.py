@@ -1,16 +1,20 @@
-"""Small trainable models with explicit prune structures and coupled groups.
+"""Small trainable models, each declaring its prune blocks once.
 
 Two architectures:
 
 * ``Mlp`` -- relu stack over float feature vectors with a softmax/NLL head.
-  Each hidden unit is one structure coupling its fan-in column, bias entry
-  and fan-out row.
-* ``TinyTransformer`` -- byte/int token causal LM. Removing attention head h
-  couples the Q/K/V column blocks, their bias segments and the output
-  projection row block; each feed-forward hidden unit is a structure, as in
-  the Mlp.
+  Block ``hidden{l}`` holds the channels of hidden layer l; one channel
+  couples its fan-in column, bias entry and fan-out row.
+* ``TinyTransformer`` -- byte/int token causal LM. Per layer l, block
+  ``l{l}.attn`` holds the heads (one head couples its Q/K/V column blocks,
+  their bias segments and its output projection row block) and block
+  ``l{l}.ffn`` the feed-forward channels, coupled as in the Mlp.
 
-In both, every structure is its own group (see ``own_groups``).
+A block declaration gives the block's name, class (``head`` or
+``channel``), unit count, unit width and the ``(param, axis)`` pairs that
+one unit removes. The model expands its declarations once, on first use,
+into the structure table that ``structures()`` returns and the group table
+that ``groups()`` returns (every structure is its own group).
 
 Embedding tables, positional table, layer norms and the output head are
 never prunable.
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -42,25 +47,34 @@ class TrainingDivergedError(ZooError):
         self.step = step
 
 
-def _hidden_unit(sid: int, w_in: str, b: str, w_out: str, j: int, block: str) -> PruneStructure:
-    """Hidden unit j of a linear pair: its fan-in column of w_in, its bias
-    entry and its fan-out row of w_out."""
-    return PruneStructure(
-        id=sid,
-        slices=(Slice(w_in, 1, j, j + 1), Slice(b, 0, j, j + 1), Slice(w_out, 0, j, j + 1)),
-        block=block,
-    )
+class _Blocks:
+    """A model's prune blocks, declared once in ``self.blocks``. A block is
+    ``(name, cls, units, width, coupled)``: unit u removes
+    [u * width, (u + 1) * width) along every ``(param, axis)`` pair of
+    ``coupled``."""
 
+    @cached_property
+    def _tables(self) -> tuple[tuple[PruneStructure, ...], tuple[PruneGroup, ...]]:
+        """Structures, ids in declaration order, and one group per structure.
+        Built on first use rather than at construction, because
+        ``checkpoint.load`` builds a model from a file's arch before it
+        compares the file's parameters with it."""
+        structures = []
+        for name, cls, units, width, coupled in self.blocks:
+            for u in range(units):
+                slices = tuple(Slice(p, axis, u * width, (u + 1) * width) for p, axis in coupled)
+                structures.append(PruneStructure(len(structures), slices, name, cls))
+        return tuple(structures), tuple(PruneGroup(st.id, (st.id,), st.cls) for st in structures)
 
-def own_groups(structures) -> list[PruneGroup]:
-    """One group per structure: class "head" for an attention block, else
-    "channel"."""
-    return [
-        PruneGroup(
-            id=st.id, structures=(st.id,), cls="head" if st.block.endswith(".attn") else "channel"
-        )
-        for st in structures
-    ]
+    def structures(self) -> tuple[PruneStructure, ...]:
+        return self._tables[0]
+
+    def groups(self) -> tuple[PruneGroup, ...]:
+        return self._tables[1]
+
+    def _left(self, removed_per_block: dict[str, int]) -> list[int]:
+        """Units each block keeps after removing the given counts."""
+        return [units - removed_per_block.get(name, 0) for name, _, units, _, _ in self.blocks]
 
 
 def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
@@ -68,7 +82,7 @@ def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
-class Mlp:
+class Mlp(_Blocks):
     """Fully connected relu network; widths include input and output dims."""
 
     kind = "mlp"
@@ -80,6 +94,12 @@ class Mlp:
         if any(w <= 0 for w in widths):
             raise ZooError(f"mlp widths must be positive, got {widths}")
         self.widths = widths
+        # hidden layer l is the output of linear l - 1 and the input of linear l
+        self.blocks = [
+            (f"hidden{l}", "channel", widths[l], 1,
+             ((f"w{l - 1}", 1), (f"b{l - 1}", 0), (f"w{l}", 0)))
+            for l in range(1, len(widths) - 1)
+        ]
 
     def arch(self) -> dict:
         return {"kind": "mlp", "widths": list(self.widths)}
@@ -114,24 +134,8 @@ class Mlp:
             raise EmptyBatchError("mlp: empty batch")
         return ad.cross_entropy(self.logits(p, x), y)
 
-    def structures(self) -> list[PruneStructure]:
-        out = []
-        for layer in range(1, len(self.widths) - 1):
-            i = layer - 1  # hidden layer `layer` is the output of linear i
-            for j in range(self.widths[layer]):
-                out.append(
-                    _hidden_unit(len(out), f"w{i}", f"b{i}", f"w{i + 1}", j, f"hidden{layer}")
-                )
-        return out
-
-    def groups(self) -> list[PruneGroup]:
-        return own_groups(self.structures())
-
     def shrink(self, removed_per_block: dict[str, int]) -> "Mlp":
-        widths = list(self.widths)
-        for layer in range(1, len(widths) - 1):
-            widths[layer] -= removed_per_block.get(f"hidden{layer}", 0)
-        return Mlp(widths)
+        return Mlp([self.widths[0], *self._left(removed_per_block), self.widths[-1]])
 
 
 @dataclass
@@ -147,7 +151,7 @@ class TransformerArch:
         return {"kind": "transformer", **asdict(self)}
 
 
-class TinyTransformer:
+class TinyTransformer(_Blocks):
     """Pre-norm causal decoder with learned positions and a gelu feed-forward."""
 
     kind = "transformer"
@@ -162,6 +166,16 @@ class TinyTransformer:
         if not arch.heads:
             raise ZooError("transformer needs at least one layer")
         self.a = arch
+        head = ("wq", 1), ("bq", 0), ("wk", 1), ("bk", 0), ("wv", 1), ("bv", 0), ("wo", 0)
+        ffn = ("w1", 1), ("b1", 0), ("w2", 0)
+        self.blocks = []
+        for l in range(self.n_layers):
+            self.blocks += [
+                (f"l{l}.attn", "head", arch.heads[l], arch.d_head,
+                 tuple((f"l{l}.{p}", axis) for p, axis in head)),
+                (f"l{l}.ffn", "channel", arch.ffn[l], 1,
+                 tuple((f"l{l}.{p}", axis) for p, axis in ffn)),
+            ]
 
     @classmethod
     def build(cls, vocab, d_model, n_heads, n_layers, max_len=128):
@@ -273,42 +287,9 @@ class TinyTransformer:
             )
         return ad.cross_entropy(self.logits(p, ids[:, :-1]), ids[:, 1:])
 
-    def structures(self) -> list[PruneStructure]:
-        a = self.a
-        out = []
-        for l in range(self.n_layers):
-            dh = a.d_head
-            for head in range(a.heads[l]):
-                lo, hi = head * dh, (head + 1) * dh
-                out.append(
-                    PruneStructure(
-                        id=len(out),
-                        slices=(
-                            Slice(f"l{l}.wq", 1, lo, hi),
-                            Slice(f"l{l}.bq", 0, lo, hi),
-                            Slice(f"l{l}.wk", 1, lo, hi),
-                            Slice(f"l{l}.bk", 0, lo, hi),
-                            Slice(f"l{l}.wv", 1, lo, hi),
-                            Slice(f"l{l}.bv", 0, lo, hi),
-                            Slice(f"l{l}.wo", 0, lo, hi),
-                        ),
-                        block=f"l{l}.attn",
-                    )
-                )
-            for c in range(a.ffn[l]):
-                out.append(
-                    _hidden_unit(len(out), f"l{l}.w1", f"l{l}.b1", f"l{l}.w2", c, f"l{l}.ffn")
-                )
-        return out
-
-    def groups(self) -> list[PruneGroup]:
-        return own_groups(self.structures())
-
     def shrink(self, removed_per_block: dict[str, int]) -> "TinyTransformer":
-        a = self.a
-        heads = [a.heads[l] - removed_per_block.get(f"l{l}.attn", 0) for l in range(self.n_layers)]
-        ffn = [a.ffn[l] - removed_per_block.get(f"l{l}.ffn", 0) for l in range(self.n_layers)]
-        return TinyTransformer(replace(a, heads=heads, ffn=ffn))
+        left = self._left(removed_per_block)  # per layer: attn, ffn
+        return TinyTransformer(replace(self.a, heads=left[0::2], ffn=left[1::2]))
 
 
 def model_from_arch(arch: dict):
@@ -333,6 +314,7 @@ def batch_loss(model, params: ParamSet, batch) -> float:
 @dataclass
 class FinetuneInfo:
     epoch_losses: list[float] = field(default_factory=list)
+    first_loss: float = math.nan  # loss of the first step, before any update
     steps: int = 0
     non_decreasing: bool = False  # warning flag, set when loss failed to improve
 
@@ -362,6 +344,8 @@ def recover_finetune(
                 raise TrainingDivergedError(epoch, step) from e
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, step)
+            if info.steps == 0:
+                info.first_loss = loss
             losses.append(loss)
             if lr != 0.0:
                 current = current.add(grads, scale=-lr)

@@ -102,7 +102,8 @@ def _probe(dim, seed0, eta=0.0, grouped=False):
     rng = np.random.default_rng(seed0)
     a, b = _probe_pairs(rng, dim)
     wvec = np.concatenate([a.reshape(-1), b.reshape(-1)])
-    layout = GroupLayout([[i] for i in range(wvec.size)]) if grouped else None
+    n = wvec.size
+    layout = GroupLayout([[i] for i in range(n)], labels=range(n), size=n) if grouped else None
     estimates = np.stack([
         _batched_mg(wvec, seed=seed0 + 1 + r, eta=eta, layout=layout) for r in range(REPS)
     ])
@@ -146,7 +147,7 @@ def test_04_lipschitz_probe_group_sparse():
 
 def test_05_gst_property_suite():
     t0 = time.time()
-    lay2 = GroupLayout([[0, 1]])
+    lay2 = GroupLayout([[0, 1]], labels=[0], size=2)
     # threshold-zeroing branch
     assert np.array_equal(
         moreau.group_soft_threshold(np.array([0.3, 0.0]), lay2, 0.5), np.zeros(2))
@@ -159,7 +160,7 @@ def test_05_gst_property_suite():
     v = rng.normal(size=2)
     assert np.array_equal(moreau.group_soft_threshold(v, lay2, 0.0), v)
     # non-expansiveness over 1000 random pairs, exact up to 1e-12
-    lay = GroupLayout([[0, 1, 2], [3, 4], [5, 6, 7, 8]])
+    lay = GroupLayout([[0, 1, 2], [3, 4], [5, 6, 7, 8]], labels=[0, 1, 2], size=9)
     for _ in range(1000):
         u, w = rng.normal(size=9), rng.normal(size=9)
         alpha = rng.uniform(0, 2)

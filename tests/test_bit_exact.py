@@ -336,30 +336,30 @@ def test_prune_model_matches_take_oracle(model):
 
 class TestGroupLayoutChecks:
     def test_duplicates_inside_one_subset_are_accepted(self):
-        lay = GroupLayout([[1, 0, 1], [3, 2, 3]], size=4)
+        lay = GroupLayout([[1, 0, 1], [3, 2, 3]], labels=[0, 1], size=4)
         assert len(lay) == 2
         assert lay.indices.tolist() == [0, 1, 1, 2, 3, 3]
 
     def test_overlap_across_subsets_rejected(self):
         with pytest.raises(ValueError, match="must be disjoint"):
-            GroupLayout([[0, 1], [4], [5, 1]])
+            GroupLayout([[0, 1], [4], [5, 1]], labels=[0, 1, 2], size=6)
         with pytest.raises(ValueError, match="must be disjoint"):
-            GroupLayout([[3, 3], [3]])
+            GroupLayout([[3, 3], [3]], labels=[0, 1], size=4)
 
     def test_index_at_or_above_size_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
-            GroupLayout([[0, 1], [4]], size=4)
-        GroupLayout([[0, 1], [3]], size=4)
+            GroupLayout([[0, 1], [4]], labels=[0, 1], size=4)
+        GroupLayout([[0, 1], [3]], labels=[0, 1], size=4)
 
     def test_overlap_is_reported_before_range(self):
         with pytest.raises(ValueError, match="must be disjoint"):
-            GroupLayout([[9], [9]], size=4)
+            GroupLayout([[9], [9]], labels=[0, 1], size=4)
 
     def test_empty_layouts_are_fine(self):
-        assert len(GroupLayout([])) == 0
-        assert len(GroupLayout([], size=0)) == 0
-        assert len(GroupLayout([[], []], size=0)) == 2
-        assert GroupLayout([]).indices.size == 0
+        assert len(GroupLayout([], labels=[], size=5)) == 0
+        assert len(GroupLayout([], labels=[], size=0)) == 0
+        assert len(GroupLayout([[], []], labels=[0, 1], size=0)) == 2
+        assert GroupLayout([], labels=[], size=0).indices.size == 0
 
     def test_channel_layout_covers_each_structure(self):
         model, params, _ = transformer_case()

@@ -55,20 +55,20 @@ def test_gradient_maps_must_name_every_parameter():
 
 def test_structure_importance_sums_slices():
     scores = {"w": np.array([[0.5, 1.0], [0.25, 0.25]])}
-    st_ = PruneStructure(id=0, slices=(Slice("w", 1, 0, 1),), block="h")
+    st_ = PruneStructure(id=0, slices=(Slice("w", 1, 0, 1),), block="h", cls="channel")
     out = imp.structure_importance(scores, [st_])
     assert out[0] == pytest.approx(0.75)
 
 
 def test_empty_structure_warns_and_scores_zero():
-    st_ = PruneStructure(id=3, slices=(), block="h")
+    st_ = PruneStructure(id=3, slices=(), block="h", cls="channel")
     with pytest.warns(UserWarning):
         out = imp.structure_importance({}, [st_])
     assert out[3] == 0.0
 
 
 def test_structure_importance_bounds_checked():
-    st_ = PruneStructure(id=0, slices=(Slice("w", 1, 0, 9),), block="h")
+    st_ = PruneStructure(id=0, slices=(Slice("w", 1, 0, 9),), block="h", cls="channel")
     with pytest.raises(ValueError):
         imp.structure_importance({"w": np.ones((2, 2))}, [st_])
 

@@ -44,29 +44,29 @@ class TestConfig:
 
 class TestGroupSoftThreshold:
     def test_below_threshold_zeroes_group(self):
-        lay = GroupLayout([[0, 1]])
+        lay = GroupLayout([[0, 1]], labels=[0], size=2)
         out = group_soft_threshold(np.array([0.3, 0.0]), lay, 0.5)
         assert np.array_equal(out, np.zeros(2))
 
     def test_scaling_branch_hand_value(self):
-        lay = GroupLayout([[0, 1]])
+        lay = GroupLayout([[0, 1]], labels=[0], size=2)
         out = group_soft_threshold(np.array([3.0, 4.0]), lay, 2.5)
         assert np.allclose(out, [1.5, 2.0], atol=1e-15)
 
     def test_alpha_zero_is_identity(self):
         v = np.random.default_rng(0).normal(size=7)
-        lay = GroupLayout([[0, 1, 2], [5, 6]])
+        lay = GroupLayout([[0, 1, 2], [5, 6]], labels=[0, 1], size=7)
         assert np.array_equal(group_soft_threshold(v, lay, 0.0), v)
 
     def test_indices_outside_subsets_pass_through(self):
         v = np.array([10.0, 0.1, 0.1])
-        lay = GroupLayout([[1, 2]])
+        lay = GroupLayout([[1, 2]], labels=[0], size=3)
         out = group_soft_threshold(v, lay, 5.0)
         assert out[0] == 10.0 and np.array_equal(out[1:], np.zeros(2))
 
     def test_nonexpansive_on_random_pairs(self):
         rng = np.random.default_rng(42)
-        lay = GroupLayout([[0, 1, 2], [3, 4], [5, 6, 7, 8]])
+        lay = GroupLayout([[0, 1, 2], [3, 4], [5, 6, 7, 8]], labels=[0, 1, 2], size=9)
         for _ in range(1000):
             u = rng.normal(size=9)
             v = rng.normal(size=9)
@@ -76,7 +76,7 @@ class TestGroupSoftThreshold:
 
     def test_continuity_at_threshold(self):
         alpha = 1.0
-        lay = GroupLayout([[0, 1]])
+        lay = GroupLayout([[0, 1]], labels=[0], size=2)
         direction = np.array([0.6, 0.8])
         lo = group_soft_threshold(direction * alpha * (1 - 1e-9), lay, alpha)
         hi = group_soft_threshold(direction * alpha * (1 + 1e-9), lay, alpha)
@@ -84,7 +84,7 @@ class TestGroupSoftThreshold:
 
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
-            GroupLayout([[0, 1], [1, 2]])
+            GroupLayout([[0, 1], [1, 2]], labels=[0, 1], size=3)
 
 
 class TestOracle:
@@ -194,7 +194,7 @@ class TestGroupSparse:
         compared against the converged loop."""
         w = np.array([3.0, 4.0, 0.1, 0.1])
         rho, eta = 1.0, 0.5
-        lay = GroupLayout([[0, 1], [2, 3]])
+        lay = GroupLayout([[0, 1], [2, 3]], labels=[0, 1], size=4)
         cfg = MoreauConfig(rho=rho, gamma=rho / 4, steps=200, eta=eta, noise=EXACT)
         res = group_sparse_moreau_grad(oracles.Quadratic(), oracles.wrap(w), None, cfg, lay)
 
@@ -262,7 +262,7 @@ class TestLipschitzProbe:
 )
 @settings(max_examples=100, deadline=None)
 def test_gst_never_grows_any_group(v, alpha):
-    lay = GroupLayout([[0, 1, 2], [3, 4, 5]])
+    lay = GroupLayout([[0, 1, 2], [3, 4, 5]], labels=[0, 1], size=6)
     out = group_soft_threshold(v, lay, alpha)
     for s in lay.subsets:
         assert np.linalg.norm(out[s]) <= np.linalg.norm(v[s]) + 1e-12

@@ -22,7 +22,7 @@ OWNERS = (
 EXPECTED = {
     "train": (
         "cli.main", "config.load_config", "data.load_corpus", "data.make_batch",
-        "zoo.batch_loss", "zoo.recover_finetune", "zoo.loss", "autodiff.forward",
+        "zoo.recover_finetune", "zoo.loss", "autodiff.forward",
         "autodiff.backward", "autodiff.matmul", "autodiff.relu", "autodiff.cross_entropy",
         "params.ParamSet.add", "checkpoint.save",
     ),
@@ -31,8 +31,8 @@ EXPECTED = {
         "params.structure_flat_indices", "moreau.proximal", "moreau.group_soft_threshold",
         "smoothing.smoothed_loss_and_grad", "importance.element_importance",
         "importance.structure_importance", "importance.group_importance",
-        "importance.rank_and_select", "importance.prune_model", "reports.write_json",
-        "reports.write_csv", "checkpoint.save",
+        "importance.rank_and_select", "importance.prune_model", "zoo.batch_loss",
+        "reports.write_json", "reports.write_csv", "checkpoint.save",
     ),
     "robustness": (
         "robustness.consistency_experiment", "robustness.perturb", "lowprec.round_trip",

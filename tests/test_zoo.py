@@ -65,6 +65,63 @@ def test_transformer_group_counting():
     assert_well_formed(params, model.structures(), groups)
 
 
+def table(model):
+    """(id, block, [(param, axis, start, stop), ...]) per structure, and
+    (id, class, member ids) per group."""
+    structures = [
+        (st.id, st.block, [(s.param, s.axis, s.start, s.stop) for s in st.slices])
+        for st in model.structures()
+    ]
+    return structures, [(g.id, g.cls, list(g.structures)) for g in model.groups()]
+
+
+def test_mlp_table_is_pinned():
+    structures, groups = table(zoo.Mlp([8, 3, 2, 4]))
+    assert structures == [
+        (0, "hidden1", [("w0", 1, 0, 1), ("b0", 0, 0, 1), ("w1", 0, 0, 1)]),
+        (1, "hidden1", [("w0", 1, 1, 2), ("b0", 0, 1, 2), ("w1", 0, 1, 2)]),
+        (2, "hidden1", [("w0", 1, 2, 3), ("b0", 0, 2, 3), ("w1", 0, 2, 3)]),
+        (3, "hidden2", [("w1", 1, 0, 1), ("b1", 0, 0, 1), ("w2", 0, 0, 1)]),
+        (4, "hidden2", [("w1", 1, 1, 2), ("b1", 0, 1, 2), ("w2", 0, 1, 2)]),
+    ]
+    assert groups == [(i, "channel", [i]) for i in range(5)]
+
+
+def test_shrunk_transformer_table_is_pinned():
+    arch = zoo.TransformerArch(vocab=8, d_model=4, heads=[2, 2], d_head=2, ffn=[4, 4], max_len=4)
+    model = zoo.TinyTransformer(arch).shrink({"l1.attn": 1, "l0.ffn": 1, "l1.ffn": 2})
+    assert (model.a.heads, model.a.ffn) == ([2, 1], [3, 2])
+    structures, groups = table(model)
+    assert structures == [
+        (0, "l0.attn", [("l0.wq", 1, 0, 2), ("l0.bq", 0, 0, 2), ("l0.wk", 1, 0, 2),
+                        ("l0.bk", 0, 0, 2), ("l0.wv", 1, 0, 2), ("l0.bv", 0, 0, 2),
+                        ("l0.wo", 0, 0, 2)]),
+        (1, "l0.attn", [("l0.wq", 1, 2, 4), ("l0.bq", 0, 2, 4), ("l0.wk", 1, 2, 4),
+                        ("l0.bk", 0, 2, 4), ("l0.wv", 1, 2, 4), ("l0.bv", 0, 2, 4),
+                        ("l0.wo", 0, 2, 4)]),
+        (2, "l0.ffn", [("l0.w1", 1, 0, 1), ("l0.b1", 0, 0, 1), ("l0.w2", 0, 0, 1)]),
+        (3, "l0.ffn", [("l0.w1", 1, 1, 2), ("l0.b1", 0, 1, 2), ("l0.w2", 0, 1, 2)]),
+        (4, "l0.ffn", [("l0.w1", 1, 2, 3), ("l0.b1", 0, 2, 3), ("l0.w2", 0, 2, 3)]),
+        (5, "l1.attn", [("l1.wq", 1, 0, 2), ("l1.bq", 0, 0, 2), ("l1.wk", 1, 0, 2),
+                        ("l1.bk", 0, 0, 2), ("l1.wv", 1, 0, 2), ("l1.bv", 0, 0, 2),
+                        ("l1.wo", 0, 0, 2)]),
+        (6, "l1.ffn", [("l1.w1", 1, 0, 1), ("l1.b1", 0, 0, 1), ("l1.w2", 0, 0, 1)]),
+        (7, "l1.ffn", [("l1.w1", 1, 1, 2), ("l1.b1", 0, 1, 2), ("l1.w2", 0, 1, 2)]),
+    ]
+    classes = ["head", "head", "channel", "channel", "channel", "head", "channel", "channel"]
+    assert groups == [(i, cls, [i]) for i, cls in enumerate(classes)]
+
+
+@pytest.mark.parametrize(
+    "model", [zoo.Mlp([8, 3, 2, 4]), zoo.TinyTransformer.build(32, 16, 4, 2, max_len=16)],
+    ids=["mlp", "transformer"],
+)
+def test_tables_are_built_once(model):
+    assert model.structures() is model.structures()
+    assert model.groups() is model.groups()
+    assert [st.cls for st in model.structures()] == [g.cls for g in model.groups()]
+
+
 def test_transformer_head_divisibility():
     with pytest.raises(zoo.ZooError):
         zoo.TinyTransformer.build(32, 16, 3, 1)
@@ -150,6 +207,22 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, corpus):
     assert meta == {}
 
 
+def test_load_checks_shapes_before_building_tables(tmp_path, monkeypatch):
+    """A header whose arch names a 100,000-wide layer is rejected on its
+    parameter shapes before the model expands a structure table."""
+    model = zoo.Mlp([4, 8, 3])
+    path = tmp_path / "wide.ckpt"
+    wide = {"kind": "mlp", "widths": [4, 10**5, 3]}
+    checkpoint.save(path, wide, model.init_params(0), model.structures(), model.groups())
+
+    def no_tables(*args):
+        raise AssertionError("structure table built")
+
+    monkeypatch.setattr(zoo, "PruneStructure", no_tables)
+    with pytest.raises(checkpoint.CheckpointError, match="parameter 'w0' has shape"):
+        checkpoint.load(path)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOTMAGIC" + b"\0" * 32)
@@ -165,6 +238,15 @@ def test_recover_lr_zero_is_identity(corpus):
     for (n1, a1), (n2, a2) in zip(params, out):
         assert np.array_equal(a1, a2), n1
     assert info.steps == 1  # one batch, one epoch: exactly one optimizer step
+
+
+def test_recover_first_loss_is_the_batch_loss_before_any_step(corpus):
+    model = zoo.Mlp([4 * 256, 8, 256])
+    params = model.init_params(3)
+    batches = [data.make_batch(model, corpus, 8, seed=(0, 0, i))[0] for i in range(2)]
+    _, info = zoo.recover_finetune(model, params, batches, epochs=2, lr=0.1)
+    first = zoo.batch_loss(model, params, batches[0])
+    assert np.float64(info.first_loss).tobytes() == np.float64(first).tobytes()
 
 
 def test_recover_two_epochs_improves(trained_mlp, corpus):
