@@ -106,7 +106,7 @@ def _parse(path, raw: bytes):
         items.append((name, arr.reshape(shape).astype(np.float64)))
         pos += size
     model, params = model_from_arch(header["arch"]), ParamSet(items)
-    got, want = params.shapes(), model.init_params(0).shapes()
+    got, want = params.shapes(), model.param_shapes()
     if list(got) != list(want):
         raise CheckpointError(
             f"{path}: parameters {list(got)} do not match the architecture's {list(want)}"

@@ -1,4 +1,4 @@
-"""Small trainable models, each declaring its prune blocks once.
+"""Small trainable models, each declaring its parameters and prune blocks once.
 
 Two architectures:
 
@@ -10,11 +10,15 @@ Two architectures:
   their bias segments and its output projection row block) and block
   ``l{l}.ffn`` the feed-forward channels, coupled as in the Mlp.
 
-A block declaration gives the block's name, class (``head`` or
-``channel``), unit count, unit width and the ``(param, axis)`` pairs that
-one unit removes. The model expands its declarations once, on first use,
-into the structure table that ``structures()`` returns and the group table
-that ``groups()`` returns (every structure is its own group).
+Each model declares its blocks ``(name, cls, units, width)``, class
+``head`` or ``channel``, and its parameters ``(name, dims, init)`` in
+ParamSet order. A dim is an int or a block, standing for units * width;
+``init`` is ``np.ones``/``np.zeros`` or the fan-in dim of a uniform
++-1/sqrt(fan_in) draw. Derived from these: ``param_shapes()`` (no
+allocation), ``init_params``, a block's coupled ``(param, axis)`` pairs
+(where it appears in the dims), and, once on first use, the tables
+``structures()`` and ``groups()`` (one group per structure). Construction
+rejects any dim that is not a positive int.
 
 Embedding tables, positional table, layer norms and the output head are
 never prunable.
@@ -47,22 +51,56 @@ class TrainingDivergedError(ZooError):
         self.step = step
 
 
-class _Blocks:
-    """A model's prune blocks, declared once in ``self.blocks``. A block is
-    ``(name, cls, units, width, coupled)``: unit u removes
-    [u * width, (u + 1) * width) along every ``(param, axis)`` pair of
-    ``coupled``."""
+class _Declared:
+    """A model's parameter table and prune blocks (see the module docstring),
+    and everything derived from them."""
+
+    def __init__(self, blocks, table):
+        self.blocks, self.table = blocks, table
+        for name, dims, init in table:
+            for dim in (*dims, *(() if callable(init) else (init,))):
+                for n in dim[2:] if isinstance(dim, tuple) else (dim,):
+                    if type(n) is not int or n <= 0:
+                        raise ZooError(
+                            f"parameter {name!r}: dimension {n!r} is not a positive integer"
+                        )
+
+    @staticmethod
+    def _dim(dim) -> int:
+        """An int dim, or a block's units * width. A block is a tuple, which
+        no field of a JSON arch can be."""
+        return math.prod(dim[2:]) if isinstance(dim, tuple) else dim
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        return {name: tuple(map(self._dim, dims)) for name, dims, _ in self.table}
+
+    def init_params(self, seed: int) -> ParamSet:
+        rng = np.random.default_rng(seed)
+        items = []
+        for name, dims, init in self.table:
+            shape = tuple(map(self._dim, dims))
+            if callable(init):
+                items.append((name, init(shape)))
+            else:
+                bound = 1.0 / math.sqrt(self._dim(init))
+                items.append((name, rng.uniform(-bound, bound, size=shape)))
+        return ParamSet(items)
 
     @cached_property
     def _tables(self) -> tuple[tuple[PruneStructure, ...], tuple[PruneGroup, ...]]:
-        """Structures, ids in declaration order, and one group per structure.
-        Built on first use rather than at construction, because
-        ``checkpoint.load`` builds a model from a file's arch before it
-        compares the file's parameters with it."""
+        """Unit u of a block removes [u * width, (u + 1) * width) along each
+        of its coupled axes. Built on first use rather than at construction,
+        because ``checkpoint.load`` builds a model from a file's arch before
+        it compares the file's parameters with it."""
+        coupled = {name: [] for name, *_ in self.blocks}
+        for param, dims, _ in self.table:
+            for axis, dim in enumerate(dims):
+                if isinstance(dim, tuple):
+                    coupled[dim[0]].append((param, axis))
         structures = []
-        for name, cls, units, width, coupled in self.blocks:
+        for name, cls, units, width in self.blocks:
             for u in range(units):
-                slices = tuple(Slice(p, axis, u * width, (u + 1) * width) for p, axis in coupled)
+                slices = tuple(Slice(p, ax, u * width, (u + 1) * width) for p, ax in coupled[name])
                 structures.append(PruneStructure(len(structures), slices, name, cls))
         return tuple(structures), tuple(PruneGroup(st.id, (st.id,), st.cls) for st in structures)
 
@@ -74,44 +112,29 @@ class _Blocks:
 
     def _left(self, removed_per_block: dict[str, int]) -> list[int]:
         """Units each block keeps after removing the given counts."""
-        return [units - removed_per_block.get(name, 0) for name, _, units, _, _ in self.blocks]
+        return [units - removed_per_block.get(name, 0) for name, _, units, _ in self.blocks]
 
 
-def _uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-class Mlp(_Blocks):
+class Mlp(_Declared):
     """Fully connected relu network; widths include input and output dims."""
 
     kind = "mlp"
 
     def __init__(self, widths):
-        widths = [int(w) for w in widths]
+        widths = list(widths)
         if len(widths) < 3:
             raise ZooError("mlp needs at least one hidden layer")
-        if any(w <= 0 for w in widths):
-            raise ZooError(f"mlp widths must be positive, got {widths}")
         self.widths = widths
         # hidden layer l is the output of linear l - 1 and the input of linear l
-        self.blocks = [
-            (f"hidden{l}", "channel", widths[l], 1,
-             ((f"w{l - 1}", 1), (f"b{l - 1}", 0), (f"w{l}", 0)))
-            for l in range(1, len(widths) - 1)
-        ]
+        blocks = [(f"hidden{l}", "channel", widths[l], 1) for l in range(1, len(widths) - 1)]
+        dims, table = [widths[0], *blocks, widths[-1]], []
+        for i in range(len(widths) - 1):
+            fan_in, fan_out = dims[i], dims[i + 1]
+            table += [(f"w{i}", (fan_in, fan_out), fan_in), (f"b{i}", (fan_out,), fan_in)]
+        super().__init__(blocks, table)
 
     def arch(self) -> dict:
         return {"kind": "mlp", "widths": list(self.widths)}
-
-    def init_params(self, seed: int) -> ParamSet:
-        rng = np.random.default_rng(seed)
-        items = []
-        for i in range(len(self.widths) - 1):
-            fan_in, fan_out = self.widths[i], self.widths[i + 1]
-            items.append((f"w{i}", _uniform(rng, (fan_in, fan_out), fan_in)))
-            items.append((f"b{i}", _uniform(rng, (fan_out,), fan_in)))
-        return ParamSet(items)
 
     def logits(self, p: dict[str, Tensor], x: np.ndarray) -> Tensor:
         h = np.asarray(x, dtype=np.float64)
@@ -151,31 +174,38 @@ class TransformerArch:
         return {"kind": "transformer", **asdict(self)}
 
 
-class TinyTransformer(_Blocks):
+class TinyTransformer(_Declared):
     """Pre-norm causal decoder with learned positions and a gelu feed-forward."""
 
     kind = "transformer"
 
     def __init__(self, arch: TransformerArch):
-        if arch.d_model <= 0 or arch.vocab <= 0:
-            raise ZooError("transformer: vocab and d_model must be positive")
-        if any(h <= 0 for h in arch.heads) or any(f <= 0 for f in arch.ffn):
-            raise ZooError("transformer: head and ffn counts must be positive")
         if len(arch.heads) != len(arch.ffn):
             raise ZooError("transformer: per-layer head/ffn lists must align")
         if not arch.heads:
             raise ZooError("transformer needs at least one layer")
         self.a = arch
-        head = ("wq", 1), ("bq", 0), ("wk", 1), ("bk", 0), ("wv", 1), ("bv", 0), ("wo", 0)
-        ffn = ("w1", 1), ("b1", 0), ("w2", 0)
-        self.blocks = []
+        d = arch.d_model
+        blocks, table = [], [("embed", (arch.vocab, d), d), ("pos", (arch.max_len, d), d)]
         for l in range(self.n_layers):
-            self.blocks += [
-                (f"l{l}.attn", "head", arch.heads[l], arch.d_head,
-                 tuple((f"l{l}.{p}", axis) for p, axis in head)),
-                (f"l{l}.ffn", "channel", arch.ffn[l], 1,
-                 tuple((f"l{l}.{p}", axis) for p, axis in ffn)),
+            attn = (f"l{l}.attn", "head", arch.heads[l], arch.d_head)
+            ffn = (f"l{l}.ffn", "channel", arch.ffn[l], 1)
+            blocks += [attn, ffn]
+            table += [
+                (f"l{l}.ln1.g", (d,), np.ones), (f"l{l}.ln1.b", (d,), np.zeros),
+                (f"l{l}.wq", (d, attn), d), (f"l{l}.bq", (attn,), d),
+                (f"l{l}.wk", (d, attn), d), (f"l{l}.bk", (attn,), d),
+                (f"l{l}.wv", (d, attn), d), (f"l{l}.bv", (attn,), d),
+                (f"l{l}.wo", (attn, d), attn), (f"l{l}.bo", (d,), attn),
+                (f"l{l}.ln2.g", (d,), np.ones), (f"l{l}.ln2.b", (d,), np.zeros),
+                (f"l{l}.w1", (d, ffn), d), (f"l{l}.b1", (ffn,), d),
+                (f"l{l}.w2", (ffn, d), ffn), (f"l{l}.b2", (d,), ffn),
             ]
+        table += [
+            ("lnf.g", (d,), np.ones), ("lnf.b", (d,), np.zeros),
+            ("head.w", (d, arch.vocab), d), ("head.b", (arch.vocab,), d),
+        ]
+        super().__init__(blocks, table)
 
     @classmethod
     def build(cls, vocab, d_model, n_heads, n_layers, max_len=128):
@@ -195,42 +225,6 @@ class TinyTransformer(_Blocks):
     @property
     def n_layers(self) -> int:
         return len(self.a.heads)
-
-    def init_params(self, seed: int) -> ParamSet:
-        a = self.a
-        rng = np.random.default_rng(seed)
-        items = [
-            ("embed", _uniform(rng, (a.vocab, a.d_model), a.d_model)),
-            ("pos", _uniform(rng, (a.max_len, a.d_model), a.d_model)),
-        ]
-        for l in range(self.n_layers):
-            dq = a.heads[l] * a.d_head
-            f = a.ffn[l]
-            items += [
-                (f"l{l}.ln1.g", np.ones(a.d_model)),
-                (f"l{l}.ln1.b", np.zeros(a.d_model)),
-                (f"l{l}.wq", _uniform(rng, (a.d_model, dq), a.d_model)),
-                (f"l{l}.bq", _uniform(rng, (dq,), a.d_model)),
-                (f"l{l}.wk", _uniform(rng, (a.d_model, dq), a.d_model)),
-                (f"l{l}.bk", _uniform(rng, (dq,), a.d_model)),
-                (f"l{l}.wv", _uniform(rng, (a.d_model, dq), a.d_model)),
-                (f"l{l}.bv", _uniform(rng, (dq,), a.d_model)),
-                (f"l{l}.wo", _uniform(rng, (dq, a.d_model), dq)),
-                (f"l{l}.bo", _uniform(rng, (a.d_model,), dq)),
-                (f"l{l}.ln2.g", np.ones(a.d_model)),
-                (f"l{l}.ln2.b", np.zeros(a.d_model)),
-                (f"l{l}.w1", _uniform(rng, (a.d_model, f), a.d_model)),
-                (f"l{l}.b1", _uniform(rng, (f,), a.d_model)),
-                (f"l{l}.w2", _uniform(rng, (f, a.d_model), f)),
-                (f"l{l}.b2", _uniform(rng, (a.d_model,), f)),
-            ]
-        items += [
-            ("lnf.g", np.ones(a.d_model)),
-            ("lnf.b", np.zeros(a.d_model)),
-            ("head.w", _uniform(rng, (a.d_model, a.vocab), a.d_model)),
-            ("head.b", _uniform(rng, (a.vocab,), a.d_model)),
-        ]
-        return ParamSet(items)
 
     def _attention(self, p, h: Tensor, layer: int, n_tok: int) -> Tensor:
         a = self.a

@@ -527,6 +527,38 @@ class TestDamagedCheckpoint:
         assert rc == cli.EXIT_CONFIG
         assert f"file is {size + 7} bytes, its header describes {size}" in err
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("d_model", 32.0, "'embed': dimension 32.0"), ("d_head", 8.0, "'l0.wq': dimension 8.0"),
+         ("vocab", 256.0, "'embed': dimension 256.0"), ("max_len", 16.0, "'pos': dimension 16.0"),
+         ("heads", [4.0], "'l0.wq': dimension 4.0"), ("d_head", 0, "'l0.wq': dimension 0 ")],
+        ids=["d_model-float", "d_head-float", "vocab-float", "max_len-float", "heads-float",
+             "d_head-zero"],
+    )
+    def test_non_integer_or_zero_arch_field_exits_2(
+        self, tmp_path, corpus_file, capsys, field, value, message
+    ):
+        model = zoo.TinyTransformer.build(data.VOCAB, 32, 4, 1, max_len=16)
+        ckpt = rewritten_header_ckpt(
+            tmp_path, "arch.ckpt", model, lambda h: h["arch"].update({field: value})
+        )
+        rc, err = self.prune(tmp_path, corpus_file, ckpt, capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert f"malformed checkpoint: ZooError(\"parameter {message}" in err
+
+    def test_huge_arch_width_exits_2(self, tmp_path, corpus_file, capsys):
+        """An arch whose hidden layer would need 7.3 PiB of weights is
+        rejected on its parameter shapes; no weight is drawn."""
+        model = zoo.Mlp([data.mlp_feature_width(4), 4, data.VOCAB])
+        huge = [data.mlp_feature_width(4), 10**12, data.VOCAB]
+        ckpt = rewritten_header_ckpt(
+            tmp_path, "huge.ckpt", model, lambda h: h["arch"].update(widths=huge)
+        )
+        rc, err = self.prune(tmp_path, corpus_file, ckpt, capsys)
+        assert rc == cli.EXIT_CONFIG
+        assert ("parameter 'w0' has shape (1024, 4), "
+                "the architecture's is (1024, 1000000000000)") in err
+
     @pytest.mark.parametrize("argv", [["prune", "--criterion", "moreau"], ["robustness"]])
     def test_transformer_without_layers_exits_2(self, tmp_path, corpus_file, capsys, argv):
         """A zero-layer transformer checkpoint, whose parameters fit its

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,14 +8,16 @@ from hypothesis import strategies as st
 
 from proxprune import autodiff as ad
 from proxprune import checkpoint, data, zoo
+from proxprune.importance import prune_model
 from proxprune.params import ParamSet, structure_flat_indices
 
 TRANSFORMER_32_16_4_2_SEED3_LOSS = 3.6850120833072966  # pinned on first verified run
 
 
 def assert_well_formed(params, structures, groups):
-    """Slices lie in bounds and are disjoint per (parameter, axis); the groups
-    partition the structures, each with at least one member."""
+    """Slices lie in bounds and tile every (parameter, axis) they touch
+    without overlap; the groups partition the structures, each with at least
+    one member."""
     shapes = params.shapes()
     taken = {}
     for structure in structures:
@@ -22,6 +27,8 @@ def assert_well_formed(params, structures, groups):
             used = taken.setdefault((s.param, s.axis), set())
             assert used.isdisjoint(range(s.start, s.stop)), (structure.id, s)
             used.update(range(s.start, s.stop))
+    for (param, axis), used in taken.items():
+        assert used == set(range(shapes[param][axis])), (param, axis)
     ids = [structure.id for structure in structures]
     members = [sid for g in groups for sid in g.structures]
     assert all(g.structures for g in groups)
@@ -45,6 +52,9 @@ def test_mlp_rejects_bad_widths():
         zoo.Mlp([4, 0, 3])
     with pytest.raises(zoo.ZooError):
         zoo.Mlp([4, 3])  # no hidden layer
+    for widths in ([4, 3.0, 3], [4, True, 3], [4.0, 3, 3]):
+        with pytest.raises(zoo.ZooError, match="parameter 'w0': dimension"):
+            zoo.Mlp(widths)
 
 
 def test_mlp_seed_determinism():
@@ -75,8 +85,22 @@ def table(model):
     return structures, [(g.id, g.cls, list(g.structures)) for g in model.groups()]
 
 
+def assert_params_pinned(model, shapes, sha256):
+    """init_params(0) has the recorded shapes, in order, and bytes, and
+    param_shapes() states the same shapes without drawing."""
+    params = model.init_params(0)
+    assert list(params.shapes().items()) == list(shapes.items())
+    assert hashlib.sha256(params.flatten().tobytes()).hexdigest() == sha256
+    assert list(model.param_shapes().items()) == list(shapes.items())
+
+
 def test_mlp_table_is_pinned():
-    structures, groups = table(zoo.Mlp([8, 3, 2, 4]))
+    model = zoo.Mlp([8, 3, 2, 4])
+    assert_params_pinned(
+        model, {"w0": (8, 3), "b0": (3,), "w1": (3, 2), "b1": (2,), "w2": (2, 4), "b2": (4,)},
+        "0badbc1699ecf81b6f212b5d6d8dec3b7bbcec77776948d00bc907d1ab5ea70f",
+    )
+    structures, groups = table(model)
     assert structures == [
         (0, "hidden1", [("w0", 1, 0, 1), ("b0", 0, 0, 1), ("w1", 0, 0, 1)]),
         (1, "hidden1", [("w0", 1, 1, 2), ("b0", 0, 1, 2), ("w1", 0, 1, 2)]),
@@ -91,6 +115,21 @@ def test_shrunk_transformer_table_is_pinned():
     arch = zoo.TransformerArch(vocab=8, d_model=4, heads=[2, 2], d_head=2, ffn=[4, 4], max_len=4)
     model = zoo.TinyTransformer(arch).shrink({"l1.attn": 1, "l0.ffn": 1, "l1.ffn": 2})
     assert (model.a.heads, model.a.ffn) == ([2, 1], [3, 2])
+    shapes = {
+        "embed": (8, 4), "pos": (4, 4),
+        "l0.ln1.g": (4,), "l0.ln1.b": (4,), "l0.wq": (4, 4), "l0.bq": (4,), "l0.wk": (4, 4),
+        "l0.bk": (4,), "l0.wv": (4, 4), "l0.bv": (4,), "l0.wo": (4, 4), "l0.bo": (4,),
+        "l0.ln2.g": (4,), "l0.ln2.b": (4,), "l0.w1": (4, 3), "l0.b1": (3,), "l0.w2": (3, 4),
+        "l0.b2": (4,),
+        "l1.ln1.g": (4,), "l1.ln1.b": (4,), "l1.wq": (4, 2), "l1.bq": (2,), "l1.wk": (4, 2),
+        "l1.bk": (2,), "l1.wv": (4, 2), "l1.bv": (2,), "l1.wo": (2, 4), "l1.bo": (4,),
+        "l1.ln2.g": (4,), "l1.ln2.b": (4,), "l1.w1": (4, 2), "l1.b1": (2,), "l1.w2": (2, 4),
+        "l1.b2": (4,),
+        "lnf.g": (4,), "lnf.b": (4,), "head.w": (4, 8), "head.b": (8,),
+    }
+    assert_params_pinned(
+        model, shapes, "af9d580968ab4d1999adf6ffff2fe6f4b0318e6ce8b615888cb00a90737d1e2b"
+    )
     structures, groups = table(model)
     assert structures == [
         (0, "l0.attn", [("l0.wq", 1, 0, 2), ("l0.bq", 0, 0, 2), ("l0.wk", 1, 0, 2),
@@ -125,6 +164,12 @@ def test_tables_are_built_once(model):
 def test_transformer_head_divisibility():
     with pytest.raises(zoo.ZooError):
         zoo.TinyTransformer.build(32, 16, 3, 1)
+    good = dict(vocab=8, d_model=4, heads=[2], d_head=2, ffn=[4], max_len=4)
+    zoo.TinyTransformer(zoo.TransformerArch(**good))
+    for field, param in (("d_head", "l0.wq"), ("max_len", "pos")):
+        arch = zoo.TransformerArch(**{**good, field: 0})
+        with pytest.raises(zoo.ZooError, match=f"parameter '{param}': dimension 0 "):
+            zoo.TinyTransformer(arch)
 
 
 def test_transformer_one_token_input_is_empty_target():
@@ -178,6 +223,35 @@ def test_batch_loss_permutation_invariant():
         assert zoo.batch_loss(model, params, (X[perm], y[perm])) == base
 
 
+@st.composite
+def small_models(draw):
+    if draw(st.booleans(), label="mlp"):
+        widths = draw(st.lists(st.integers(1, 4), min_size=3, max_size=5), label="widths")
+        return zoo.Mlp(widths)
+    layers = draw(st.integers(1, 2), label="layers")
+    per_layer = st.lists(st.integers(1, 3), min_size=layers, max_size=layers)
+    return zoo.TinyTransformer(zoo.TransformerArch(
+        vocab=draw(st.integers(1, 5)), d_model=draw(st.integers(1, 4)),
+        heads=draw(per_layer), d_head=draw(st.integers(1, 3)), ffn=draw(per_layer),
+        max_len=draw(st.integers(1, 4)),
+    ))
+
+
+@given(model=small_models(), draw=st.data())
+@settings(max_examples=60, deadline=None)
+def test_pruned_params_match_the_shrunk_declaration(model, draw):
+    """Any prune set that empties no block leaves params shaped exactly as
+    the shrunk model declares, and its structures tile those shapes."""
+    assert_well_formed(model.init_params(0), model.structures(), model.groups())
+    prune_set = []
+    for name, _, units, _ in model.blocks:
+        ids = [structure.id for structure in model.structures() if structure.block == name]
+        prune_set += draw.draw(st.lists(st.sampled_from(ids), max_size=units - 1, unique=True))
+    shrunk, params = prune_model(model, model.init_params(0), prune_set)
+    assert params.shapes() == shrunk.param_shapes()
+    assert_well_formed(params, shrunk.structures(), shrunk.groups())
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=20, deadline=None)
 def test_paramset_flatten_roundtrip(seed):
@@ -208,19 +282,30 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, corpus):
 
 
 def test_load_checks_shapes_before_building_tables(tmp_path, monkeypatch):
-    """A header whose arch names a 100,000-wide layer is rejected on its
-    parameter shapes before the model expands a structure table."""
+    """A header whose arch names a 1,000,000-wide layer is rejected on its
+    parameter shapes before the model draws a weight or expands a structure
+    table, and loading it allocates under 1 MB."""
     model = zoo.Mlp([4, 8, 3])
     path = tmp_path / "wide.ckpt"
-    wide = {"kind": "mlp", "widths": [4, 10**5, 3]}
+    wide = {"kind": "mlp", "widths": [4, 10**6, 3]}
     checkpoint.save(path, wide, model.init_params(0), model.structures(), model.groups())
 
     def no_tables(*args):
         raise AssertionError("structure table built")
 
+    def no_draws(*args):
+        raise AssertionError("weights drawn")
+
     monkeypatch.setattr(zoo, "PruneStructure", no_tables)
-    with pytest.raises(checkpoint.CheckpointError, match="parameter 'w0' has shape"):
-        checkpoint.load(path)
+    monkeypatch.setattr(zoo.Mlp, "init_params", no_draws)
+    tracemalloc.start()
+    try:
+        with pytest.raises(checkpoint.CheckpointError, match="parameter 'w0' has shape"):
+            checkpoint.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
