@@ -1,10 +1,16 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 The primitive set is deliberately small: matmul, add, multiply, relu,
-gelu (tanh form), softmax, layer_norm, embedding, cross_entropy, plus the
-structural ops reshape/transpose needed to wire attention blocks together.
-Everything runs in float64; reduced precision is simulated elsewhere by
-explicit rounding of parameter values, never inside a forward pass.
+gelu (tanh form), softmax (with attention's scale and additive mask folded
+in), layer_norm, embedding, cross_entropy, plus the structural ops
+reshape/transpose needed to wire attention blocks together. Everything runs
+in float64; reduced precision is simulated elsewhere by explicit rounding of
+parameter values, never inside a forward pass.
+
+Each tape entry's adjoint closure keeps only what the adjoint reads (an
+operand's shape rather than the operand where that suffices). ``backward``
+pops each entry as it runs, so the arrays an entry saved are freed as soon
+as its adjoint has run rather than when the whole replay ends.
 
 Broadcasting is restricted: an operand of ``add``/``multiply`` may be
 shared across leading batch axes (its shape must equal the trailing shape
@@ -122,11 +128,14 @@ def _one_tape(*tapes) -> Tape | None:
     return first
 
 
+def _check_finite(op, out, tape):
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError(op, len(tape.entries) if tape is not None else -1)
+
+
 def _finish(op, out, tape, contribs):
     """Check finiteness, record the entry if any input is tracked."""
-    if not np.all(np.isfinite(out)):
-        idx = len(tape.entries) if tape is not None else -1
-        raise NonFiniteError(op, idx)
+    _check_finite(op, out, tape)
     if tape is None:
         return Tensor(out)
     tracked = [(n, fn) for n, fn in contribs if n is not None]
@@ -240,9 +249,12 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_3A = 3 * _GELU_A
 
-# gelu and softmax run in place in one or two buffers, but evaluate the same
-# IEEE operations in the same order as the expressions in their docstrings
-# (commuted operands only), so results are bit-identical to those expressions.
+# gelu, softmax and the cross_entropy adjoint run in place in one or two
+# buffers, but evaluate the same IEEE operations in the same order as the
+# expressions in their docstrings (commuted operands only), so results are
+# bit-identical to those expressions. softmax's scale and mask run in its own
+# output buffer, so softmax(x, s, m) has the bits of
+# softmax(add(multiply(x, s), m)) with two fewer tape entries.
 
 
 def gelu(x) -> Tensor:
@@ -278,13 +290,25 @@ def gelu(x) -> Tensor:
     return _finish("gelu", out, xt, [(xn, dx)])
 
 
-def softmax(x) -> Tensor:
-    """Softmax along the last axis, max-shifted for stability:
-    e / sum(e) with e = exp(x - max(x)); adjoint out * (g - sum(g * out))."""
+def softmax(x, scale: float = 1.0, mask=None) -> Tensor:
+    """Softmax along the last axis of z = x*scale + mask, max-shifted for
+    stability: e / sum(e) with e = exp(z - max(z)); adjoint
+    out * (g - sum(g * out)) * scale.
+
+    ``mask`` is a constant array whose shape is a trailing shape of x's
+    (add's rule); None adds nothing. A non-finite z raises NonFiniteError
+    naming softmax, since exp would turn a -inf score into a finite 0."""
     xd, xt, xn = _parts(x)
     if xd.ndim < 1:
         raise ShapeError("softmax: needs at least 1 axis")
-    out = xd - xd.max(axis=-1, keepdims=True)
+    out = np.multiply(xd, scale)
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if not _trailing_ok(xd.shape, mask.shape):
+            raise ShapeError(f"softmax: mask shape {mask.shape} does not trail {xd.shape}")
+        out += mask
+    _check_finite("softmax", out, xt)
+    out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
@@ -292,6 +316,7 @@ def softmax(x) -> Tensor:
         r = g * out
         np.subtract(g, r.sum(axis=-1, keepdims=True), out=r)
         r *= out
+        r *= scale
         return r
 
     return _finish("softmax", out, xt, [(xn, dx)])
@@ -397,11 +422,13 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     nll = lse.reshape(-1) - picked
     out = np.float64(math.fsum(nll) / count)
 
+    # p = (float(g) / count) * (exp(z - lse) - onehot(targets)), in one buffer
     def dlogits(g):
-        p = np.exp(z - lse.reshape(*lse.shape, 1))
-        flat = p.reshape(-1, vocab)
-        np.subtract.at(flat, (np.arange(count), flat_t), 1.0)
-        return (float(g) / count) * flat.reshape(ld.shape)
+        p = z - lse.reshape(*lse.shape, 1)
+        np.exp(p, out=p)
+        np.subtract.at(p.reshape(-1, vocab), (np.arange(count), flat_t), 1.0)
+        p *= float(g) / count
+        return p
 
     return _finish("cross_entropy", np.asarray(out), lt, [(ln, dlogits)])
 
@@ -412,7 +439,8 @@ def reshape(x, shape) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != xd.size:
         raise ShapeError(f"reshape: cannot view {xd.shape} as {shape}")
     out = xd.reshape(shape)
-    return _finish("reshape", out, xt, [(xn, lambda g: g.reshape(xd.shape))])
+    x_shape = xd.shape
+    return _finish("reshape", out, xt, [(xn, lambda g: g.reshape(x_shape))])
 
 
 def transpose(x, axes) -> Tensor:
@@ -446,14 +474,17 @@ def forward(program, params: Mapping[str, np.ndarray], batch=None) -> tuple[floa
 def backward(tape: Tape) -> GradMap:
     """Replay adjoints in reverse; returns a gradient for every leaf, zeros
     of the leaf's shape where the output does not depend on it. Tapes are
-    single-use."""
+    single-use: each entry is popped as it is replayed, which frees the
+    arrays its adjoint saved, and the tape is left empty."""
     if tape.consumed:
         raise TapeConsumedError("tape already consumed by a previous backward()")
     tape.consumed = True
     adj: dict[int, np.ndarray] = {}
     if tape.output_node is not None:
         adj[tape.output_node] = np.ones(())
-    for e in reversed(tape.entries):
+    entries = tape.entries
+    while entries:
+        e = entries.pop()
         g = adj.pop(e.output, None)
         if g is None:
             continue

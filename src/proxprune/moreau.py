@@ -152,14 +152,15 @@ def _proximal_loop(model, params: ParamSet, batch, config: MoreauConfig, layout)
     trace: list[float] = []
     alpha = config.gamma * config.eta
     damping = 1.0 - config.gamma / config.rho
-    w0_rho = w0 / config.rho
     for t in range(config.steps):
         _, loss_est = smoothed_loss_and_grad(
             model, params, batch, config.noise, step=t, w=v, out=g, work=work
         )
         # v = damping * v - gamma * (g - w0 / rho), in this grouping: IEEE
-        # arithmetic is not associative and outputs must stay byte-identical
-        g -= w0_rho
+        # arithmetic is not associative and outputs must stay byte-identical.
+        # w0 / rho goes through d, which is free until the distance below
+        np.divide(w0, config.rho, out=d)
+        g -= d
         g *= config.gamma
         v *= damping
         v -= g

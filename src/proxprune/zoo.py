@@ -226,10 +226,10 @@ class TinyTransformer(_Declared):
     def n_layers(self) -> int:
         return len(self.a.heads)
 
-    def _attention(self, p, h: Tensor, layer: int, n_tok: int) -> Tensor:
+    def _attention(self, p, h: Tensor, layer: int, mask: np.ndarray) -> Tensor:
         a = self.a
         n_heads, dh = a.heads[layer], a.d_head
-        b_sz = h.shape[0]
+        b_sz, n_tok = h.shape[0], mask.shape[0]
 
         def split(t: Tensor) -> Tensor:
             t = ad.reshape(t, (b_sz, n_tok, n_heads, dh))
@@ -238,12 +238,8 @@ class TinyTransformer(_Declared):
         q = split(ad.add(ad.matmul(h, p[f"l{layer}.wq"]), p[f"l{layer}.bq"]))
         k = split(ad.add(ad.matmul(h, p[f"l{layer}.wk"]), p[f"l{layer}.bk"]))
         v = split(ad.add(ad.matmul(h, p[f"l{layer}.wv"]), p[f"l{layer}.bv"]))
-        scores = ad.multiply(
-            ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh)
-        )
-        # large negative finite mask keeps every intermediate finite
-        mask = np.triu(np.full((n_tok, n_tok), -1e9), k=1)
-        att = ad.softmax(ad.add(scores, mask))
+        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)))
+        att = ad.softmax(scores, 1.0 / math.sqrt(dh), mask)
         ctx = ad.transpose(ad.matmul(att, v), (0, 2, 1, 3))
         ctx = ad.reshape(ctx, (b_sz, n_tok, n_heads * dh))
         return ad.add(ad.matmul(ctx, p[f"l{layer}.wo"]), p[f"l{layer}.bo"])
@@ -259,9 +255,12 @@ class TinyTransformer(_Declared):
                 f"transformer: sequence length {n_tok} exceeds max_len {a.max_len}"
             )
         h = ad.add(ad.embedding(p["embed"], ids), ad.embedding(p["pos"], np.arange(n_tok)))
+        # causal mask, shared by every layer; large negative but finite, so
+        # every intermediate stays finite
+        mask = np.triu(np.full((n_tok, n_tok), -1e9), k=1)
         for l in range(self.n_layers):
             normed = ad.layer_norm(h, p[f"l{l}.ln1.g"], p[f"l{l}.ln1.b"])
-            h = ad.add(h, self._attention(p, normed, l, n_tok))
+            h = ad.add(h, self._attention(p, normed, l, mask))
             normed = ad.layer_norm(h, p[f"l{l}.ln2.g"], p[f"l{l}.ln2.b"])
             ff = ad.add(ad.matmul(normed, p[f"l{l}.w1"]), p[f"l{l}.b1"])
             ff = ad.add(ad.matmul(ad.gelu(ff), p[f"l{l}.w2"]), p[f"l{l}.b2"])

@@ -1,7 +1,8 @@
 """Bit-exact oracles for the allocation-lean hot loops.
 
-The Monte Carlo loop, the proximal loop, gelu and softmax run in place on
-flat buffers, and physical pruning deletes each parameter's slices in one
+The Monte Carlo loop, the proximal loop, gelu, softmax (with attention's
+scale and causal mask folded in) and the cross-entropy adjoint run in place
+on flat buffers, and physical pruning deletes each parameter's slices in one
 call. Each is pinned here, bit for bit (uint64 views), against the
 straightforward formulation it replaced, kept below as the oracle. The oracles are test code only; the package has one runtime path.
 """
@@ -22,6 +23,8 @@ from proxprune.moreau import (
 )
 from proxprune.params import ParamSet, flatten_map, structure_flat_indices
 from proxprune.smoothing import NoiseSpec, smoothed_loss_and_grad
+
+import oracles
 
 
 def bits(a) -> np.ndarray:
@@ -264,20 +267,27 @@ def test_gelu_matches_oracle_bitwise_on_stacked_input():
     assert_same_bits(dx, want_dx)
 
 
-def test_softmax_matches_oracle_bitwise():
-    rng = np.random.default_rng(12)
-    n = 9
+def causal_scores(rng, n=9):
+    """Attention scores with 0.0 and -0.0 rows and a row of +-700 scores,
+    plus the causal mask zoo adds to them."""
     scores = rng.normal(size=(2, 3, n, n)) * 4
     scores[0, 0, 0, :] = 0.0
     scores[0, 0, 1, :] = -0.0
     scores[0, 1, 2, :] = 700.0 * rng.normal(size=n)
-    x = scores + np.triu(np.full((n, n), -1e9), k=1)  # causal mask rows
+    return scores, np.triu(np.full((n, n), -1e9), k=1)
+
+
+def test_softmax_matches_oracle_bitwise():
+    rng = np.random.default_rng(12)
+    scores, mask = causal_scores(rng)
+    x = scores + mask  # causal mask rows
     g = rng.normal(size=x.shape)
     g[1, 2, 3, :] = 0.0
-    out, dx = adjoint(ad.softmax, x, g)
     want_out, want_dx = oracle_softmax(x, g)
-    assert_same_bits(out, want_out)
-    assert_same_bits(dx, want_dx)
+    for op in (ad.softmax, lambda t: ad.softmax(t, 1.0, None)):
+        out, dx = adjoint(op, x, g)
+        assert_same_bits(out, want_out)
+        assert_same_bits(dx, want_dx)
 
 
 def test_softmax_matches_oracle_bitwise_on_transposed_adjoint():
@@ -289,6 +299,62 @@ def test_softmax_matches_oracle_bitwise_on_transposed_adjoint():
     want_out, want_dx = oracle_softmax(x, g)
     assert_same_bits(out, want_out)
     assert_same_bits(dx, want_dx)
+
+
+@pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "transposed"])
+def test_folded_softmax_matches_oracle_bitwise(transposed):
+    """softmax(x, scale, mask) is oracle_softmax(x*scale + mask), and its
+    adjoint is the oracle's times scale, bit for bit."""
+    rng = np.random.default_rng(14)
+    scores, mask = causal_scores(rng)
+    scale = 1.0 / math.sqrt(8)
+    if transposed:
+        g = rng.normal(size=scores.shape[::-1]).transpose(3, 2, 1, 0)
+    else:
+        g = rng.normal(size=scores.shape)
+    g[1, 2, 3, :] = 0.0
+    out, dx = adjoint(lambda t: ad.softmax(t, scale, mask), scores, g)
+    want_out, want_dx = oracle_softmax(scores * scale + mask, g)
+    assert_same_bits(out, want_out)
+    assert_same_bits(dx, scale * want_dx)
+
+
+def test_folded_softmax_gradient_equals_unfolded_chain_bitwise():
+    """On a tape, the folded softmax gives the bits of the multiply -> add ->
+    softmax chain attention recorded before, forward and gradient."""
+    rng = np.random.default_rng(15)
+    scores, mask = causal_scores(rng)
+    scale = 1.0 / math.sqrt(8)
+    weights = rng.normal(size=scores.shape)
+
+    def folded(p, _):
+        return oracles.sum_all(ad.multiply(ad.softmax(p["x"], scale, mask), weights))
+
+    def chain(p, _):
+        z = ad.add(ad.multiply(p["x"], scale), mask)
+        return oracles.sum_all(ad.multiply(ad.softmax(z), weights))
+
+    loss, grads = ad.gradient(folded, {"x": scores})
+    want_loss, want_grads = ad.gradient(chain, {"x": scores})
+    assert_same_bits(loss, want_loss)
+    assert_same_bits(grads["x"], want_grads["x"])
+
+
+def test_cross_entropy_adjoint_matches_oracle_bitwise():
+    rng = np.random.default_rng(17)
+    logits = rng.normal(size=(3, 5, 7)) * 4
+    logits[0, 0, :] = 700.0 * rng.normal(size=7)
+    logits[1, 2, :] = -0.0
+    targets = rng.integers(0, 7, size=(3, 5))
+    g = 0.37
+    tape = ad.Tape()
+    ad.cross_entropy(tape.leaf("x", logits), targets)
+    [(_, dx)] = tape.entries[-1].backward(np.asarray(g))
+    z = logits - logits.max(axis=-1, keepdims=True)
+    lse = np.log(np.exp(z).sum(axis=-1))
+    p = np.exp(z - lse[..., None]).reshape(-1, 7)
+    np.subtract.at(p, (np.arange(15), targets.reshape(-1)), 1.0)
+    assert_same_bits(dx, (g / 15) * p.reshape(logits.shape))
 
 
 # --- layouts -----------------------------------------------------------------
