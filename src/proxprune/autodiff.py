@@ -136,6 +136,11 @@ def _check_finite(op, out, tape):
 def _finish(op, out, tape, contribs):
     """Check finiteness, record the entry if any input is tracked."""
     _check_finite(op, out, tape)
+    return _record(op, out, tape, contribs)
+
+
+def _record(op, out, tape, contribs):
+    """Record the entry if any input is tracked."""
     if tape is None:
         return Tensor(out)
     tracked = [(n, fn) for n, fn in contribs if n is not None]
@@ -319,7 +324,9 @@ def softmax(x, scale: float = 1.0, mask=None) -> Tensor:
         r *= scale
         return r
 
-    return _finish("softmax", out, xt, [(xn, dx)])
+    # z was checked above, and a finite z makes every exp lie in [0, 1] and
+    # every row sum >= 1, so the output needs no second scan
+    return _record("softmax", out, xt, [(xn, dx)])
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -385,6 +392,24 @@ def embedding(table, ids: np.ndarray) -> Tensor:
     return _finish("embedding", out, tt, [(tn, dtable)])
 
 
+_SUM_EXP_BLOCK = 16384  # elements per block in _sum_exp (128 KB)
+
+
+def _sum_exp(z: np.ndarray) -> np.ndarray:
+    """np.exp(z).sum(axis=-1) through one buffer of whole rows, at most
+    _SUM_EXP_BLOCK elements, instead of a z-sized array; each row's sum
+    reads only that row, so the bits match."""
+    rows = z.reshape(-1, z.shape[-1])
+    step = max(1, _SUM_EXP_BLOCK // max(1, rows.shape[1]))
+    sums = np.empty(rows.shape[0])
+    buf = np.empty((min(step, rows.shape[0]), rows.shape[1]))
+    for i in range(0, rows.shape[0], step):
+        block = rows[i : i + step]
+        e = np.exp(block, out=buf[: block.shape[0]])
+        e.sum(axis=-1, out=sums[i : i + block.shape[0]])
+    return sums.reshape(z.shape[:-1])
+
+
 def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of integer targets under softmax(logits).
 
@@ -414,7 +439,7 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
             sample_index=sample,
         )
     z = ld - ld.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1))
+    lse = np.log(_sum_exp(z))
     flat_t = targets.reshape(-1)
     picked = np.take_along_axis(
         z.reshape(-1, vocab), flat_t[:, None], axis=1

@@ -10,7 +10,7 @@ from __future__ import annotations
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -187,56 +187,71 @@ class ImportanceReport:
 def run_criterion(
     criterion: str,
     model,
-    params: ParamSet,
+    params: ParamSet | Sequence[ParamSet],
     batch,
     ratio: float,
     *,
     global_pool: bool = False,
     settings: NoiseSpec | _moreau.MoreauConfig | None = None,
     layout: _moreau.GroupLayout | None = None,
-) -> ImportanceReport:
+) -> ImportanceReport | list[ImportanceReport]:
     """Full deterministic pipeline: criterion -> scores -> ranked prune set
     over the model's own structures and groups.
 
     ``settings`` is what the criterion needs besides the batch (see
     ``RunConfig.settings``): nothing for plain, a NoiseSpec for smooth and a
     MoreauConfig for moreau and moreau-gs. ``layout`` is the channel layout
-    of the structures for moreau-gs; it is built here when not given."""
+    of the structures for moreau-gs; it is built here when not given.
+
+    ``params`` may also be a sequence of legs, weight sets with the same
+    names and shapes: then each noise draw is made once and evaluated at
+    every leg, and the result is one report per leg, each equal to the
+    report of a call on that leg alone."""
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; known: {CRITERIA}")
+    legs = [params] if isinstance(params, ParamSet) else list(params)
     structures, groups = model.structures(), model.groups()
     need = _SETTINGS.get(criterion)
     if need is not None and not isinstance(settings, need):
         raise ValueError(f"criterion {criterion!r} needs a {need.__name__}, got {settings!r}")
     if criterion == "plain":
-        _, grad_like = ad.gradient(model.loss, dict(params), batch)
-        extra = {}
+        grad_likes = [ad.gradient(model.loss, dict(p), batch)[1] for p in legs]
+        extras = [{} for _ in legs]
     elif criterion == "smooth":
-        grad_like = _smoothing.smoothed_grad(model, params, batch, settings)
-        extra = {"noise": vars(settings)}
+        grad_likes = _smoothing.smoothed_grad(model, legs, batch, settings)
+        extras = [{"noise": vars(settings)} for _ in legs]
     else:
         if criterion == "moreau":
-            res = _moreau.moreau_grad(model, params, batch, settings)
+            res = _moreau.moreau_grad(model, legs, batch, settings)
         else:
             if layout is None:
-                layout = _moreau.channel_layout(params, structures)
-            res = _moreau.group_sparse_moreau_grad(model, params, batch, settings, layout)
-        grad_like = res.mg
-        extra = {"rho": settings.rho, "gamma": settings.gamma, "steps": settings.steps}
+                layout = _moreau.channel_layout(legs[0], structures)
+            res = _moreau.group_sparse_moreau_grad(model, legs, batch, settings, layout)
+        grad_likes = [r.mg for r in res.legs]
+        extras = [
+            {"rho": settings.rho, "gamma": settings.gamma, "steps": settings.steps}
+            for _ in legs
+        ]
         if criterion == "moreau-gs":
-            extra.update(eta=settings.eta, zeroed_groups=len(res.zeroed_groups))
-    elem = element_importance(grad_like, params)
-    struct = structure_importance(elem, structures)
+            for extra, r in zip(extras, res.legs):
+                extra.update(eta=settings.eta, zeroed_groups=len(r.zeroed_groups))
     cls = {g.id: g.cls for g in groups}
-    group = group_importance(struct, groups)
-    selected = rank_and_select(group, ratio, cls, global_pool=global_pool)
-    return ImportanceReport(
-        criterion=criterion,
-        ratio=ratio,
-        element_scores=elem,
-        structure_scores=struct,
-        group_scores=group,
-        cls_map=cls,
-        prune_set=selected,
-        extra=extra,
-    )
+    reports = []
+    for p, grad_like, extra in zip(legs, grad_likes, extras):
+        elem = element_importance(grad_like, p)
+        struct = structure_importance(elem, structures)
+        group = group_importance(struct, groups)
+        selected = rank_and_select(group, ratio, cls, global_pool=global_pool)
+        reports.append(
+            ImportanceReport(
+                criterion=criterion,
+                ratio=ratio,
+                element_scores=elem,
+                structure_scores=struct,
+                group_scores=group,
+                cls_map=cls,
+                prune_set=selected,
+                extra=extra,
+            )
+        )
+    return reports[0] if isinstance(params, ParamSet) else reports

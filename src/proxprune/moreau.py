@@ -14,16 +14,22 @@ against closed forms compares magnitudes.
 
 With the group penalty each step re-centers the displacement through the
 group soft-threshold operator, the proximal map of the scaled l2,1 norm.
+
+Both entry points also take a sequence of legs, weight sets that share
+names and shapes: their loops run in lockstep, so each noise draw is made
+once for all of them, and each leg's result equals a call on it alone.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .params import ParamSet, flatten_map, structure_flat_indices, unflatten_map
-from .smoothing import NoiseSpec, smoothed_loss_and_grad
+from .params import ParamSet, flatten_map, stack_flat, structure_flat_indices, unflatten_map
+from .smoothing import Draws, NoiseSpec, smoothed_loss_and_grad
 
 
 class MoreauError(Exception):
@@ -142,68 +148,112 @@ class MoreauResult:
         return flatten_map(like, self.mg)
 
 
-def _proximal_loop(model, params: ParamSet, batch, config: MoreauConfig, layout) -> MoreauResult:
-    w0 = params.flatten()
-    guard = 1e3 * float(np.linalg.norm(w0)) + 1e3
+@dataclass
+class MoreauLegs:
+    """The results of one lockstep loop over several legs, in leg order."""
+
+    legs: list[MoreauResult]
+
+    @property
+    def trace(self) -> list[tuple[float, ...]]:
+        """One entry per step: the objective of every leg."""
+        return list(zip(*(r.trace for r in self.legs)))
+
+    @property
+    def zeroed_groups(self) -> tuple[int, ...]:
+        """The zeroed groups of every leg, leg after leg."""
+        return tuple(label for r in self.legs for label in r.zeroed_groups)
+
+
+def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, layout):
+    """Run the loop from each leg's weights; one MoreauResult per leg.
+
+    Per leg only w0, v and the smoothed gradient g are held, as rows of
+    (k, P) arrays; the d scratch, the noisy point and the two draw buffers
+    are shared, and every step's draws are filled on one worker thread."""
+    params = legs[0]  # names and shapes, shared by every leg
+    w0 = stack_flat(legs)
+    guards = [1e3 * float(np.linalg.norm(row)) + 1e3 for row in w0]
     v = w0.copy()
-    g = np.empty_like(w0)  # flat smoothed gradient at v
-    d = np.empty_like(w0)  # v - w0
-    work = np.empty((2, w0.size))  # smoothing scratch, reused every step
-    trace: list[float] = []
+    g = np.empty_like(w0)
+    d = np.empty(w0.shape[1])  # v - w0 of one leg
+    noisy = np.empty(w0.shape[1])  # smoothing scratch, reused every step
+    traces: list[list[float]] = [[] for _ in legs]
     alpha = config.gamma * config.eta
     damping = 1.0 - config.gamma / config.rho
-    for t in range(config.steps):
-        _, loss_est = smoothed_loss_and_grad(
-            model, params, batch, config.noise, step=t, w=v, out=g, work=work
+    spec = config.noise
+    keys = [(t, i) for t in range(config.steps) for i in range(spec.m)]
+    draws = Draws(spec, keys, w0.shape[1]) if spec.scale != 0.0 else None
+    with draws or contextlib.nullcontext():
+        for t in range(config.steps):
+            _, losses = smoothed_loss_and_grad(
+                model, params, batch, spec, step=t, w=v, out=g, draws=draws, noisy=noisy
+            )
+            for j, (vj, gj, w0j) in enumerate(zip(v, g, w0)):
+                # v = damping * v - gamma * (g - w0 / rho), in this grouping:
+                # IEEE arithmetic is not associative and outputs must stay
+                # byte-identical. w0 / rho goes through d, which is free until
+                # the distance below
+                np.divide(w0j, config.rho, out=d)
+                gj -= d
+                gj *= config.gamma
+                vj *= damping
+                vj -= gj
+                if layout is not None and alpha > 0.0:
+                    # v = w0 + gst(v - w0)
+                    vj -= w0j
+                    group_soft_threshold(vj, layout, alpha, out=vj)
+                    vj += w0j
+                np.subtract(vj, w0j, out=d)
+                dist2 = float(np.dot(d, d))
+                traces[j].append(losses[j] + dist2 / (2.0 * config.rho))
+                if math.sqrt(dist2) > guards[j]:
+                    raise DivergenceError(t, math.sqrt(dist2), guards[j])
+    # the last step's displacement v - w0 and mg = displacement / rho, into
+    # w0 and g, which the loop no longer needs
+    displacement = np.subtract(v, w0, out=w0)
+    mg = np.divide(displacement, config.rho, out=g)
+    results = []
+    for vj, dj, mgj, trace in zip(v, displacement, mg, traces):
+        zeroed: tuple[int, ...] = ()
+        if layout is not None:
+            zeroed = tuple(
+                label
+                for label, s in zip(layout.labels, layout.subsets)
+                if s.size > 0 and not np.any(mgj[s])
+            )
+        results.append(
+            MoreauResult(
+                w_final=ParamSet(unflatten_map(params, vj).items()),
+                displacement=unflatten_map(params, dj),
+                mg=unflatten_map(params, mgj),
+                trace=trace,
+                zeroed_groups=zeroed,
+            )
         )
-        # v = damping * v - gamma * (g - w0 / rho), in this grouping: IEEE
-        # arithmetic is not associative and outputs must stay byte-identical.
-        # w0 / rho goes through d, which is free until the distance below
-        np.divide(w0, config.rho, out=d)
-        g -= d
-        g *= config.gamma
-        v *= damping
-        v -= g
-        if layout is not None and alpha > 0.0:
-            # v = w0 + gst(v - w0)
-            v -= w0
-            group_soft_threshold(v, layout, alpha, out=v)
-            v += w0
-        np.subtract(v, w0, out=d)
-        dist2 = float(np.dot(d, d))
-        trace.append(loss_est + dist2 / (2.0 * config.rho))
-        if math.sqrt(dist2) > guard:
-            raise DivergenceError(t, math.sqrt(dist2), guard)
-    displacement = d  # v - w0 of the last step
-    mg_vec = displacement / config.rho
-    zeroed: tuple[int, ...] = ()
-    if layout is not None:
-        zeroed = tuple(
-            label
-            for label, s in zip(layout.labels, layout.subsets)
-            if s.size > 0 and not np.any(mg_vec[s])
-        )
-    return MoreauResult(
-        w_final=ParamSet(unflatten_map(params, v).items()),
-        displacement=unflatten_map(params, displacement),
-        mg=unflatten_map(params, mg_vec),
-        trace=trace,
-        zeroed_groups=zeroed,
-    )
+    return results
 
 
-def moreau_grad(model, params: ParamSet, batch, config: MoreauConfig) -> MoreauResult:
-    """Envelope-gradient estimate without the group penalty."""
+def _run(model, params, batch, config, layout):
+    if isinstance(params, ParamSet):
+        return _proximal_loop(model, [params], batch, config, layout)[0]
+    return MoreauLegs(_proximal_loop(model, list(params), batch, config, layout))
+
+
+def moreau_grad(
+    model, params: ParamSet | Sequence[ParamSet], batch, config: MoreauConfig
+) -> MoreauResult | MoreauLegs:
+    """Envelope-gradient estimate without the group penalty; a sequence of
+    legs gives a MoreauLegs."""
     if config.eta != 0.0:
         raise ValueError("moreau_grad needs eta == 0; group_sparse_moreau_grad applies eta")
-    return _proximal_loop(model, params, batch, config, layout=None)
+    return _run(model, params, batch, config, layout=None)
 
 
 def group_sparse_moreau_grad(
-    model, params: ParamSet, batch, config: MoreauConfig, layout: GroupLayout
-) -> MoreauResult:
+    model, params: ParamSet | Sequence[ParamSet], batch, config: MoreauConfig, layout: GroupLayout
+) -> MoreauResult | MoreauLegs:
     """Group-sparse envelope gradient: every layout subset of mg comes out
     exactly zero or untouched by the threshold. eta = 0 follows the plain
-    code path bit-for-bit."""
-    return _proximal_loop(model, params, batch, config, layout=layout)
-
+    code path bit-for-bit. A sequence of legs gives a MoreauLegs."""
+    return _run(model, params, batch, config, layout=layout)

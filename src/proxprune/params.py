@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -95,6 +95,20 @@ def flatten_map(ps: ParamSet, mapping: Mapping[str, np.ndarray]) -> np.ndarray:
             raise ValueError(f"shape mismatch for {n!r}: {m.shape} vs {a.shape}")
         chunks.append(m.reshape(-1))
     return np.concatenate(chunks) if chunks else np.zeros(0)
+
+
+def stack_flat(legs: Sequence[ParamSet]) -> np.ndarray:
+    """The flat weights of k legs as the rows of a (k, P) array; every leg
+    must have the first one's names and shapes, in the same order."""
+    if not legs:
+        raise ValueError("need at least one leg")
+    layout = list(legs[0].shapes().items())
+    out = np.empty((len(legs), legs[0].size))
+    for row, ps in zip(out, legs):
+        if list(ps.shapes().items()) != layout:
+            raise ValueError("legs must share parameter names, order and shapes")
+        row[:] = ps.flatten()
+    return out
 
 
 def unflatten_map(ps: ParamSet, vec: np.ndarray) -> dict[str, np.ndarray]:

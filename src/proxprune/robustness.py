@@ -142,10 +142,11 @@ def consistency_experiment(
 ) -> list[RobustnessReport]:
     """Importance + prune-set stability for each criterion between two weight
     encodings: baseline_spec (None = raw weights) versus spec. Both legs share
-    the calibration batch and all noise seeds. ``global_pool`` and
-    ``settings`` are passed to ``importance.run_criterion``, so each leg
-    ranks as ``prune`` would; ``settings`` maps each criterion to what it
-    takes, and plain needs none.
+    the calibration batch and all noise seeds, and run in lockstep in one
+    ``importance.run_criterion`` call per criterion, so each noise draw is
+    made once for both. ``global_pool`` and ``settings`` are passed to it, so
+    each leg ranks as ``prune`` would; ``settings`` maps each criterion to
+    what it takes, and plain needs none.
 
     Distances are measured over the elements covered by prune structures --
     exactly the coordinates that decide what gets removed.
@@ -162,23 +163,20 @@ def consistency_experiment(
     w_a = _prunable_vector(params, layout, params_a)
     w_b = _prunable_vector(params, layout, params_b)
     dw = float(np.linalg.norm(w_a - w_b))
+    del w_a, w_b  # the criteria below need only the distance
 
     reports = []
     for criterion in criteria:
-        def run(p: ParamSet) -> imp.ImportanceReport:
-            return imp.run_criterion(
-                criterion,
-                model,
-                p,
-                batch,
-                ratio,
-                global_pool=global_pool,
-                settings=(settings or {}).get(criterion),
-                layout=layout,
-            )
-
-        rep_a = run(params_a)
-        rep_b = run(params_b)
+        rep_a, rep_b = imp.run_criterion(
+            criterion,
+            model,
+            (params_a, params_b),
+            batch,
+            ratio,
+            global_pool=global_pool,
+            settings=(settings or {}).get(criterion),
+            layout=layout,
+        )
         i_a = _prunable_vector(params, layout, rep_a.element_scores)
         i_b = _prunable_vector(params, layout, rep_b.element_scores)
         di = float(np.linalg.norm(i_a - i_b))
@@ -201,6 +199,8 @@ def consistency_experiment(
                 extra={"a": rep_a.extra, "b": rep_b.extra},
             )
         )
+        # free this criterion's scores before the next one runs
+        del rep_a, rep_b, i_a, i_b
     return reports
 
 

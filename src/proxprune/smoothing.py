@@ -12,17 +12,23 @@ ParamSet order (``rng.standard_normal(P)``). Determinism relies on this:
 the same seed, step and draw index give the same noise element for element,
 and with numpy's ``Generator`` the flat stream equals per-parameter draws
 concatenated in ParamSet order.
+
+Draws are filled on one worker thread ahead of their use (``Draws``), and
+each draw is evaluated at every leg of a call: k weight vectors that share
+names and shapes, such as the two encodings of a robustness experiment.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradMap
-from .params import ParamSet, unflatten_map
+from .params import ParamSet, stack_flat, unflatten_map
 
 
 class SmoothingError(Exception):
@@ -58,13 +64,73 @@ def _draw(spec: NoiseSpec, draw_index: int, step: int, out: np.ndarray) -> None:
     np.random.default_rng((spec.seed, step, draw_index)).standard_normal(out=out)
 
 
-def _scale(spec: NoiseSpec, w: np.ndarray, out: np.ndarray | None = None):
-    """Per-element std of a draw around the flat weights w."""
-    if spec.mode == "relative":
-        s = np.abs(w, out=out)
-        s *= spec.scale
-        return s
-    return spec.scale
+class Draws:
+    """Keyed draws of P values filled on one worker thread, up to two ahead.
+
+    ``keys`` lists the (step, draw index) of each draw in the order the
+    consumer takes them. ``take()`` waits until the worker has finished the
+    next draw and returns its buffer; ``give_back()`` returns the buffer once
+    the consumer no longer reads it. The worker refills a buffer only after
+    it is given back, so thread timing cannot change what the consumer reads.
+    An exception raised by a draw is raised again by the ``take()`` of that
+    draw. Leaving the ``with`` block stops the worker and joins it.
+    """
+
+    def __init__(self, spec: NoiseSpec, keys, size: int):
+        self._spec = spec
+        self._keys = list(keys)
+        self._bufs = (np.empty(size), np.empty(size))
+        self._cv = threading.Condition()
+        self._done = 0  # draws the worker has finished
+        self._given = 0  # draws the consumer has given back
+        self._error: Exception | None = None  # raised by draw number _done
+        self._closed = False
+        self._thread = threading.Thread(target=self._fill, name="proxprune-draws", daemon=True)
+
+    def __enter__(self) -> "Draws":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        with self._cv:
+            self._closed = True
+            self._cv.notify_all()
+        self._thread.join()
+
+    def _fill(self) -> None:
+        for n, (step, draw_index) in enumerate(self._keys):
+            with self._cv:
+                # buffer n % 2 is free once draw n - 2 has been given back
+                while n - self._given >= 2 and not self._closed:
+                    self._cv.wait()
+                if self._closed:
+                    return
+            try:
+                _draw(self._spec, draw_index, step, self._bufs[n % 2])
+            except Exception as e:
+                with self._cv:
+                    self._error = e
+                    self._cv.notify_all()
+                return
+            with self._cv:
+                self._done = n + 1
+                self._cv.notify_all()
+
+    def take(self) -> np.ndarray:
+        n = self._given
+        if n >= len(self._keys):
+            raise IndexError(f"all {len(self._keys)} draws were taken")
+        with self._cv:
+            while self._done <= n and self._error is None:
+                self._cv.wait()
+            if self._done <= n:
+                raise self._error
+        return self._bufs[n % 2]
+
+    def give_back(self) -> None:
+        with self._cv:
+            self._given += 1
+            self._cv.notify_all()
 
 
 def sample_noise(
@@ -76,7 +142,7 @@ def sample_noise(
     """
     z = np.empty(params.size)
     _draw(spec, draw_index, step, z)
-    z *= _scale(spec, params.flatten())
+    z *= np.abs(params.flatten()) * spec.scale if spec.mode == "relative" else spec.scale
     return unflatten_map(params, z)
 
 
@@ -89,8 +155,9 @@ def smoothed_loss_and_grad(
     *,
     w: np.ndarray | None = None,
     out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
-) -> tuple[GradMap, float]:
+    draws: Draws | None = None,
+    noisy: np.ndarray | None = None,
+):
     """Monte Carlo smoothed gradient: mean over m noisy gradient evaluations,
     accumulated in ascending draw order. Also returns the mean noisy loss.
 
@@ -98,43 +165,78 @@ def smoothed_loss_and_grad(
     (m=1, scale=0) reduce to the plain gradient bit-exactly.
 
     ``w`` is the flat weight vector to evaluate at (default
-    ``params.flatten()``; params then only supply names and shapes).
-    The mean gradient is written into the flat vector ``out`` (allocated
-    when absent) and returned as per-parameter views of it; it names every
+    ``params.flatten()``; params then only supply names and shapes). The
+    mean gradient is written into the flat vector ``out`` (allocated when
+    absent) and returned as per-parameter views of it; it names every
     parameter, as ``autodiff.backward`` gives a gradient for every leaf
-    (zero where the loss does not reach it). Each draw is scaled and added
-    in place into one buffer the tape sees as per-parameter views, and the
-    draw gradients are summed in place into ``out``. ``work`` is scratch of
-    shape (2, P) for callers that evaluate repeatedly (allocated when absent).
+    (zero where the loss does not reach it).
+
+    ``w`` of shape (k, P) holds k legs: each draw is made once and evaluated
+    at every leg before the next, ``out`` has w's shape, and the result is a
+    list of k gradient maps and a list of k losses, each equal to a
+    single-leg call at that leg.
+
+    The draws of this step come from ``draws`` when given (a caller that
+    evaluates repeatedly fills every step's draws on one worker), else from
+    a worker of this call. Each noisy point is formed in ``noisy`` (scratch
+    of P values, allocated when absent), which the tape sees as
+    per-parameter views, and the draw gradients are summed in place into
+    ``out``.
     """
     if w is None:
         w = params.flatten()
     if out is None:
-        out = np.empty(w.size)
-    mean = unflatten_map(params, out)
+        out = np.empty(w.shape)
+    legs, sums = w.reshape(-1, w.shape[-1]), out.reshape(-1, w.shape[-1])
+    means = [unflatten_map(params, row) for row in sums]
     if spec.scale == 0.0:
-        loss, grads = _eval(model, unflatten_map(params, w), batch, draw=0)
-        _store(mean, grads)
-        return mean, loss
-    if work is None:
-        work = np.empty((2, w.size))
-    scale = _scale(spec, w, out=work[0])
-    noisy = work[1]
-    leaves = unflatten_map(params, noisy)
-    losses = []
-    for i in range(spec.m):
-        _draw(spec, i, step, noisy)
-        noisy *= scale
-        noisy += w
-        loss, grads = _eval(model, leaves, batch, draw=i)
-        losses.append(loss)
-        if i == 0:
+        losses = []
+        for wj, mean in zip(legs, means):
+            loss, grads = _eval(model, unflatten_map(params, wj), batch, draw=0)
             _store(mean, grads)
+            losses.append(loss)
+    else:
+        if draws is None:
+            with Draws(spec, [(step, i) for i in range(spec.m)], w.shape[-1]) as own:
+                losses = _accumulate(model, params, batch, spec, legs, means, own, noisy)
         else:
-            for name, g in grads.items():
-                mean[name] += g
-    out /= spec.m
-    return mean, math.fsum(losses) / spec.m
+            losses = _accumulate(model, params, batch, spec, legs, means, draws, noisy)
+        sums /= spec.m
+    if w.ndim == 1:
+        return means[0], losses[0]
+    return means, losses
+
+
+def _accumulate(model, params, batch, spec, legs, means, draws, noisy) -> list[float]:
+    """Sum the m draw gradients of every leg into its map; return the mean
+    noisy loss of each leg."""
+    if noisy is None:
+        noisy = np.empty(legs.shape[1])
+    leaves = unflatten_map(params, noisy)
+    losses: list[list[float]] = [[] for _ in legs]
+    for i in range(spec.m):
+        z = draws.take()
+        for j, wj in enumerate(legs):
+            # noisy = w + z*(s*|w|) (relative) or w + z*s (absolute), as
+            # |w|, *= s, *= z, += w: the same IEEE operations on the same
+            # operands, with z read only here
+            if spec.mode == "relative":
+                np.abs(wj, out=noisy)
+                noisy *= spec.scale
+                noisy *= z
+            else:
+                np.multiply(z, spec.scale, out=noisy)
+            noisy += wj
+            if j == len(legs) - 1:
+                draws.give_back()
+            loss, grads = _eval(model, leaves, batch, draw=i)
+            losses[j].append(loss)
+            if i == 0:
+                _store(means[j], grads)
+            else:
+                for name, g in grads.items():
+                    means[j][name] += g
+    return [math.fsum(ls) / spec.m for ls in losses]
 
 
 def _store(dest: dict[str, np.ndarray], grads: GradMap) -> None:
@@ -153,7 +255,12 @@ def _eval(model, leaves: dict[str, np.ndarray], batch, draw: int):
     return loss, grads
 
 
-def smoothed_grad(model, params: ParamSet, batch, spec: NoiseSpec, step: int = 0) -> GradMap:
-    """The smoothed-gradient pruning criterion; see smoothed_loss_and_grad."""
-    grads, _ = smoothed_loss_and_grad(model, params, batch, spec, step)
-    return grads
+def smoothed_grad(
+    model, params: ParamSet | Sequence[ParamSet], batch, spec: NoiseSpec, step: int = 0
+) -> GradMap | list[GradMap]:
+    """The smoothed-gradient pruning criterion; see smoothed_loss_and_grad.
+    A sequence of legs gives one gradient map per leg."""
+    if isinstance(params, ParamSet):
+        return smoothed_loss_and_grad(model, params, batch, spec, step)[0]
+    legs = list(params)
+    return smoothed_loss_and_grad(model, legs[0], batch, spec, step, w=stack_flat(legs))[0]

@@ -114,6 +114,37 @@ def test_transformer_gradient_peak_memory():
     assert peak < 13e6
 
 
+def test_cross_entropy_forward_holds_one_logits_sized_temporary():
+    """At tf-train's (4, 127, 256) logits the forward keeps z and sums its
+    exp through a few rows at a time; a whole exp(z) would double the peak."""
+    rng = np.random.default_rng(5)
+    logits = rng.normal(size=(4, 127, 256))
+    targets = rng.integers(0, 256, size=(4, 127))
+    ad.cross_entropy(logits, targets)
+    tracemalloc.start()
+    try:
+        ad.cross_entropy(logits, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * logits.nbytes
+
+
+def test_softmax_scans_only_its_scaled_scores(monkeypatch):
+    """Finite scores give a finite softmax, so the output is not scanned."""
+    scanned = []
+    real = ad._check_finite
+
+    def counted(op, out, tape):
+        scanned.append(op)
+        real(op, out, tape)
+
+    monkeypatch.setattr(ad, "_check_finite", counted)
+    tape = ad.Tape()
+    ad.softmax(tape.leaf("x", np.ones((2, 3, 4))), 0.5, np.zeros((3, 4)))
+    assert scanned == ["softmax"]
+
+
 def test_softmax_mask_must_trail_the_scores():
     with pytest.raises(ad.ShapeError, match="softmax"):
         ad.softmax(np.ones((2, 3, 4)), 1.0, np.ones((3, 3)))

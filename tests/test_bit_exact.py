@@ -22,7 +22,7 @@ from proxprune.moreau import (
     moreau_grad,
 )
 from proxprune.params import ParamSet, flatten_map, structure_flat_indices
-from proxprune.smoothing import NoiseSpec, smoothed_loss_and_grad
+from proxprune.smoothing import NoiseSpec, smoothed_grad, smoothed_loss_and_grad
 
 import oracles
 
@@ -355,6 +355,115 @@ def test_cross_entropy_adjoint_matches_oracle_bitwise():
     p = np.exp(z - lse[..., None]).reshape(-1, 7)
     np.subtract.at(p, (np.arange(15), targets.reshape(-1)), 1.0)
     assert_same_bits(dx, (g / 15) * p.reshape(logits.shape))
+
+
+@pytest.mark.parametrize("shape", [(4, 127, 256), (1, 127, 256), (32, 256), (3, 5, 7)])
+def test_cross_entropy_blocked_exp_sum_matches_whole_array_bitwise(shape):
+    """The exp-sum runs through a small buffer of rows; loss and adjoint keep
+    the bits of np.exp(z).sum(-1) over the whole array."""
+    rng = np.random.default_rng(23)
+    logits = rng.normal(size=shape) * 4
+    flat = logits.reshape(-1, shape[-1])
+    flat[0] = 700.0 * rng.normal(size=shape[-1])
+    flat[-1] = -0.0
+    targets = rng.integers(0, shape[-1], size=shape[:-1])
+    z = logits - logits.max(axis=-1, keepdims=True)
+    assert_same_bits(ad._sum_exp(z), np.exp(z).sum(axis=-1))
+    lse = np.log(np.exp(z).sum(axis=-1))
+    count = targets.size
+    picked = np.take_along_axis(z.reshape(-1, shape[-1]), targets.reshape(-1, 1), axis=1)
+    tape = ad.Tape()
+    loss = ad.cross_entropy(tape.leaf("x", logits), targets)
+    assert_same_bits(loss.data, math.fsum(lse.reshape(-1) - picked.reshape(-1)) / count)
+    [(_, dx)] = tape.entries[-1].backward(np.asarray(1.0))
+    p = np.exp(z - lse[..., None]).reshape(-1, shape[-1])
+    np.subtract.at(p, (np.arange(count), targets.reshape(-1)), 1.0)
+    assert_same_bits(dx, (1.0 / count) * p.reshape(shape))
+
+
+# --- lockstep legs -------------------------------------------------------------
+
+
+def leg_params(params: ParamSet) -> list[ParamSet]:
+    """Three legs of one shape: the weights, a bf16 round trip of them and a
+    rescaled copy."""
+    from proxprune.robustness import PerturbSpec, perturb
+
+    return [
+        params,
+        perturb(params, PerturbSpec("bf16-roundtrip")),
+        ParamSet((n, a * 1.25) for n, a in params),
+    ]
+
+
+def assert_same_maps(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].shape == want[name].shape
+        assert_same_bits(got[name], want[name])
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+def test_legs_smoothed_loss_and_grad_equals_single_leg_calls_bitwise(case, spec):
+    from proxprune.params import stack_flat
+
+    model, params, batch = CASES[case]()
+    legs = leg_params(params)
+    grads, losses = smoothed_loss_and_grad(model, params, batch, spec, step=2, w=stack_flat(legs))
+    assert len(grads) == len(losses) == len(legs)
+    for leg, g, loss, crit in zip(legs, grads, losses, smoothed_grad(model, legs, batch, spec, 2)):
+        want, want_loss = smoothed_loss_and_grad(model, leg, batch, spec, step=2)
+        assert_same_maps(g, want)
+        assert_same_maps(crit, want)
+        assert_same_bits(loss, want_loss)
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@pytest.mark.parametrize("eta", [None, 0.0, 0.2])
+def test_legs_moreau_equals_single_leg_calls_bitwise(case, spec, eta):
+    """eta None runs moreau_grad, a number group_sparse_moreau_grad."""
+    model, params, batch = CASES[case]()
+    legs = leg_params(params)
+    if eta is None:
+        cfg = MoreauConfig(rho=0.05, gamma=1e-2, steps=3, noise=spec)
+
+        def run(p):
+            return moreau_grad(model, p, batch, cfg)
+    else:
+        cfg = MoreauConfig(rho=0.2, gamma=0.05, steps=3, eta=eta, noise=spec)
+        layout = channel_layout(params, model.structures())
+
+        def run(p):
+            return group_sparse_moreau_grad(model, p, batch, cfg, layout)
+
+    got = run(legs)
+    singles = [run(p) for p in legs]
+    assert len(got.legs) == len(legs)
+    for res, want in zip(got.legs, singles):
+        assert_same_maps(res.mg, want.mg)
+        assert_same_maps(res.displacement, want.displacement)
+        assert_same_bits(res.w_final.flatten(), want.w_final.flatten())
+        assert_same_bits(res.trace, want.trace)
+        assert res.zeroed_groups == want.zeroed_groups
+    assert got.trace == list(zip(*(r.trace for r in singles)))
+    assert len(got.trace) == cfg.steps
+    assert got.zeroed_groups == tuple(g for r in singles for g in r.zeroed_groups)
+    if eta == 0.2 and spec.scale > 0:
+        assert got.zeroed_groups  # the threshold bites
+
+
+def test_legs_must_share_names_order_and_shapes():
+    from proxprune.params import stack_flat
+
+    params = zoo.Mlp([6, 5, 4]).init_params(1)
+    with pytest.raises(ValueError, match="share parameter names, order and shapes"):
+        stack_flat([params, zoo.Mlp([6, 3, 4]).init_params(1)])
+    with pytest.raises(ValueError, match="share parameter names, order and shapes"):
+        stack_flat([params, ParamSet(reversed(list(params)))])
+    with pytest.raises(ValueError, match="at least one leg"):
+        stack_flat([])
 
 
 # --- layouts -----------------------------------------------------------------

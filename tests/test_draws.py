@@ -1,0 +1,212 @@
+"""Noise draws are keyed by (seed, step, draw index) and filled on one worker
+thread ahead of their use. These tests pin what that must not change: each
+draw is made once per criterion however many legs evaluate it, a buffer is
+not refilled while it is read, the worker ends with every call that started
+it, and an error inside a draw reaches the caller as it was raised.
+"""
+import sys
+import threading
+import time
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from proxprune import checkpoint, cli, data, moreau, smoothing, zoo
+from proxprune.moreau import MoreauConfig
+from proxprune.robustness import PerturbSpec, consistency_experiment
+from proxprune.smoothing import Draws, NoiseSpec
+
+import oracles
+
+
+@pytest.fixture()
+def draw_log(monkeypatch):
+    """Record (step, draw index, on a worker thread) of every draw made."""
+    log = []
+    real = smoothing._draw
+
+    def logged(spec, draw_index, step, out):
+        log.append((step, draw_index, threading.current_thread() is not threading.main_thread()))
+        real(spec, draw_index, step, out)
+
+    monkeypatch.setattr(smoothing, "_draw", logged)
+    return log
+
+
+def benchmark_sized_settings():
+    """The criteria settings of the benchmark's mlp-robustness workload."""
+    noise = NoiseSpec(scale=0.05, m=2, seed=0)
+    return {
+        "smooth": NoiseSpec(scale=0.05, m=12, seed=0),
+        "moreau": MoreauConfig(rho=0.05, gamma=1e-3, steps=10, noise=noise),
+        "moreau-gs": MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=5e-6, noise=noise),
+    }
+
+
+def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_log):
+    model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
+    params = model.init_params(5)
+    batch, _ = data.make_batch(model, corpus, 6, seed=(3, 0, 0))
+    consistency_experiment(
+        model, params, batch, ("plain", "smooth", "moreau", "moreau-gs"),
+        PerturbSpec("bf16-roundtrip"), 0.25,
+        baseline_spec=PerturbSpec("fp16-roundtrip"), settings=benchmark_sized_settings(),
+    )
+    smooth = [(0, i) for i in range(12)]
+    loop = [(t, i) for t in range(10) for i in range(2)]
+    assert len(draw_log) == 52  # two legs once drew 104
+    assert Counter((t, i) for t, i, _ in draw_log) == Counter(smooth + loop + loop)
+    assert all(worker for _, _, worker in draw_log)
+
+
+def test_buffer_is_not_refilled_while_the_consumer_reads_it():
+    spec = NoiseSpec(scale=0.1, m=4, seed=3)
+    keys = [(1, i) for i in range(4)] + [(2, i) for i in range(4)]
+    with Draws(spec, keys, 1000) as draws:
+        for step, i in keys:
+            z = draws.take()
+            held = z.copy()
+            time.sleep(0.01)  # room for a worker that ignored the hand-back
+            assert np.array_equal(z, held)
+            want = np.random.default_rng((spec.seed, step, i)).standard_normal(1000)
+            assert np.array_equal(z, want)
+            draws.give_back()
+
+
+def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
+    """Four consumers, each with its own worker (eight threads on fewer
+    cores), switching every microsecond: every buffer read must equal the
+    keyed draw, which a refill during a read would break."""
+    spec = NoiseSpec(scale=0.1, m=8, seed=11)
+    keys = [(t, i) for t in range(6) for i in range(spec.m)]
+    want = {key: np.random.default_rng((spec.seed, *key)).standard_normal(500) for key in keys}
+    bad = []
+
+    def consume():
+        with Draws(spec, keys, 500) as draws:
+            for key in keys:
+                z = draws.take()
+                first = z.copy()
+                np.sqrt(np.abs(z)).sum()  # give the worker a chance to run
+                if not (np.array_equal(first, want[key]) and np.array_equal(z, want[key])):
+                    bad.append(key)
+                draws.give_back()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        consumers = [threading.Thread(target=consume) for _ in range(4)]
+        for c in consumers:
+            c.start()
+        for c in consumers:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in consumers)
+    assert bad == []
+
+
+def test_draw_error_is_raised_by_the_take_of_that_draw():
+    spec = NoiseSpec(scale=0.1, m=2, seed=0)
+    with Draws(spec, [(0, 0), (0, 5)], 10) as draws:
+        draws.take()
+        draws.give_back()
+        with pytest.raises(ValueError, match="draw_index 5 out of range for m=2"):
+            draws.take()
+
+
+def test_taking_past_the_last_key_raises_instead_of_waiting():
+    with Draws(NoiseSpec(scale=0.1, m=1, seed=0), [(0, 0)], 10) as draws:
+        draws.take()
+        draws.give_back()
+        with pytest.raises(IndexError, match="all 1 draws were taken"):
+            draws.take()
+
+
+def test_error_inside_a_draw_reaches_the_caller_unchanged(corpus, monkeypatch):
+    model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
+    params = model.init_params(5)
+    batch, _ = data.make_batch(model, corpus, 6, seed=(3, 0, 0))
+    boom = RuntimeError("draw failed")
+    real = smoothing._draw
+
+    def failing(spec, draw_index, step, out):
+        if (step, draw_index) == (3, 1):
+            raise boom
+        real(spec, draw_index, step, out)
+
+    monkeypatch.setattr(smoothing, "_draw", failing)
+    before = threading.active_count()
+    cfg = benchmark_sized_settings()["moreau"]
+    with pytest.raises(RuntimeError) as exc:
+        moreau.moreau_grad(model, [params, params.copy()], batch, cfg)
+    assert exc.value is boom
+    assert threading.active_count() == before
+
+
+class ExplodesOnCall:
+    """An objective whose gradient turns non-finite from its n-th evaluation."""
+
+    def __init__(self, n):
+        self.n, self.calls = n, 0
+
+    def loss(self, p, batch):
+        from proxprune import autodiff as ad
+
+        self.calls += 1
+        scale = 1e300 if self.calls >= self.n else 1.0
+        big = ad.multiply(p["w"], scale)
+        return oracles.sum_all(ad.multiply(big, big))
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_worker_ends_after_smoothing_error_mid_loop():
+    before = threading.active_count()
+    cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=10, noise=NoiseSpec(scale=0.1, m=2, seed=0))
+    obj = ExplodesOnCall(7)  # step 3, draw 0
+    with pytest.raises(smoothing.SmoothingError) as exc:
+        moreau.moreau_grad(obj, oracles.wrap([1e5, 2.0]), None, cfg)
+    assert exc.value.draw_index == 0
+    assert threading.active_count() == before
+
+
+class Concave:
+    """-50 * ||w||^2: each proximal step below multiplies v by about 1.8."""
+
+    def loss(self, p, batch):
+        from proxprune import autodiff as ad
+
+        return ad.multiply(oracles.sum_all(ad.multiply(p["w"], p["w"])), -50.0)
+
+
+def test_worker_ends_after_divergence_error_mid_loop():
+    before = threading.active_count()
+    cfg = MoreauConfig(
+        rho=0.05, gamma=0.01, steps=40, eta=1e-3, noise=NoiseSpec(scale=0.1, m=3, seed=0)
+    )
+    with pytest.raises(moreau.DivergenceError) as exc:
+        moreau.group_sparse_moreau_grad(
+            Concave(), [oracles.wrap([1.0, 1.0, 1.0]), oracles.wrap([1.0, 2.0, 1.0])], None,
+            cfg, moreau.GroupLayout([[0, 1]], labels=[0], size=3),
+        )
+    assert 0 < exc.value.step < cfg.steps - 1
+    assert threading.active_count() == before
+
+
+def test_worker_threads_end_when_prune_and_robustness_return(tmp_path, corpus_file, draw_log):
+    model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
+    ckpt = tmp_path / "model.ckpt"
+    checkpoint.save(ckpt, model.arch(), model.init_params(3), model.structures(), model.groups())
+    ini = tmp_path / "exp.ini"
+    ini.write_text(
+        "[data]\ncalib_size = 4\nholdout_size = 2\n"
+        "[moreau]\nsteps = 3\n[noise]\nm = 2\nsmooth_m = 3\n"
+        "[robustness]\nspecs = fp16:bf16\ncriteria = plain,smooth,moreau,moreau-gs\n"
+    )
+    base = ["--config", str(ini), "--corpus", str(corpus_file), "--checkpoint", str(ckpt)]
+    before = threading.active_count()
+    for command, extra in (("prune", ["--criterion", "moreau-gs"]), ("robustness", [])):
+        assert cli.main([command, *base, *extra, "--out", str(tmp_path / command)]) == 0
+        assert threading.active_count() == before
+    assert draw_log and all(worker for _, _, worker in draw_log)
