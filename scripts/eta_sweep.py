@@ -26,14 +26,14 @@ def main():
     params, _ = zoo.recover_finetune(model, params, batches, epochs=2, lr=0.5)
     batch, _ = data.make_batch(model, corpus, 10, seed=(args.seed, 0, 0))
 
-    base = importance.run_criterion(
-        "moreau", model, params, batch, args.ratio,
+    (base,) = importance.run_criterion(
+        "moreau", model, [params], batch, args.ratio,
         settings=RunConfig(seed=args.seed).settings("moreau"))
     print(f"{'eta':>10s} {'zeroed':>7s} {'pruned':>7s} {'jaccard vs moreau':>18s}")
     for eta_s in args.etas.split(","):
         eta = float(eta_s)
-        rep = importance.run_criterion(
-            "moreau-gs", model, params, batch, args.ratio,
+        (rep,) = importance.run_criterion(
+            "moreau-gs", model, [params], batch, args.ratio,
             settings=RunConfig(seed=args.seed, eta=eta).settings("moreau-gs"))
         jac = robustness.jaccard(rep.prune_set, base.prune_set)
         print(f"{eta:>10.2g} {rep.extra['zeroed_groups']:>7d} "

@@ -129,7 +129,10 @@ def _one_tape(*tapes) -> Tape | None:
 
 
 def _check_finite(op, out, tape):
-    if not np.all(np.isfinite(out)):
+    # one BLAS pass: a finite sum of squares means finite elements. Values
+    # near 1e154 overflow it too, so a non-finite sum gets the exact scan
+    # (vdot, unlike dot, emits no overflow warning)
+    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
         raise NonFiniteError(op, len(tape.entries) if tape is not None else -1)
 
 
@@ -314,7 +317,11 @@ def softmax(x, scale: float = 1.0, mask=None) -> Tensor:
         out += mask
     _check_finite("softmax", out, xt)
     out -= out.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
+    # exp of a shifted score below -800 is exactly +0.0, and numpy's exp
+    # takes a slow path on underflow, which every masked score would hit
+    live = out > -800.0
+    np.exp(out, out=out, where=live)
+    np.copyto(out, 0.0, where=np.logical_not(live, out=live))
     out /= out.sum(axis=-1, keepdims=True)
 
     def dx(g):
@@ -465,7 +472,9 @@ def reshape(x, shape) -> Tensor:
         raise ShapeError(f"reshape: cannot view {xd.shape} as {shape}")
     out = xd.reshape(shape)
     x_shape = xd.shape
-    return _finish("reshape", out, xt, [(xn, lambda g: g.reshape(x_shape))])
+    # reshape and transpose only rearrange their input's values, so they
+    # cannot make a non-finite one and need no scan
+    return _record("reshape", out, xt, [(xn, lambda g: g.reshape(x_shape))])
 
 
 def transpose(x, axes) -> Tensor:
@@ -475,7 +484,7 @@ def transpose(x, axes) -> Tensor:
         raise ShapeError(f"transpose: {axes} is not a permutation of {xd.ndim} axes")
     inv = np.argsort(axes)
     out = xd.transpose(axes)
-    return _finish("transpose", out, xt, [(xn, lambda g: g.transpose(inv))])
+    return _record("transpose", out, xt, [(xn, lambda g: g.transpose(inv))])
 
 
 def forward(program, params: Mapping[str, np.ndarray], batch=None) -> tuple[float, Tape]:

@@ -17,6 +17,8 @@ writes into its checkpoint header.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import sys
 import time
 from pathlib import Path
@@ -98,10 +100,10 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
     batch, starts = _batch(model, corpus, cfg, cfg.calib_size, _CALIB)
     holdout, _ = _batch(model, corpus, cfg, cfg.holdout_size, _HOLDOUT)
 
-    report = importance.run_criterion(
+    (report,) = importance.run_criterion(
         cfg.criterion,
         model,
-        params,
+        [params],
         batch,
         cfg.ratio,
         global_pool=cfg.global_pool,
@@ -190,6 +192,21 @@ def cmd_recover(cfg: RunConfig, ckpt_path: str) -> int:
     return EXIT_OK
 
 
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed memory mapped: each gradient pass frees a tape of several
+    MB, and when glibc hands it back to the system the next pass faults every
+    page in again. Blocks up to 32 MiB (glibc's maximum) now come from the
+    heap, which is trimmed only above 1 GiB free. No-op without mallopt."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="proxprune",
@@ -216,6 +233,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    _keep_freed_heap()
     overrides = {
         "out": getattr(args, "out", None),
         "seed": getattr(args, "seed", None),

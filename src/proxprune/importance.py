@@ -187,29 +187,28 @@ class ImportanceReport:
 def run_criterion(
     criterion: str,
     model,
-    params: ParamSet | Sequence[ParamSet],
+    legs: Sequence[ParamSet],
     batch,
     ratio: float,
     *,
     global_pool: bool = False,
     settings: NoiseSpec | _moreau.MoreauConfig | None = None,
     layout: _moreau.GroupLayout | None = None,
-) -> ImportanceReport | list[ImportanceReport]:
+) -> list[ImportanceReport]:
     """Full deterministic pipeline: criterion -> scores -> ranked prune set
-    over the model's own structures and groups.
+    over the model's own structures and groups, one report per leg.
 
     ``settings`` is what the criterion needs besides the batch (see
     ``RunConfig.settings``): nothing for plain, a NoiseSpec for smooth and a
     MoreauConfig for moreau and moreau-gs. ``layout`` is the channel layout
     of the structures for moreau-gs; it is built here when not given.
 
-    ``params`` may also be a sequence of legs, weight sets with the same
-    names and shapes: then each noise draw is made once and evaluated at
-    every leg, and the result is one report per leg, each equal to the
-    report of a call on that leg alone."""
+    ``legs`` are weight sets with the same names and shapes: each noise draw
+    is made once and evaluated at every leg, and each leg's report equals
+    the report of a call on that leg alone."""
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}; known: {CRITERIA}")
-    legs = [params] if isinstance(params, ParamSet) else list(params)
+    legs = list(legs)
     structures, groups = model.structures(), model.groups()
     need = _SETTINGS.get(criterion)
     if need is not None and not isinstance(settings, need):
@@ -254,4 +253,4 @@ def run_criterion(
                 extra=extra,
             )
         )
-    return reports[0] if isinstance(params, ParamSet) else reports
+    return reports

@@ -15,9 +15,9 @@ against closed forms compares magnitudes.
 With the group penalty each step re-centers the displacement through the
 group soft-threshold operator, the proximal map of the scaled l2,1 norm.
 
-Both entry points also take a sequence of legs, weight sets that share
-names and shapes: their loops run in lockstep, so each noise draw is made
-once for all of them, and each leg's result equals a call on it alone.
+Both entry points take a sequence of legs, weight sets that share names and
+shapes: their loops run in lockstep, so each noise draw is made once for
+all of them, and each leg's result equals a call on it alone.
 """
 from __future__ import annotations
 
@@ -234,26 +234,17 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
     return results
 
 
-def _run(model, params, batch, config, layout):
-    if isinstance(params, ParamSet):
-        return _proximal_loop(model, [params], batch, config, layout)[0]
-    return MoreauLegs(_proximal_loop(model, list(params), batch, config, layout))
-
-
-def moreau_grad(
-    model, params: ParamSet | Sequence[ParamSet], batch, config: MoreauConfig
-) -> MoreauResult | MoreauLegs:
-    """Envelope-gradient estimate without the group penalty; a sequence of
-    legs gives a MoreauLegs."""
+def moreau_grad(model, legs: Sequence[ParamSet], batch, config: MoreauConfig) -> MoreauLegs:
+    """Envelope-gradient estimate without the group penalty, one result per leg."""
     if config.eta != 0.0:
         raise ValueError("moreau_grad needs eta == 0; group_sparse_moreau_grad applies eta")
-    return _run(model, params, batch, config, layout=None)
+    return MoreauLegs(_proximal_loop(model, list(legs), batch, config, layout=None))
 
 
 def group_sparse_moreau_grad(
-    model, params: ParamSet | Sequence[ParamSet], batch, config: MoreauConfig, layout: GroupLayout
-) -> MoreauResult | MoreauLegs:
-    """Group-sparse envelope gradient: every layout subset of mg comes out
-    exactly zero or untouched by the threshold. eta = 0 follows the plain
-    code path bit-for-bit. A sequence of legs gives a MoreauLegs."""
-    return _run(model, params, batch, config, layout=layout)
+    model, legs: Sequence[ParamSet], batch, config: MoreauConfig, layout: GroupLayout
+) -> MoreauLegs:
+    """Group-sparse envelope gradient, one result per leg: every layout
+    subset of mg comes out exactly zero or untouched by the threshold.
+    eta = 0 follows the plain code path bit-for-bit."""
+    return MoreauLegs(_proximal_loop(model, list(legs), batch, config, layout))

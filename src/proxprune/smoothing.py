@@ -20,6 +20,7 @@ names and shapes, such as the two encodings of a robustness experiment.
 from __future__ import annotations
 
 import math
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Sequence
@@ -73,18 +74,19 @@ class Draws:
     the consumer no longer reads it. The worker refills a buffer only after
     it is given back, so thread timing cannot change what the consumer reads.
     An exception raised by a draw is raised again by the ``take()`` of that
-    draw. Leaving the ``with`` block stops the worker and joins it.
+    draw and by every later one. Leaving the ``with`` block stops the worker
+    and joins it.
     """
 
     def __init__(self, spec: NoiseSpec, keys, size: int):
         self._spec = spec
         self._keys = list(keys)
-        self._bufs = (np.empty(size), np.empty(size))
-        self._cv = threading.Condition()
-        self._done = 0  # draws the worker has finished
-        self._given = 0  # draws the consumer has given back
-        self._error: Exception | None = None  # raised by draw number _done
-        self._closed = False
+        self._taken = 0
+        self._held: np.ndarray | None = None  # the buffer the consumer reads
+        self._free: queue.SimpleQueue = queue.SimpleQueue()  # buffers to fill; None stops
+        self._filled: queue.SimpleQueue = queue.SimpleQueue()  # in key order, or an exception
+        self._free.put(np.empty(size))
+        self._free.put(np.empty(size))
         self._thread = threading.Thread(target=self._fill, name="proxprune-draws", daemon=True)
 
     def __enter__(self) -> "Draws":
@@ -92,45 +94,34 @@ class Draws:
         return self
 
     def __exit__(self, *exc) -> None:
-        with self._cv:
-            self._closed = True
-            self._cv.notify_all()
+        self._free.put(None)
         self._thread.join()
 
     def _fill(self) -> None:
-        for n, (step, draw_index) in enumerate(self._keys):
-            with self._cv:
-                # buffer n % 2 is free once draw n - 2 has been given back
-                while n - self._given >= 2 and not self._closed:
-                    self._cv.wait()
-                if self._closed:
-                    return
-            try:
-                _draw(self._spec, draw_index, step, self._bufs[n % 2])
-            except Exception as e:
-                with self._cv:
-                    self._error = e
-                    self._cv.notify_all()
+        for step, draw_index in self._keys:
+            buf = self._free.get()
+            if buf is None:
                 return
-            with self._cv:
-                self._done = n + 1
-                self._cv.notify_all()
+            try:
+                _draw(self._spec, draw_index, step, buf)
+            except Exception as e:
+                self._filled.put(e)
+                return
+            self._filled.put(buf)
 
     def take(self) -> np.ndarray:
-        n = self._given
-        if n >= len(self._keys):
+        if self._taken >= len(self._keys):
             raise IndexError(f"all {len(self._keys)} draws were taken")
-        with self._cv:
-            while self._done <= n and self._error is None:
-                self._cv.wait()
-            if self._done <= n:
-                raise self._error
-        return self._bufs[n % 2]
+        item = self._filled.get()
+        if isinstance(item, Exception):
+            self._filled.put(item)  # for every later take
+            raise item
+        self._taken += 1
+        self._held = item
+        return item
 
     def give_back(self) -> None:
-        with self._cv:
-            self._given += 1
-            self._cv.notify_all()
+        self._free.put(self._held)
 
 
 def sample_noise(
@@ -153,28 +144,26 @@ def smoothed_loss_and_grad(
     spec: NoiseSpec,
     step: int = 0,
     *,
-    w: np.ndarray | None = None,
+    w: np.ndarray,
     out: np.ndarray | None = None,
     draws: Draws | None = None,
     noisy: np.ndarray | None = None,
-):
-    """Monte Carlo smoothed gradient: mean over m noisy gradient evaluations,
-    accumulated in ascending draw order. Also returns the mean noisy loss.
+) -> tuple[list[GradMap], list[float]]:
+    """Monte Carlo smoothed gradient at each of k legs: the mean over m noisy
+    gradient evaluations, accumulated in ascending draw order, and the mean
+    noisy loss.
+
+    ``w`` of shape (k, P) holds the flat weight vectors of the legs; params
+    only supply names and shapes. Each draw is made once and evaluated at
+    every leg before the next, so each leg's result equals a call on that
+    leg alone. The mean gradients are written into ``out`` (w's shape,
+    allocated when absent) and returned as a list of k per-parameter maps of
+    views of it, with a list of k losses; each map names every parameter, as
+    ``autodiff.backward`` gives a gradient for every leaf (zero where the
+    loss does not reach it).
 
     scale == 0 short-circuits to a single exact evaluation, which makes
     (m=1, scale=0) reduce to the plain gradient bit-exactly.
-
-    ``w`` is the flat weight vector to evaluate at (default
-    ``params.flatten()``; params then only supply names and shapes). The
-    mean gradient is written into the flat vector ``out`` (allocated when
-    absent) and returned as per-parameter views of it; it names every
-    parameter, as ``autodiff.backward`` gives a gradient for every leaf
-    (zero where the loss does not reach it).
-
-    ``w`` of shape (k, P) holds k legs: each draw is made once and evaluated
-    at every leg before the next, ``out`` has w's shape, and the result is a
-    list of k gradient maps and a list of k losses, each equal to a
-    single-leg call at that leg.
 
     The draws of this step come from ``draws`` when given (a caller that
     evaluates repeatedly fills every step's draws on one worker), else from
@@ -183,27 +172,22 @@ def smoothed_loss_and_grad(
     per-parameter views, and the draw gradients are summed in place into
     ``out``.
     """
-    if w is None:
-        w = params.flatten()
     if out is None:
         out = np.empty(w.shape)
-    legs, sums = w.reshape(-1, w.shape[-1]), out.reshape(-1, w.shape[-1])
-    means = [unflatten_map(params, row) for row in sums]
+    means = [unflatten_map(params, row) for row in out]
     if spec.scale == 0.0:
         losses = []
-        for wj, mean in zip(legs, means):
+        for wj, mean in zip(w, means):
             loss, grads = _eval(model, unflatten_map(params, wj), batch, draw=0)
             _store(mean, grads)
             losses.append(loss)
     else:
         if draws is None:
-            with Draws(spec, [(step, i) for i in range(spec.m)], w.shape[-1]) as own:
-                losses = _accumulate(model, params, batch, spec, legs, means, own, noisy)
+            with Draws(spec, [(step, i) for i in range(spec.m)], w.shape[1]) as own:
+                losses = _accumulate(model, params, batch, spec, w, means, own, noisy)
         else:
-            losses = _accumulate(model, params, batch, spec, legs, means, draws, noisy)
-        sums /= spec.m
-    if w.ndim == 1:
-        return means[0], losses[0]
+            losses = _accumulate(model, params, batch, spec, w, means, draws, noisy)
+        out /= spec.m
     return means, losses
 
 
@@ -256,11 +240,9 @@ def _eval(model, leaves: dict[str, np.ndarray], batch, draw: int):
 
 
 def smoothed_grad(
-    model, params: ParamSet | Sequence[ParamSet], batch, spec: NoiseSpec, step: int = 0
-) -> GradMap | list[GradMap]:
-    """The smoothed-gradient pruning criterion; see smoothed_loss_and_grad.
-    A sequence of legs gives one gradient map per leg."""
-    if isinstance(params, ParamSet):
-        return smoothed_loss_and_grad(model, params, batch, spec, step)[0]
-    legs = list(params)
+    model, legs: Sequence[ParamSet], batch, spec: NoiseSpec, step: int = 0
+) -> list[GradMap]:
+    """The smoothed-gradient pruning criterion, one gradient map per leg; see
+    smoothed_loss_and_grad."""
+    legs = list(legs)
     return smoothed_loss_and_grad(model, legs[0], batch, spec, step, w=stack_flat(legs))[0]

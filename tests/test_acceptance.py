@@ -58,7 +58,7 @@ def test_02_moreau_oracle_equivalence():
     ]
     for fid, obj, w, rho in cases:
         cfg = MoreauConfig(rho=rho, gamma=rho / 4, steps=200, noise=EXACT)
-        res = moreau.moreau_grad(obj, oracles.wrap(w), None, cfg)
+        (res,) = moreau.moreau_grad(obj, [oracles.wrap(w)], None, cfg).legs
         prox, grad = obj.prox(w, rho)
         assert np.max(np.abs(res.w_final["w"] - prox)) < 1e-5, fid
         assert np.max(np.abs(np.abs(res.mg["w"]) - np.abs(grad))) < 1e-5, fid
@@ -90,12 +90,12 @@ def _batched_mg(wvec, seed, eta=0.0, layout=None):
     noise = NoiseSpec(scale=SIGMA, m=M_PROBE, seed=seed, mode="absolute")
     if layout is None:
         cfg = MoreauConfig(rho=RHO_PROBE, gamma=RHO_PROBE / 4, steps=T_PROBE, noise=noise)
-        res = moreau.moreau_grad(oracles.ScaledAbs(BETA), oracles.wrap(wvec), None, cfg)
+        res = moreau.moreau_grad(oracles.ScaledAbs(BETA), [oracles.wrap(wvec)], None, cfg)
     else:
         cfg = MoreauConfig(rho=RHO_PROBE, gamma=RHO_PROBE / 4, steps=T_PROBE, eta=eta, noise=noise)
         res = moreau.group_sparse_moreau_grad(
-            oracles.ScaledAbs(BETA), oracles.wrap(wvec), None, cfg, layout)
-    return res.mg["w"]
+            oracles.ScaledAbs(BETA), [oracles.wrap(wvec)], None, cfg, layout)
+    return res.legs[0].mg["w"]
 
 
 def _probe(dim, seed0, eta=0.0, grouped=False):
@@ -191,7 +191,7 @@ def test_06_group_sparsity_monotonicity(trained_mlp, corpus):
     for eta in ETA_GRID:
         cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=10, eta=eta,
                            noise=NoiseSpec(scale=0.05, m=4, seed=3))
-        res = moreau.group_sparse_moreau_grad(model, params, batch, cfg, layout)
+        (res,) = moreau.group_sparse_moreau_grad(model, [params], batch, cfg, layout).legs
         counts.append(len(res.zeroed_groups))
     assert counts == sorted(counts), f"not monotone: {counts}"
     elapsed = time.time() - t0
@@ -264,25 +264,25 @@ def test_09_reduction_chain(corpus):
 
     # (a) smoothing with m=1, scale=0 is bit-identical to the plain gradient
     _, plain = ad.gradient(model.loss, dict(params), batch)
-    smooth = smoothed_grad(model, params, batch, NoiseSpec(scale=0.0, m=1, seed=9))
+    (smooth,) = smoothed_grad(model, [params], batch, NoiseSpec(scale=0.0, m=1, seed=9))
     assert set(plain) == set(smooth)
     for n in plain:
         assert np.array_equal(plain[n], smooth[n]), n
 
     # (b) one step with vanishing gamma moves nothing
     cfg = MoreauConfig(rho=0.05, gamma=1e-15, steps=1, noise=NoiseSpec(scale=0.0, m=1, seed=0))
-    res = moreau.moreau_grad(model, params, batch, cfg)
+    (res,) = moreau.moreau_grad(model, [params], batch, cfg).legs
     assert max(float(np.max(np.abs(g))) for g in res.mg.values()) < 1e-9
 
     # (c) group-sparse with eta=0 matches plain mode bit-for-bit under shared seeds
     noise = NoiseSpec(scale=0.05, m=3, seed=11)
     layout = channel_layout(params, model.structures())
-    r_plain = moreau.moreau_grad(
-        model, params, batch, MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=noise))
-    r_gs = moreau.group_sparse_moreau_grad(
-        model, params, batch,
+    (r_plain,) = moreau.moreau_grad(
+        model, [params], batch, MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=noise)).legs
+    (r_gs,) = moreau.group_sparse_moreau_grad(
+        model, [params], batch,
         MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=0.0, noise=noise),
-        layout)
+        layout).legs
     for n in r_plain.mg:
         assert np.array_equal(r_plain.mg[n], r_gs.mg[n]), n
     report(9, "reduction chain holds: smooth(m=1,s=0) == plain bit-exact, "

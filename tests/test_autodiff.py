@@ -165,6 +165,24 @@ def test_nonfinite_scaled_score_is_named_softmax():
     assert exc.value.op == "softmax" and exc.value.index == 1
 
 
+def test_check_finite_falls_back_to_an_exact_scan():
+    """The one-pass check squares and sums, which overflows on finite 1e200s;
+    those pass, and an inf or nan is still named by op and tape index."""
+    tape = ad.Tape()
+    for _ in range(2):
+        tape.record("add", (), tape.new_node(), lambda g: [])
+    ad._check_finite("gelu", np.full((3, 4), 1e200), tape)
+    loss, _ = ad.forward(lambda p, _: oracles.sum_all(ad.multiply(p["w"], 1.0)),
+                         {"w": np.full(3, 1e200)})
+    assert loss == 3e200
+    for bad in (np.inf, -np.inf, np.nan):
+        out = np.full((3, 4), 1e200)
+        out[2, 1] = bad
+        with pytest.raises(ad.NonFiniteError) as exc:
+            ad._check_finite("gelu", out, tape)
+        assert (exc.value.op, exc.value.index) == ("gelu", 2)
+
+
 def test_forward_rejects_nonscalar_output():
     def prog(p, batch):
         return ad.multiply(p["w"], 2.0)

@@ -177,7 +177,9 @@ SPEC_IDS = ["rel-m1", "rel-m3", "abs-m3", "scale0"]
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_smoothed_loss_and_grad_matches_oracle_bitwise(case, spec):
     model, params, batch = CASES[case]()
-    grads, loss = smoothed_loss_and_grad(model, params, batch, spec, step=2)
+    (grads,), (loss,) = smoothed_loss_and_grad(
+        model, params, batch, spec, step=2, w=params.flatten()[None]
+    )
     want, want_loss = oracle_smoothed_loss_and_grad(model, params, batch, spec, step=2)
     assert list(grads) == list(want)
     for name in want:
@@ -191,7 +193,7 @@ def test_smoothed_loss_and_grad_matches_oracle_bitwise(case, spec):
 def test_moreau_grad_matches_oracle_bitwise(case, spec):
     model, params, batch = CASES[case]()
     cfg = MoreauConfig(rho=0.05, gamma=1e-2, steps=3, noise=spec)
-    res = moreau_grad(model, params, batch, cfg)
+    (res,) = moreau_grad(model, [params], batch, cfg).legs
     v, mg, trace = oracle_proximal_loop(model, params, batch, cfg, None)
     assert_same_bits(res.mg_flat(params), mg)
     assert_same_bits(res.w_final.flatten(), v)
@@ -205,7 +207,7 @@ def test_group_sparse_moreau_grad_matches_oracle_bitwise(case, spec, eta):
     model, params, batch = CASES[case]()
     layout = channel_layout(params, model.structures())
     cfg = MoreauConfig(rho=0.2, gamma=0.05, steps=3, eta=eta, noise=spec)
-    res = group_sparse_moreau_grad(model, params, batch, cfg, layout)
+    (res,) = group_sparse_moreau_grad(model, [params], batch, cfg, layout).legs
     v, mg, trace = oracle_proximal_loop(model, params, batch, cfg, layout)
     assert_same_bits(res.mg_flat(params), mg)
     assert_same_bits(res.w_final.flatten(), v)
@@ -319,6 +321,25 @@ def test_folded_softmax_matches_oracle_bitwise(transposed):
     assert_same_bits(dx, scale * want_dx)
 
 
+@pytest.mark.parametrize("shift", [-745.2, -800.0, -1e9])
+def test_softmax_exp_skip_equals_full_exp_bitwise(shift):
+    """softmax skips exp where the shifted score is -800 or below, whose exp
+    is exactly +0.0; around that cut (exp(-745.2) is the smallest subnormal)
+    and on causal-masked rows the bits equal a full exp."""
+    rng = np.random.default_rng(16)
+    scores, mask = causal_scores(rng)
+    rows = np.zeros((3, 7))  # each row's max is its last 0.0, so no shift
+    rows[:, :5] = shift + np.array([-1.0, -1e-9, 0.0, 1e-9, 1.0])
+    rows[:, 5] = -rng.uniform(size=3)
+    for x, scale, m in ((rows, 1.0, None), (scores, 1.0 / math.sqrt(8), mask)):
+        g = rng.normal(size=x.shape)
+        out, dx = adjoint(lambda t: ad.softmax(t, scale, m), x, g)
+        z = x * scale if m is None else x * scale + m
+        want_out, want_dx = oracle_softmax(z, g)
+        assert_same_bits(out, want_out)
+        assert_same_bits(dx, scale * want_dx)
+
+
 def test_folded_softmax_gradient_equals_unfolded_chain_bitwise():
     """On a tape, the folded softmax gives the bits of the multiply -> add ->
     softmax chain attention recorded before, forward and gradient."""
@@ -413,7 +434,9 @@ def test_legs_smoothed_loss_and_grad_equals_single_leg_calls_bitwise(case, spec)
     grads, losses = smoothed_loss_and_grad(model, params, batch, spec, step=2, w=stack_flat(legs))
     assert len(grads) == len(losses) == len(legs)
     for leg, g, loss, crit in zip(legs, grads, losses, smoothed_grad(model, legs, batch, spec, 2)):
-        want, want_loss = smoothed_loss_and_grad(model, leg, batch, spec, step=2)
+        (want,), (want_loss,) = smoothed_loss_and_grad(
+            model, leg, batch, spec, step=2, w=leg.flatten()[None]
+        )
         assert_same_maps(g, want)
         assert_same_maps(crit, want)
         assert_same_bits(loss, want_loss)
@@ -439,7 +462,7 @@ def test_legs_moreau_equals_single_leg_calls_bitwise(case, spec, eta):
             return group_sparse_moreau_grad(model, p, batch, cfg, layout)
 
     got = run(legs)
-    singles = [run(p) for p in legs]
+    singles = [run([p]).legs[0] for p in legs]
     assert len(got.legs) == len(legs)
     for res, want in zip(got.legs, singles):
         assert_same_maps(res.mg, want.mg)

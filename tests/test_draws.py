@@ -166,7 +166,7 @@ def test_worker_ends_after_smoothing_error_mid_loop():
     cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=10, noise=NoiseSpec(scale=0.1, m=2, seed=0))
     obj = ExplodesOnCall(7)  # step 3, draw 0
     with pytest.raises(smoothing.SmoothingError) as exc:
-        moreau.moreau_grad(obj, oracles.wrap([1e5, 2.0]), None, cfg)
+        moreau.moreau_grad(obj, [oracles.wrap([1e5, 2.0])], None, cfg)
     assert exc.value.draw_index == 0
     assert threading.active_count() == before
 

@@ -27,7 +27,7 @@ def test_element_importance_from_envelope_gradient():
     """Quadratic envelope at w=(2,-4), rho=1 gives |mg*w| = (2, 8)."""
     cfg = moreau.MoreauConfig(rho=1.0, gamma=0.5, steps=50, noise=NoiseSpec(scale=0.0, m=1, seed=0))
     ps = oracles.wrap([2.0, -4.0])
-    res = moreau.moreau_grad(oracles.Quadratic(), ps, None, cfg)
+    (res,) = moreau.moreau_grad(oracles.Quadratic(), [ps], None, cfg).legs
     scores = imp.element_importance(res.mg, ps)
     assert np.allclose(scores["w"], [2.0, 8.0], atol=1e-6)
 
@@ -232,8 +232,8 @@ def test_run_criterion_is_deterministic(corpus):
     batch, _ = data.make_batch(model, corpus, 4, seed=(2, 0, 0))
     kw = dict(settings=moreau.MoreauConfig(
         rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.05, m=2, seed=5)))
-    r1 = imp.run_criterion("moreau", model, params, batch, 0.25, **kw)
-    r2 = imp.run_criterion("moreau", model, params, batch, 0.25, **kw)
+    (r1,) = imp.run_criterion("moreau", model, [params], batch, 0.25, **kw)
+    (r2,) = imp.run_criterion("moreau", model, [params], batch, 0.25, **kw)
     assert r1.prune_set == r2.prune_set
     assert r1.group_scores == r2.group_scores
 
@@ -248,7 +248,7 @@ def test_run_criterion_needs_matching_settings(criterion, given):
     params = model.init_params(0)
     batch = (np.ones((2, 4)), np.array([0, 1]))
     with pytest.raises(ValueError, match=f"criterion {criterion!r} needs a"):
-        imp.run_criterion(criterion, model, params, batch, 0.25, settings=given)
+        imp.run_criterion(criterion, model, [params], batch, 0.25, settings=given)
 
 
 def test_report_csv_layout():

@@ -112,7 +112,7 @@ class TestMoreauGrad:
     def test_quadratic_example(self):
         cfg = MoreauConfig(rho=1.0, gamma=0.5, steps=50, noise=EXACT)
         obj = oracles.Quadratic()
-        res = moreau_grad(obj, oracles.wrap([2.0, -4.0]), None, cfg)
+        (res,) = moreau_grad(obj, [oracles.wrap([2.0, -4.0])], None, cfg).legs
         prox, grad = obj.prox([2.0, -4.0], 1.0)
         assert np.allclose(res.w_final["w"], prox, atol=1e-6)
         assert np.allclose(np.abs(res.mg["w"]), np.abs(grad), atol=1e-6)
@@ -120,12 +120,12 @@ class TestMoreauGrad:
     def test_linear_envelope_gradient_norm(self):
         u = np.array([1.0, -2.0, 0.5])
         cfg = convergence_cfg(rho=0.1)
-        res = moreau_grad(oracles.Linear(u), oracles.wrap([0.1, 0.2, 0.3]), None, cfg)
+        (res,) = moreau_grad(oracles.Linear(u), [oracles.wrap([0.1, 0.2, 0.3])], None, cfg).legs
         assert np.linalg.norm(res.mg["w"]) == pytest.approx(np.linalg.norm(u), abs=1e-6)
 
     def test_tiny_gamma_single_step_gives_vanishing_mg(self):
         cfg = MoreauConfig(rho=1.0, gamma=1e-12, steps=1, noise=EXACT)
-        res = moreau_grad(oracles.Quadratic(), oracles.wrap([5.0, -3.0]), None, cfg)
+        (res,) = moreau_grad(oracles.Quadratic(), [oracles.wrap([5.0, -3.0])], None, cfg).legs
         assert np.max(np.abs(res.mg["w"])) < 1e-9
 
     def test_mg_is_displacement_over_rho_exactly(self):
@@ -134,7 +134,7 @@ class TestMoreauGrad:
         params = model.init_params(2)
         rng = np.random.default_rng(1)
         batch = (rng.normal(size=(3, 4)), rng.integers(0, 3, size=3))
-        res = moreau_grad(model, params, batch, cfg)
+        (res,) = moreau_grad(model, [params], batch, cfg).legs
         for n in res.mg:
             assert np.array_equal(res.mg[n], res.displacement[n] / cfg.rho)
 
@@ -142,18 +142,18 @@ class TestMoreauGrad:
         # the group penalty needs the groups: only group_sparse_moreau_grad applies eta
         cfg = MoreauConfig(rho=0.2, gamma=2e-4, eta=5e-6)
         with pytest.raises(ValueError):
-            moreau_grad(oracles.Quadratic(), oracles.wrap([1.0]), None, cfg)
+            moreau_grad(oracles.Quadratic(), [oracles.wrap([1.0])], None, cfg)
 
     def test_divergence_guard_names_step(self):
         u = np.full(3, 1e7)
         cfg = MoreauConfig(rho=0.05, gamma=0.05, steps=10, noise=EXACT)
         with pytest.raises(moreau.DivergenceError) as exc:
-            moreau_grad(oracles.Linear(u), oracles.wrap([1.0, 1.0, 1.0]), None, cfg)
+            moreau_grad(oracles.Linear(u), [oracles.wrap([1.0, 1.0, 1.0])], None, cfg)
         assert exc.value.step == 0
 
     def test_trace_length_matches_steps(self):
         cfg = MoreauConfig(rho=1.0, gamma=0.5, steps=7, noise=EXACT)
-        res = moreau_grad(oracles.Quadratic(), oracles.wrap([1.0]), None, cfg)
+        (res,) = moreau_grad(oracles.Quadratic(), [oracles.wrap([1.0])], None, cfg).legs
         assert len(res.trace) == 7
 
 
@@ -165,12 +165,13 @@ class TestGroupSparse:
         batch = (rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
         noise = NoiseSpec(scale=0.05, m=3, seed=11)
         lay = channel_layout(params, model.structures())
-        plain = moreau_grad(model, params, batch, MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=noise))
-        gs = group_sparse_moreau_grad(
-            model, params, batch,
+        plain_cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=noise)
+        (plain,) = moreau_grad(model, [params], batch, plain_cfg).legs
+        (gs,) = group_sparse_moreau_grad(
+            model, [params], batch,
             MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=0.0, noise=noise),
             lay,
-        )
+        ).legs
         for n in plain.mg:
             assert np.array_equal(plain.mg[n], gs.mg[n])
 
@@ -182,7 +183,7 @@ class TestGroupSparse:
         lay = channel_layout(params, model.structures())
         cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=5, eta=1e3,
                            noise=NoiseSpec(scale=0.05, m=2, seed=0))
-        res = group_sparse_moreau_grad(model, params, batch, cfg, lay)
+        (res,) = group_sparse_moreau_grad(model, [params], batch, cfg, lay).legs
         flat = res.mg_flat(params)
         for s in lay.subsets:
             assert not np.any(flat[s])
@@ -196,7 +197,7 @@ class TestGroupSparse:
         rho, eta = 1.0, 0.5
         lay = GroupLayout([[0, 1], [2, 3]], labels=[0, 1], size=4)
         cfg = MoreauConfig(rho=rho, gamma=rho / 4, steps=200, eta=eta, noise=EXACT)
-        res = group_sparse_moreau_grad(oracles.Quadratic(), oracles.wrap(w), None, cfg, lay)
+        (res,) = group_sparse_moreau_grad(oracles.Quadratic(), [oracles.wrap(w)], None, cfg, lay).legs
 
         def radial_optimum(w_g):
             # minimize 0.5*||w_g - t*unit||^2 + t^2/(2 rho) + eta*t over t >= 0
@@ -223,7 +224,7 @@ class TestGroupSparse:
         for eta in (0.0, 1e-4, 1e-2, 1.0, 1e3):
             cfg = MoreauConfig(rho=0.2, gamma=2e-4, steps=5, eta=eta,
                                noise=NoiseSpec(scale=0.05, m=2, seed=9))
-            res = group_sparse_moreau_grad(model, params, batch, cfg, lay)
+            (res,) = group_sparse_moreau_grad(model, [params], batch, cfg, lay).legs
             counts.append(len(res.zeroed_groups))
         assert counts == sorted(counts), counts
         assert counts[-1] == len(lay)

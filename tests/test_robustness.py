@@ -136,7 +136,7 @@ def test_importance_report_schema(tmp_path, small_setup):
     from proxprune import importance as imp
 
     model, params, batch = small_setup
-    rep = imp.run_criterion("plain", model, params, batch, 0.25)
+    (rep,) = imp.run_criterion("plain", model, [params], batch, 0.25)
     reports.write_json(tmp_path / "imp.json", rep.to_json_dict())
     loaded = json.loads((tmp_path / "imp.json").read_text())
     jsonschema = pytest.importorskip("jsonschema")

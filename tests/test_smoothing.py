@@ -67,7 +67,7 @@ def test_reduction_to_plain_gradient_is_bit_exact():
     from proxprune import autodiff as ad
 
     _, plain = ad.gradient(model.loss, dict(params), batch)
-    smooth = smoothed_grad(model, params, batch, NoiseSpec(scale=0.0, m=1, seed=3))
+    (smooth,) = smoothed_grad(model, [params], batch, NoiseSpec(scale=0.0, m=1, seed=3))
     assert set(plain) == set(smooth)
     for n in plain:
         assert np.array_equal(plain[n], smooth[n]), n
@@ -79,8 +79,8 @@ def test_smoothed_grad_fixed_seed_reproducible():
     rng = np.random.default_rng(0)
     batch = (rng.normal(size=(4, 4)), rng.integers(0, 3, size=4))
     spec = NoiseSpec(scale=0.05, m=5, seed=21)
-    g1 = smoothed_grad(model, params, batch, spec)
-    g2 = smoothed_grad(model, params, batch, spec)
+    (g1,) = smoothed_grad(model, [params], batch, spec)
+    (g2,) = smoothed_grad(model, [params], batch, spec)
     for n in g1:
         assert np.array_equal(g1[n], g2[n])
 
@@ -90,7 +90,7 @@ def test_linear_loss_smoothing_is_exact():
     exactly u and the average has no Monte Carlo error at all."""
     u = np.array([0.5, -1.5, 2.0])
     ps = oracles.wrap([0.2, 0.4, -0.6])
-    grads = smoothed_grad(oracles.Linear(u), ps, None, NoiseSpec(scale=0.3, m=50, seed=2))
+    (grads,) = smoothed_grad(oracles.Linear(u), [ps], None, NoiseSpec(scale=0.3, m=50, seed=2))
     assert np.allclose(grads["w"], u, atol=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_quadratic_smoothed_grad_within_monte_carlo_error():
     w = np.array([0.7])
     sigma, m = 0.5, 1000
     spec = NoiseSpec(scale=sigma, m=m, seed=11, mode="absolute")
-    grads, _ = smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w), None, spec)
+    (grads,), _ = smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w), None, spec, w=w[None])
     se = sigma / math.sqrt(m)
     assert abs(grads["w"][0] - w[0]) < 3 * se
 
@@ -117,7 +117,7 @@ def test_smoothed_grad_lipschitz_bound_on_abs():
         vals = []
         for r in range(reps):
             spec = NoiseSpec(scale=sigma, m=m, seed=100 + r, mode="absolute")
-            vals.append(smoothed_grad(obj, oracles.wrap([w]), None, spec)["w"][0])
+            vals.append(smoothed_grad(obj, [oracles.wrap([w])], None, spec)[0]["w"][0])
         return np.mean(vals), np.std(vals, ddof=1) / math.sqrt(reps)
 
     for _ in range(12):
@@ -139,5 +139,5 @@ def test_nonfinite_draw_reports_index():
             return oracles.sum_all(ad.multiply(big, big))
 
     with pytest.raises(smoothing.SmoothingError) as exc:
-        smoothed_grad(Explodes(), oracles.wrap([1e5]), None, NoiseSpec(scale=0.1, m=2, seed=0))
+        smoothed_grad(Explodes(), [oracles.wrap([1e5])], None, NoiseSpec(scale=0.1, m=2, seed=0))
     assert exc.value.draw_index == 0
