@@ -324,8 +324,9 @@ def test_folded_softmax_matches_oracle_bitwise(transposed):
 @pytest.mark.parametrize("shift", [-745.2, -800.0, -1e9])
 def test_softmax_exp_skip_equals_full_exp_bitwise(shift):
     """softmax skips exp where the shifted score is -800 or below, whose exp
-    is exactly +0.0; around that cut (exp(-745.2) is the smallest subnormal)
-    and on causal-masked rows the bits equal a full exp."""
+    is exactly +0.0. Around the underflow edge (exp(-744.2) is the smallest
+    subnormal, exp(-745.2) is +0.0), around the cut and on causal-masked
+    rows the bits equal a full exp."""
     rng = np.random.default_rng(16)
     scores, mask = causal_scores(rng)
     rows = np.zeros((3, 7))  # each row's max is its last 0.0, so no shift
