@@ -128,11 +128,16 @@ def _one_tape(*tapes) -> Tape | None:
     return first
 
 
+def all_finite(a: np.ndarray) -> bool:
+    """Whether every element of ``a`` is finite, in one BLAS pass when it is:
+    a finite sum of squares means finite elements. Values near 1e154
+    overflow it too, so a non-finite sum gets the exact scan (vdot, unlike
+    dot, emits no overflow warning)."""
+    return math.isfinite(np.vdot(a, a)) or bool(np.isfinite(a).all())
+
+
 def _check_finite(op, out, tape):
-    # one BLAS pass: a finite sum of squares means finite elements. Values
-    # near 1e154 overflow it too, so a non-finite sum gets the exact scan
-    # (vdot, unlike dot, emits no overflow warning)
-    if not math.isfinite(np.vdot(out, out)) and not np.isfinite(out).all():
+    if not all_finite(out):
         raise NonFiniteError(op, len(tape.entries) if tape is not None else -1)
 
 

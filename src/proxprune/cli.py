@@ -262,6 +262,9 @@ def main(argv=None) -> int:
     ) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as e:  # e.g. a model too large for this machine
+        print(f"config error: out of memory: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     except importance.WouldEmptyLayerError as e:
         print(f"prune error: {e}", file=sys.stderr)
         return EXIT_PRUNE

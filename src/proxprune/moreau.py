@@ -21,15 +21,15 @@ all of them, and each leg's result equals a call on it alone.
 """
 from __future__ import annotations
 
-import contextlib
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .params import ParamSet, flatten_map, stack_flat, structure_flat_indices, unflatten_map
-from .smoothing import Draws, NoiseSpec, smoothed_loss_and_grad
+from .smoothing import NoiseSpec, draw_stream, smoothed_loss_and_grad
 
 
 class MoreauError(Exception):
@@ -182,9 +182,7 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
     alpha = config.gamma * config.eta
     damping = 1.0 - config.gamma / config.rho
     spec = config.noise
-    keys = [(t, i) for t in range(config.steps) for i in range(spec.m)]
-    draws = Draws(spec, keys, w0.shape[1]) if spec.scale != 0.0 else None
-    with draws or contextlib.nullcontext():
+    with closing(draw_stream(spec, range(config.steps), w0.shape[1])) as draws:
         for t in range(config.steps):
             _, losses = smoothed_loss_and_grad(
                 model, params, batch, spec, step=t, w=v, out=g, draws=draws, noisy=noisy

@@ -13,17 +13,19 @@ the same seed, step and draw index give the same noise element for element,
 and with numpy's ``Generator`` the flat stream equals per-parameter draws
 concatenated in ParamSet order.
 
-Draws are filled on one worker thread ahead of their use (``Draws``), and
-each draw is evaluated at every leg of a call: k weight vectors that share
-names and shapes, such as the two encodings of a robustness experiment.
+Draws are filled on one worker thread one ahead of their use
+(``draw_stream``): a buffer is refilled only when the next draw is asked
+for, and closing the stream joins the worker. Each draw is evaluated at
+every leg of a call: k weight vectors that share names and shapes, such as
+the two encodings of a robustness experiment.
 """
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -60,68 +62,35 @@ class NoiseSpec:
 
 def _draw(spec: NoiseSpec, draw_index: int, step: int, out: np.ndarray) -> None:
     """Fill ``out`` with the standard-normal stream of one draw."""
-    if draw_index >= spec.m:
-        raise ValueError(f"draw_index {draw_index} out of range for m={spec.m}")
     np.random.default_rng((spec.seed, step, draw_index)).standard_normal(out=out)
 
 
-class Draws:
-    """Keyed draws of P values filled on one worker thread, up to two ahead.
+def draw_stream(spec: NoiseSpec, steps, size: int) -> Iterator[np.ndarray]:
+    """The draws (step, i) of every step in ``steps`` and every i < spec.m,
+    in that order, as buffers of ``size`` values filled on one worker thread
+    one draw ahead of the consumer.
 
-    ``keys`` lists the (step, draw index) of each draw in the order the
-    consumer takes them. ``take()`` waits until the worker has finished the
-    next draw and returns its buffer; ``give_back()`` returns the buffer once
-    the consumer no longer reads it. The worker refills a buffer only after
-    it is given back, so thread timing cannot change what the consumer reads.
-    An exception raised by a draw is raised again by the ``take()`` of that
-    draw and by every later one. Leaving the ``with`` block stops the worker
-    and joins it.
+    Asking for draw n sets the worker on draw n+1 in the buffer of draw n-1,
+    which the consumer no longer reads, so thread timing cannot change what
+    it reads. A draw's exception is raised by the ``next`` that asks for that
+    draw, and asking past the last draw raises IndexError. Closing the stream
+    joins the worker; a stream that is never asked starts no thread.
     """
+    keys = [(t, i) for t in steps for i in range(spec.m)]
+    bufs = (np.empty(size), np.empty(size))
+    with ThreadPoolExecutor(1, thread_name_prefix="proxprune-draws") as pool:
 
-    def __init__(self, spec: NoiseSpec, keys, size: int):
-        self._spec = spec
-        self._keys = list(keys)
-        self._taken = 0
-        self._held: np.ndarray | None = None  # the buffer the consumer reads
-        self._free: queue.SimpleQueue = queue.SimpleQueue()  # buffers to fill; None stops
-        self._filled: queue.SimpleQueue = queue.SimpleQueue()  # in key order, or an exception
-        self._free.put(np.empty(size))
-        self._free.put(np.empty(size))
-        self._thread = threading.Thread(target=self._fill, name="proxprune-draws", daemon=True)
+        def fill(n):
+            step, draw_index = keys[n]
+            return pool.submit(_draw, spec, draw_index, step, bufs[n % 2])
 
-    def __enter__(self) -> "Draws":
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._free.put(None)
-        self._thread.join()
-
-    def _fill(self) -> None:
-        for step, draw_index in self._keys:
-            buf = self._free.get()
-            if buf is None:
-                return
-            try:
-                _draw(self._spec, draw_index, step, buf)
-            except Exception as e:
-                self._filled.put(e)
-                return
-            self._filled.put(buf)
-
-    def take(self) -> np.ndarray:
-        if self._taken >= len(self._keys):
-            raise IndexError(f"all {len(self._keys)} draws were taken")
-        item = self._filled.get()
-        if isinstance(item, Exception):
-            self._filled.put(item)  # for every later take
-            raise item
-        self._taken += 1
-        self._held = item
-        return item
-
-    def give_back(self) -> None:
-        self._free.put(self._held)
+        pending = fill(0)
+        for n in range(len(keys)):
+            ahead = fill(n + 1) if n + 1 < len(keys) else None
+            pending.result()
+            yield bufs[n % 2]
+            pending = ahead
+    raise IndexError(f"all {len(keys)} draws were taken")
 
 
 def sample_noise(
@@ -131,6 +100,8 @@ def sample_noise(
 
     In relative mode elements with w == 0 receive exactly zero noise.
     """
+    if draw_index >= spec.m:
+        raise ValueError(f"draw_index {draw_index} out of range for m={spec.m}")
     z = np.empty(params.size)
     _draw(spec, draw_index, step, z)
     z *= np.abs(params.flatten()) * spec.scale if spec.mode == "relative" else spec.scale
@@ -146,7 +117,7 @@ def smoothed_loss_and_grad(
     *,
     w: np.ndarray,
     out: np.ndarray | None = None,
-    draws: Draws | None = None,
+    draws: Iterator[np.ndarray] | None = None,
     noisy: np.ndarray | None = None,
 ) -> tuple[list[GradMap], list[float]]:
     """Monte Carlo smoothed gradient at each of k legs: the mean over m noisy
@@ -165,12 +136,12 @@ def smoothed_loss_and_grad(
     scale == 0 short-circuits to a single exact evaluation, which makes
     (m=1, scale=0) reduce to the plain gradient bit-exactly.
 
-    The draws of this step come from ``draws`` when given (a caller that
-    evaluates repeatedly fills every step's draws on one worker), else from
-    a worker of this call. Each noisy point is formed in ``noisy`` (scratch
-    of P values, allocated when absent), which the tape sees as
-    per-parameter views, and the draw gradients are summed in place into
-    ``out``.
+    The draws of this step come from ``draws``, a ``draw_stream``, when
+    given (a caller that evaluates repeatedly streams every step's draws
+    from one worker), else from a stream of this call. Each noisy point is
+    formed in ``noisy`` (scratch of P values, allocated when absent), which
+    the tape sees as per-parameter views, and the draw gradients are summed
+    in place into ``out``.
     """
     if out is None:
         out = np.empty(w.shape)
@@ -182,11 +153,10 @@ def smoothed_loss_and_grad(
             _store(mean, grads)
             losses.append(loss)
     else:
-        if draws is None:
-            with Draws(spec, [(step, i) for i in range(spec.m)], w.shape[1]) as own:
-                losses = _accumulate(model, params, batch, spec, w, means, own, noisy)
-        else:
-            losses = _accumulate(model, params, batch, spec, w, means, draws, noisy)
+        # a stream of its own unless given one; unasked, it starts no thread
+        with closing(draw_stream(spec, [step], w.shape[1])) as own:
+            stream = own if draws is None else draws
+            losses = _accumulate(model, params, batch, spec, w, means, stream, noisy)
         out /= spec.m
     return means, losses
 
@@ -199,7 +169,7 @@ def _accumulate(model, params, batch, spec, legs, means, draws, noisy) -> list[f
     leaves = unflatten_map(params, noisy)
     losses: list[list[float]] = [[] for _ in legs]
     for i in range(spec.m):
-        z = draws.take()
+        z = next(draws)
         for j, wj in enumerate(legs):
             # noisy = w + z*(s*|w|) (relative) or w + z*s (absolute), as
             # |w|, *= s, *= z, += w: the same IEEE operations on the same
@@ -211,8 +181,6 @@ def _accumulate(model, params, batch, spec, legs, means, draws, noisy) -> list[f
             else:
                 np.multiply(z, spec.scale, out=noisy)
             noisy += wj
-            if j == len(legs) - 1:
-                draws.give_back()
             loss, grads = _eval(model, leaves, batch, draw=i)
             losses[j].append(loss)
             if i == 0:
@@ -234,7 +202,7 @@ def _eval(model, leaves: dict[str, np.ndarray], batch, draw: int):
     except ad.NonFiniteError as e:
         raise SmoothingError(f"non-finite gradient in draw {draw}: {e}", draw) from e
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
+        if not ad.all_finite(g):
             raise SmoothingError(f"non-finite gradient for {name!r} in draw {draw}", draw)
     return loss, grads
 

@@ -303,6 +303,22 @@ class TestTrain:
         assert f"lr must be finite and >= 0, got {lr}" in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    def test_out_of_memory_exits_2(self, tmp_path, corpus_file, capsys, monkeypatch):
+        """A model too large for memory (say [model] hidden = 100000000) ends
+        in numpy's MemoryError. The error is injected: a real allocation
+        of that size could get the process killed on an overcommitting
+        machine."""
+
+        def too_large(cfg):
+            raise MemoryError("Unable to allocate 763. GiB for an array")
+
+        monkeypatch.setattr(cli, "_build_model", too_large)
+        cfg = write_cfg(tmp_path, corpus_file)
+        assert cli.main(["train", "--config", str(cfg)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: out of memory: Unable to allocate 763. GiB" in err
+        assert not (tmp_path / "run" / "model.ckpt").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("command", ["train", "recover"])
     def test_divergence_exits_3(self, tmp_path, corpus_file, capsys, command):

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from proxprune import checkpoint, cli, data, moreau, smoothing, zoo
 from proxprune.moreau import MoreauConfig
 from proxprune.robustness import PerturbSpec, consistency_experiment
-from proxprune.smoothing import Draws, NoiseSpec
+from proxprune.smoothing import NoiseSpec, draw_stream
 
 import oracles
 
@@ -63,15 +64,14 @@ def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_l
 def test_buffer_is_not_refilled_while_the_consumer_reads_it():
     spec = NoiseSpec(scale=0.1, m=4, seed=3)
     keys = [(1, i) for i in range(4)] + [(2, i) for i in range(4)]
-    with Draws(spec, keys, 1000) as draws:
+    with closing(draw_stream(spec, [1, 2], 1000)) as draws:
         for step, i in keys:
-            z = draws.take()
+            z = next(draws)
             held = z.copy()
-            time.sleep(0.01)  # room for a worker that ignored the hand-back
+            time.sleep(0.01)  # room for a worker that refilled the buffer in use
             assert np.array_equal(z, held)
             want = np.random.default_rng((spec.seed, step, i)).standard_normal(1000)
             assert np.array_equal(z, want)
-            draws.give_back()
 
 
 def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
@@ -84,14 +84,13 @@ def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
     bad = []
 
     def consume():
-        with Draws(spec, keys, 500) as draws:
+        with closing(draw_stream(spec, range(6), 500)) as draws:
             for key in keys:
-                z = draws.take()
+                z = next(draws)
                 first = z.copy()
                 np.sqrt(np.abs(z)).sum()  # give the worker a chance to run
                 if not (np.array_equal(first, want[key]) and np.array_equal(z, want[key])):
                     bad.append(key)
-                draws.give_back()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -107,21 +106,30 @@ def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
     assert bad == []
 
 
-def test_draw_error_is_raised_by_the_take_of_that_draw():
-    spec = NoiseSpec(scale=0.1, m=2, seed=0)
-    with Draws(spec, [(0, 0), (0, 5)], 10) as draws:
-        draws.take()
-        draws.give_back()
-        with pytest.raises(ValueError, match="draw_index 5 out of range for m=2"):
-            draws.take()
+def test_draw_error_is_raised_by_the_take_of_that_draw(monkeypatch):
+    boom = ValueError("draw 1 failed")
+    real = smoothing._draw
+
+    def failing(spec, draw_index, step, out):
+        if draw_index == 1:
+            raise boom
+        real(spec, draw_index, step, out)
+
+    monkeypatch.setattr(smoothing, "_draw", failing)
+    before = threading.active_count()
+    with closing(draw_stream(NoiseSpec(scale=0.1, m=2, seed=0), [0], 10)) as draws:
+        next(draws)
+        with pytest.raises(ValueError) as exc:
+            next(draws)
+    assert exc.value is boom
+    assert threading.active_count() == before
 
 
 def test_taking_past_the_last_key_raises_instead_of_waiting():
-    with Draws(NoiseSpec(scale=0.1, m=1, seed=0), [(0, 0)], 10) as draws:
-        draws.take()
-        draws.give_back()
+    with closing(draw_stream(NoiseSpec(scale=0.1, m=1, seed=0), [0], 10)) as draws:
+        next(draws)
         with pytest.raises(IndexError, match="all 1 draws were taken"):
-            draws.take()
+            next(draws)
 
 
 def test_error_inside_a_draw_reaches_the_caller_unchanged(corpus, monkeypatch):

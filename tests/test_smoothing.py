@@ -141,3 +141,21 @@ def test_nonfinite_draw_reports_index():
     with pytest.raises(smoothing.SmoothingError) as exc:
         smoothed_grad(Explodes(), [oracles.wrap([1e5])], None, NoiseSpec(scale=0.1, m=2, seed=0))
     assert exc.value.draw_index == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_infinite_draw_gradient_behind_a_finite_loss_reports_index():
+    """The forward pass is finite (about 1e290), so autodiff raises nothing;
+    the adjoint 1e300 * 1e300 overflows, and the per-draw gradient check
+    must name the parameter and the draw."""
+
+    class InfiniteGradient:
+        def loss(self, p, batch):
+            from proxprune import autodiff as ad
+
+            return oracles.sum_all(ad.multiply(ad.multiply(p["w"], 1e300), 1e300))
+
+    legs = [oracles.wrap([1e-310, 2e-310])]
+    with pytest.raises(smoothing.SmoothingError, match="non-finite gradient for 'w' in draw 0") as exc:
+        smoothed_grad(InfiniteGradient(), legs, None, NoiseSpec(scale=0.1, m=2, seed=0))
+    assert exc.value.draw_index == 0
