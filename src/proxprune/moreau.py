@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .params import ParamSet, flatten_map, stack_flat, structure_flat_indices, unflatten_map
-from .smoothing import NoiseSpec, draw_stream, smoothed_loss_and_grad
+from .smoothing import MonteCarloLoop, NoiseSpec, smoothed_loss_and_grad
 
 
 class MoreauError(Exception):
@@ -169,8 +169,9 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
     """Run the loop from each leg's weights; one MoreauResult per leg.
 
     Per leg only w0, v and the smoothed gradient g are held, as rows of
-    (k, P) arrays; the d scratch, the noisy point and the two draw buffers
-    are shared, and every step's draws are filled on one worker thread."""
+    (k, P) arrays; the d scratch and the noisy point are shared, and every
+    step's draws go through one MonteCarloLoop, so a helper process, when the
+    loop forks one, serves all of its steps."""
     params = legs[0]  # names and shapes, shared by every leg
     w0 = stack_flat(legs)
     guards = [1e3 * float(np.linalg.norm(row)) + 1e3 for row in w0]
@@ -182,10 +183,10 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
     alpha = config.gamma * config.eta
     damping = 1.0 - config.gamma / config.rho
     spec = config.noise
-    with closing(draw_stream(spec, range(config.steps), w0.shape[1])) as draws:
+    with closing(MonteCarloLoop(model, params, batch, spec, range(config.steps))) as loop:
         for t in range(config.steps):
             _, losses = smoothed_loss_and_grad(
-                model, params, batch, spec, step=t, w=v, out=g, draws=draws, noisy=noisy
+                model, params, batch, spec, step=t, w=v, out=g, loop=loop, noisy=noisy
             )
             for j, (vj, gj, w0j) in enumerate(zip(v, g, w0)):
                 # v = damping * v - gamma * (g - w0 / rho), in this grouping:

@@ -13,18 +13,27 @@ the same seed, step and draw index give the same noise element for element,
 and with numpy's ``Generator`` the flat stream equals per-parameter draws
 concatenated in ParamSet order.
 
-Draws are filled on one worker thread one ahead of their use
-(``draw_stream``): a buffer is refilled only when the next draw is asked
-for, and closing the stream joins the worker. Each draw is evaluated at
-every leg of a call: k weight vectors that share names and shapes, such as
-the two encodings of a robustness experiment.
+Each draw is evaluated at every leg of a call: k weight vectors that share
+names and shapes, such as the two encodings of a robustness experiment. A
+``MonteCarloLoop`` (one smoothing call, or one proximal loop across all of
+its steps) fills its draws on one worker thread one ahead of their use
+(``draw_stream``). When its first draw shows that the loop's gradient
+passes outweigh the cost of a process, it forks one helper that evaluates
+the odd draws of every step while the parent evaluates the even ones; the
+parent folds every draw into the mean in ascending draw order either way.
 """
 from __future__ import annotations
 
+import gc
 import math
-from concurrent.futures import ThreadPoolExecutor
+import mmap
+import os
+import signal
+import struct
+import threading
 from contextlib import closing
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -32,6 +41,17 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradMap
 from .params import ParamSet, stack_flat, unflatten_map
+
+# A loop forks a helper when the passes of its first draw, times the draws
+# still to evaluate, take at least this long. On a 2-vCPU Xeon VM a helper
+# costs about 1.6 ms to fork, 2.5 ms to kill and reap, and some 3,800 page
+# faults in the parent and 2,450 in the helper while both write pages they
+# shared; a pass also runs about 19% slower while the other process computes.
+# Forced on the benchmark's mlp-robustness loops (products up to 0.1 s) a
+# helper made the job 30-45% slower, while tf-prune loops (0.29 s and up)
+# gain about a quarter of a job. 0.16 s keeps a margin of 1.6x or more to
+# both (README "Performance notes").
+HELPER_MIN_S = 0.16
 
 
 class SmoothingError(Exception):
@@ -65,18 +85,22 @@ def _draw(spec: NoiseSpec, draw_index: int, step: int, out: np.ndarray) -> None:
     np.random.default_rng((spec.seed, step, draw_index)).standard_normal(out=out)
 
 
-def draw_stream(spec: NoiseSpec, steps, size: int) -> Iterator[np.ndarray]:
-    """The draws (step, i) of every step in ``steps`` and every i < spec.m,
-    in that order, as buffers of ``size`` values filled on one worker thread
-    one draw ahead of the consumer.
+def draw_stream(
+    spec: NoiseSpec, keys: Sequence[tuple[int, int]], size: int
+) -> Iterator[np.ndarray]:
+    """The draws of ``keys``, (step, draw index) pairs, in that order, as
+    buffers of ``size`` values filled on one worker thread one draw ahead of
+    the consumer.
 
     Asking for draw n sets the worker on draw n+1 in the buffer of draw n-1,
     which the consumer no longer reads, so thread timing cannot change what
     it reads. A draw's exception is raised by the ``next`` that asks for that
     draw, and asking past the last draw raises IndexError. Closing the stream
-    joins the worker; a stream that is never asked starts no thread.
+    joins the worker; a stream that is never asked starts no thread and
+    imports no executor.
     """
-    keys = [(t, i) for t in steps for i in range(spec.m)]
+    from concurrent.futures import ThreadPoolExecutor
+
     bufs = (np.empty(size), np.empty(size))
     with ThreadPoolExecutor(1, thread_name_prefix="proxprune-draws") as pool:
 
@@ -117,7 +141,7 @@ def smoothed_loss_and_grad(
     *,
     w: np.ndarray,
     out: np.ndarray | None = None,
-    draws: Iterator[np.ndarray] | None = None,
+    loop: MonteCarloLoop | None = None,
     noisy: np.ndarray | None = None,
 ) -> tuple[list[GradMap], list[float]]:
     """Monte Carlo smoothed gradient at each of k legs: the mean over m noisy
@@ -136,12 +160,12 @@ def smoothed_loss_and_grad(
     scale == 0 short-circuits to a single exact evaluation, which makes
     (m=1, scale=0) reduce to the plain gradient bit-exactly.
 
-    The draws of this step come from ``draws``, a ``draw_stream``, when
-    given (a caller that evaluates repeatedly streams every step's draws
-    from one worker), else from a stream of this call. Each noisy point is
-    formed in ``noisy`` (scratch of P values, allocated when absent), which
-    the tape sees as per-parameter views, and the draw gradients are summed
-    in place into ``out``.
+    The draws of this step are evaluated by ``loop``, a ``MonteCarloLoop``
+    over the same model, params, batch and spec, when given (a caller that
+    evaluates repeatedly runs every step through one loop), else by a loop
+    of this call. Each noisy point is formed in ``noisy`` (scratch of P
+    values, allocated when absent), which the tape sees as per-parameter
+    views, and the draw gradients are summed in place into ``out``.
     """
     if out is None:
         out = np.empty(w.shape)
@@ -153,42 +177,240 @@ def smoothed_loss_and_grad(
             _store(mean, grads)
             losses.append(loss)
     else:
-        # a stream of its own unless given one; unasked, it starts no thread
-        with closing(draw_stream(spec, [step], w.shape[1])) as own:
-            stream = own if draws is None else draws
-            losses = _accumulate(model, params, batch, spec, w, means, stream, noisy)
+        # a loop of its own unless given one; unasked, it starts nothing
+        with closing(MonteCarloLoop(model, params, batch, spec, [step])) as own:
+            losses = (own if loop is None else loop).step(step, w, means, noisy)
         out /= spec.m
     return means, losses
 
 
-def _accumulate(model, params, batch, spec, legs, means, draws, noisy) -> list[float]:
-    """Sum the m draw gradients of every leg into its map; return the mean
-    noisy loss of each leg."""
-    if noisy is None:
-        noisy = np.empty(legs.shape[1])
-    leaves = unflatten_map(params, noisy)
-    losses: list[list[float]] = [[] for _ in legs]
-    for i in range(spec.m):
-        z = next(draws)
-        for j, wj in enumerate(legs):
-            # noisy = w + z*(s*|w|) (relative) or w + z*s (absolute), as
-            # |w|, *= s, *= z, += w: the same IEEE operations on the same
-            # operands, with z read only here
-            if spec.mode == "relative":
-                np.abs(wj, out=noisy)
-                noisy *= spec.scale
-                noisy *= z
-            else:
-                np.multiply(z, spec.scale, out=noisy)
-            noisy += wj
-            loss, grads = _eval(model, leaves, batch, draw=i)
-            losses[j].append(loss)
-            if i == 0:
-                _store(means[j], grads)
-            else:
-                for name, g in grads.items():
-                    means[j][name] += g
-    return [math.fsum(ls) / spec.m for ls in losses]
+class MonteCarloLoop:
+    """The draws of one Monte Carlo loop, m for each step of ``steps``, and
+    the processes that evaluate them at the legs.
+
+    The parent evaluates every draw from a ``draw_stream`` unless the loop's
+    first draw shows that a helper process pays for itself: its passes,
+    times the draws still to evaluate, reach ``HELPER_MIN_S``. Then one
+    forked helper evaluates the odd draws of every step from then on and the
+    parent the even ones, and the parent folds each draw into the sums in
+    ascending draw order, as it does alone. Draws are keyed and both
+    processes run the same code on the same operands, so the helper cannot
+    change a byte. When the helper fails a draw or dies, the parent stops it
+    and evaluates that draw and every later one itself; a genuine error is
+    then raised by the parent's own evaluation. Closing the loop closes the
+    stream and kills and reaps the helper.
+    """
+
+    def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps):
+        self.model, self.params, self.batch, self.spec = model, params, batch, spec
+        self.keys = [(t, i) for t in steps for i in range(spec.m)]
+        self.stream = draw_stream(spec, self.keys, params.size)
+        self.helper: _Helper | None = None
+        self.gated = False  # whether the first draw has decided on a helper
+
+    def close(self) -> None:
+        self.stream.close()
+        if self.helper is not None:
+            self.helper.close()
+            self.helper = None
+
+    def step(self, t: int, legs: np.ndarray, means, noisy: np.ndarray | None) -> list[float]:
+        """Sum the m draw gradients of step t at every leg into its map;
+        return the mean noisy loss of each leg."""
+        if noisy is None:
+            noisy = np.empty(legs.shape[1])
+        leaves = unflatten_map(self.params, noisy)
+        losses: list[list[float]] = [[] for _ in legs]
+        if self.helper is not None:
+            self.helper.start_step(t, legs)
+        for i in range(self.spec.m):
+            if self.helper is not None and i % 2:
+                results = self.helper.take()
+                if results is not None:
+                    _fold(i, results, means, losses)
+                    if i + 2 < self.spec.m:
+                        self.helper.request(t, i + 2)  # its slot is free again
+                    continue
+                self._stop_helper((t, i))
+            z = next(self.stream)
+            start = perf_counter()
+            _fold(i, self._passes(i, z, legs, leaves, noisy), means, losses)
+            if not self.gated:
+                self.gated = True
+                if (perf_counter() - start) * (len(self.keys) - 1) >= HELPER_MIN_S:
+                    self._start_helper(t, legs)
+        return [math.fsum(ls) / self.spec.m for ls in losses]
+
+    def _passes(self, i, z, legs, leaves, noisy):
+        """(loss, gradient map) of draw i, noise z, at every leg in turn."""
+        for wj in legs:
+            _noisy_point(self.spec, wj, z, noisy)
+            yield _eval(self.model, leaves, self.batch, draw=i)
+
+    def _start_helper(self, t: int, legs: np.ndarray) -> None:
+        """Fork the helper after draw 0 of step t, where it has a CPU to itself."""
+        if self.spec.m < 2 or not _spare_cpu():
+            return
+        self.stream.close()  # joins the draw worker: fork only a single thread
+        if threading.active_count() == 1:
+            self.helper = _Helper.fork(self, legs.shape[0])
+        if self.helper is not None:
+            self.helper.start_step(t, legs)
+        self._reopen((t, 1))
+
+    def _stop_helper(self, key: tuple[int, int]) -> None:
+        self.helper.close()
+        self.helper = None
+        self.stream.close()
+        self._reopen(key)
+
+    def _reopen(self, key: tuple[int, int]) -> None:
+        """Stream the parent's draws from ``key`` on: the even ones while a
+        helper runs, all of them otherwise."""
+        keys = self.keys[self.keys.index(key):]
+        if self.helper is not None:
+            keys = [k for k in keys if k[1] % 2 == 0]
+        self.stream = draw_stream(self.spec, keys, self.params.size)
+
+
+def _spare_cpu() -> bool:
+    """Whether a helper would have a CPU of its own: the host can fork, two
+    CPUs or more are usable, and no thread runs that Python did not start.
+    Such a thread, a BLAS pool above all, already keeps the other CPUs busy,
+    and its workers spin between calls. Threads are counted where the system
+    lists them (/proc/self/task), and before the draw worker is joined, since
+    a joined worker may still be listed for a moment."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    try:
+        native = len(os.listdir("/proc/self/task")) - threading.active_count()
+    except OSError:
+        native = 0
+    return cpus >= 2 and native == 0
+
+
+class _Helper:
+    """A forked process that evaluates the odd draws of a ``MonteCarloLoop``.
+
+    Shared anonymous memory holds the legs' current points, which the parent
+    writes at the start of each step, and one slot of k gradients and k
+    losses. The parent asks for one draw at a time, as (step, i) on one
+    pipe, and for the next only after it has folded the last; the helper
+    makes the keyed draw, evaluates it at every leg into the slot and
+    answers one byte on the other pipe. Any failure ends the helper, which
+    the parent reads as EOF. It is forked, not spawned, so that it inherits
+    the model and the batch instead of rebuilding or unpickling them; the
+    loop forks only while a single thread runs.
+    """
+
+    def __init__(
+        self, pid: int, requests: int, replies: int, shared: np.ndarray, params: ParamSet, k: int
+    ):
+        self.pid, self.requests, self.replies = pid, requests, replies
+        size = params.size
+        self.points = shared[: k * size].reshape(k, size)
+        rows = shared[k * size : 2 * k * size].reshape(k, size)
+        self.grads = [unflatten_map(params, row) for row in rows]
+        self.losses = shared[2 * k * size :]
+
+    @classmethod
+    def fork(cls, loop: MonteCarloLoop, k: int) -> _Helper | None:
+        """Start a helper for ``loop``'s k legs; None when the system refuses
+        (no memory, descriptors or processes left)."""
+        fds: list[int] = []
+        try:
+            shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * k * loop.params.size + k)))
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            return None
+        requests_r, requests_w, replies_r, replies_w = fds
+        if pid == 0:
+            try:
+                # objects inherited from the parent are never collected here,
+                # so no finalizer of theirs runs twice
+                gc.freeze()
+                os.close(requests_w)
+                os.close(replies_r)
+                cls(0, requests_r, replies_w, shared, loop.params, k).serve(loop)
+            finally:
+                os._exit(0)
+        os.close(requests_r)
+        os.close(replies_w)
+        return cls(pid, requests_w, replies_r, shared, loop.params, k)
+
+    def serve(self, loop: MonteCarloLoop) -> None:
+        """The helper's life: evaluate each requested draw until EOF."""
+        spec, params = loop.spec, loop.params
+        z = np.empty(params.size)
+        noisy = np.empty(params.size)
+        leaves = unflatten_map(params, noisy)
+        while request := os.read(self.requests, 16):
+            t, i = struct.unpack("2q", request)
+            _draw(spec, i, t, z)
+            for j, wj in enumerate(self.points):
+                _noisy_point(spec, wj, z, noisy)
+                self.losses[j], grads = _eval(loop.model, leaves, loop.batch, draw=i)
+                _store(self.grads[j], grads)
+            os.write(self.replies, b"\1")
+
+    def start_step(self, t: int, legs: np.ndarray) -> None:
+        np.copyto(self.points, legs)
+        self.request(t, 1)
+
+    def request(self, t: int, i: int) -> None:
+        try:
+            os.write(self.requests, struct.pack("2q", t, i))
+        except OSError:  # a dead helper: the next take reads EOF
+            pass
+
+    def take(self) -> list[tuple[float, GradMap]] | None:
+        """(loss, gradient map) at every leg of the draw last asked for, or
+        None when the helper failed it or died."""
+        try:
+            done = os.read(self.replies, 1) == b"\1"
+        except OSError:
+            done = False
+        if not done:
+            return None
+        return [(float(loss), grads) for loss, grads in zip(self.losses, self.grads)]
+
+    def close(self) -> None:
+        os.close(self.requests)
+        os.close(self.replies)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+def _noisy_point(spec: NoiseSpec, wj: np.ndarray, z: np.ndarray, noisy: np.ndarray) -> None:
+    # noisy = w + z*(s*|w|) (relative) or w + z*s (absolute), as |w|, *= s,
+    # *= z, += w: the same IEEE operations on the same operands wherever a
+    # draw is evaluated
+    if spec.mode == "relative":
+        np.abs(wj, out=noisy)
+        noisy *= spec.scale
+        noisy *= z
+    else:
+        np.multiply(z, spec.scale, out=noisy)
+    noisy += wj
+
+
+def _fold(i: int, results, means, losses) -> None:
+    """Add draw i's (loss, gradient map) of each leg to that leg's sums."""
+    for j, (loss, grads) in enumerate(results):
+        losses[j].append(loss)
+        if i == 0:
+            _store(means[j], grads)
+        else:
+            for name, g in grads.items():
+                means[j][name] += g
 
 
 def _store(dest: dict[str, np.ndarray], grads: GradMap) -> None:

@@ -1,7 +1,27 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
 from proxprune import data, zoo
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_behind():
+    """Fail any test that leaves a child process (running or unreaped) or a
+    thread behind: helper processes and draw workers must end with the call
+    that started them, on every exit path."""
+    threads = threading.active_count()
+    yield
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        pass
+    else:
+        pytest.fail("the test left a child process behind")
+    assert threading.active_count() == threads, "the test left a thread running"
+
 
 WORDS = ["the", "quick", "brown", "fox", "jumps", "over", "lazy", "dog", "and", "runs"]
 

@@ -64,7 +64,7 @@ def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_l
 def test_buffer_is_not_refilled_while_the_consumer_reads_it():
     spec = NoiseSpec(scale=0.1, m=4, seed=3)
     keys = [(1, i) for i in range(4)] + [(2, i) for i in range(4)]
-    with closing(draw_stream(spec, [1, 2], 1000)) as draws:
+    with closing(draw_stream(spec, keys, 1000)) as draws:
         for step, i in keys:
             z = next(draws)
             held = z.copy()
@@ -84,7 +84,7 @@ def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
     bad = []
 
     def consume():
-        with closing(draw_stream(spec, range(6), 500)) as draws:
+        with closing(draw_stream(spec, keys, 500)) as draws:
             for key in keys:
                 z = next(draws)
                 first = z.copy()
@@ -117,7 +117,7 @@ def test_draw_error_is_raised_by_the_take_of_that_draw(monkeypatch):
 
     monkeypatch.setattr(smoothing, "_draw", failing)
     before = threading.active_count()
-    with closing(draw_stream(NoiseSpec(scale=0.1, m=2, seed=0), [0], 10)) as draws:
+    with closing(draw_stream(NoiseSpec(scale=0.1, m=2, seed=0), [(0, 0), (0, 1)], 10)) as draws:
         next(draws)
         with pytest.raises(ValueError) as exc:
             next(draws)
@@ -126,7 +126,7 @@ def test_draw_error_is_raised_by_the_take_of_that_draw(monkeypatch):
 
 
 def test_taking_past_the_last_key_raises_instead_of_waiting():
-    with closing(draw_stream(NoiseSpec(scale=0.1, m=1, seed=0), [0], 10)) as draws:
+    with closing(draw_stream(NoiseSpec(scale=0.1, m=1, seed=0), [(0, 0)], 10)) as draws:
         next(draws)
         with pytest.raises(IndexError, match="all 1 draws were taken"):
             next(draws)
