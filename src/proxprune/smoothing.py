@@ -16,11 +16,12 @@ concatenated in ParamSet order.
 Each draw is evaluated at every leg of a call: k weight vectors that share
 names and shapes, such as the two encodings of a robustness experiment. A
 ``MonteCarloLoop`` (one smoothing call, or one proximal loop across all of
-its steps) fills its draws on one worker thread one ahead of their use
-(``draw_stream``). When its first draw shows that the loop's gradient
-passes outweigh the cost of a process, it forks one helper that evaluates
-the odd draws of every step while the parent evaluates the even ones; the
-parent folds every draw into the mean in ascending draw order either way.
+its steps) makes its first draw on the caller's thread. When that draw shows
+that the loop's gradient passes outweigh the cost of a process, it forks one
+helper that makes and evaluates the odd draws of every step while the parent
+does the even ones; else the later draws are filled on one worker thread one
+ahead of their use (``draw_stream``). Either way the parent folds every draw
+into the mean in ascending draw order.
 """
 from __future__ import annotations
 
@@ -188,28 +189,30 @@ class MonteCarloLoop:
     """The draws of one Monte Carlo loop, m for each step of ``steps``, and
     the processes that evaluate them at the legs.
 
-    The parent evaluates every draw from a ``draw_stream`` unless the loop's
-    first draw shows that a helper process pays for itself: its passes,
-    times the draws still to evaluate, reach ``HELPER_MIN_S``. Then one
-    forked helper evaluates the odd draws of every step from then on and the
-    parent the even ones, and the parent folds each draw into the sums in
-    ascending draw order, as it does alone. Draws are keyed and both
-    processes run the same code on the same operands, so the helper cannot
-    change a byte. When the helper fails a draw or dies, the parent stops it
-    and evaluates that draw and every later one itself; a genuine error is
-    then raised by the parent's own evaluation. Closing the loop closes the
-    stream and kills and reaps the helper.
+    The first draw is made and evaluated on the caller's thread. Its passes,
+    times the draws still to evaluate, then decide while no other thread
+    runs: at ``HELPER_MIN_S`` or more the loop forks one helper process that
+    makes and evaluates the odd draws of every step, while the parent does
+    the even ones; else one ``draw_stream`` fills the later draws when two or
+    more remain. The parent folds each draw into the sums in ascending draw
+    order. Draws are keyed and both processes run the same code on the same
+    operands, so the helper cannot change a byte. When the helper fails a
+    draw or dies, the parent stops it and makes and evaluates that draw and
+    every later one itself; a genuine error is then raised by the parent's
+    own evaluation. Closing the loop closes the stream or kills and reaps the
+    helper.
     """
 
     def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps):
         self.model, self.params, self.batch, self.spec = model, params, batch, spec
         self.keys = [(t, i) for t in steps for i in range(spec.m)]
-        self.stream = draw_stream(spec, self.keys, params.size)
+        self.z: np.ndarray | None = None  # the buffer of draws made in place
+        self.stream: Iterator[np.ndarray] | None = None
         self.helper: _Helper | None = None
-        self.gated = False  # whether the first draw has decided on a helper
 
     def close(self) -> None:
-        self.stream.close()
+        if self.stream is not None:
+            self.stream.close()
         if self.helper is not None:
             self.helper.close()
             self.helper = None
@@ -231,15 +234,22 @@ class MonteCarloLoop:
                     if i + 2 < self.spec.m:
                         self.helper.request(t, i + 2)  # its slot is free again
                     continue
-                self._stop_helper((t, i))
-            z = next(self.stream)
+                self.helper.close()  # failed or died: the parent makes the rest
+                self.helper = None
+            z = next(self.stream) if self.stream is not None else self._draw_inline(t, i)
             start = perf_counter()
             _fold(i, self._passes(i, z, legs, leaves, noisy), means, losses)
-            if not self.gated:
-                self.gated = True
-                if (perf_counter() - start) * (len(self.keys) - 1) >= HELPER_MIN_S:
-                    self._start_helper(t, legs)
+            if (t, i) == self.keys[0]:
+                del z  # held by self.z alone, which a stream frees
+                self._decide(t, legs, perf_counter() - start)
         return [math.fsum(ls) / self.spec.m for ls in losses]
+
+    def _draw_inline(self, t: int, i: int) -> np.ndarray:
+        """Make draw (t, i) on this thread."""
+        if self.z is None:
+            self.z = np.empty(self.params.size)
+        _draw(self.spec, i, t, self.z)
+        return self.z
 
     def _passes(self, i, z, legs, leaves, noisy):
         """(loss, gradient map) of draw i, noise z, at every leg in turn."""
@@ -247,39 +257,27 @@ class MonteCarloLoop:
             _noisy_point(self.spec, wj, z, noisy)
             yield _eval(self.model, leaves, self.batch, draw=i)
 
-    def _start_helper(self, t: int, legs: np.ndarray) -> None:
-        """Fork the helper after draw 0 of step t, where it has a CPU to itself."""
-        if self.spec.m < 2 or not _spare_cpu():
-            return
-        self.stream.close()  # joins the draw worker: fork only a single thread
-        if threading.active_count() == 1:
+    def _decide(self, t: int, legs: np.ndarray, seconds: float) -> None:
+        """After the loop's first draw, which took ``seconds`` to evaluate:
+        fork the helper, or stream the draws still to come."""
+        rest = len(self.keys) - 1
+        if self.spec.m >= 2 and seconds * rest >= HELPER_MIN_S and _spare_cpu():
             self.helper = _Helper.fork(self, legs.shape[0])
         if self.helper is not None:
             self.helper.start_step(t, legs)
-        self._reopen((t, 1))
-
-    def _stop_helper(self, key: tuple[int, int]) -> None:
-        self.helper.close()
-        self.helper = None
-        self.stream.close()
-        self._reopen(key)
-
-    def _reopen(self, key: tuple[int, int]) -> None:
-        """Stream the parent's draws from ``key`` on: the even ones while a
-        helper runs, all of them otherwise."""
-        keys = self.keys[self.keys.index(key):]
-        if self.helper is not None:
-            keys = [k for k in keys if k[1] % 2 == 0]
-        self.stream = draw_stream(self.spec, keys, self.params.size)
+        elif rest >= 2:  # a stream of one draw would not be ahead of its use
+            self.z = None  # freed before the stream allocates its two buffers
+            self.stream = draw_stream(self.spec, self.keys[1:], self.params.size)
 
 
 def _spare_cpu() -> bool:
     """Whether a helper would have a CPU of its own: the host can fork, two
-    CPUs or more are usable, and no thread runs that Python did not start.
-    Such a thread, a BLAS pool above all, already keeps the other CPUs busy,
-    and its workers spin between calls. Threads are counted where the system
-    lists them (/proc/self/task), and before the draw worker is joined, since
-    a joined worker may still be listed for a moment."""
+    CPUs or more are usable, and this process runs one thread. Any other
+    thread, a BLAS pool above all, already keeps the other CPUs busy (a
+    pool's workers spin between calls), and a fork copies only the thread
+    that calls it. Threads are counted where the system lists them
+    (/proc/self/task), which includes those Python did not start, else
+    Python's own."""
     if not hasattr(os, "fork"):
         return False
     try:
@@ -287,10 +285,10 @@ def _spare_cpu() -> bool:
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     try:
-        native = len(os.listdir("/proc/self/task")) - threading.active_count()
+        threads = len(os.listdir("/proc/self/task"))
     except OSError:
-        native = 0
-    return cpus >= 2 and native == 0
+        threads = threading.active_count()
+    return cpus >= 2 and threads == 1
 
 
 class _Helper:
@@ -348,16 +346,13 @@ class _Helper:
 
     def serve(self, loop: MonteCarloLoop) -> None:
         """The helper's life: evaluate each requested draw until EOF."""
-        spec, params = loop.spec, loop.params
-        z = np.empty(params.size)
-        noisy = np.empty(params.size)
-        leaves = unflatten_map(params, noisy)
+        noisy = np.empty(loop.params.size)
+        leaves = unflatten_map(loop.params, noisy)
         while request := os.read(self.requests, 16):
             t, i = struct.unpack("2q", request)
-            _draw(spec, i, t, z)
-            for j, wj in enumerate(self.points):
-                _noisy_point(spec, wj, z, noisy)
-                self.losses[j], grads = _eval(loop.model, leaves, loop.batch, draw=i)
+            z = loop._draw_inline(t, i)
+            for j, (loss, grads) in enumerate(loop._passes(i, z, self.points, leaves, noisy)):
+                self.losses[j] = loss
                 _store(self.grads[j], grads)
             os.write(self.replies, b"\1")
 

@@ -1,8 +1,11 @@
-"""Noise draws are keyed by (seed, step, draw index) and filled on one worker
-thread ahead of their use. These tests pin what that must not change: each
-draw is made once per criterion however many legs evaluate it, a buffer is
-not refilled while it is read, the worker ends with every call that started
-it, and an error inside a draw reaches the caller as it was raised.
+"""Noise draws are keyed by (seed, step, draw index). A Monte Carlo loop
+makes its first draw on the caller's thread; unless it then forks a helper,
+it fills its later draws on one worker thread ahead of their use. These
+tests pin what that must not change: each draw is made once per criterion
+however many legs evaluate it, no other thread runs at a loop's first draw,
+a buffer is not refilled while it is read, the worker ends with every call
+that started it, and an error inside a draw reaches the caller as it was
+raised.
 """
 import sys
 import threading
@@ -35,6 +38,12 @@ def draw_log(monkeypatch):
     return log
 
 
+def first_inline(*loops):
+    """Whether each draw of loops of these sizes, in order, is made on a
+    worker: every draw but the first of each loop."""
+    return [n > 0 for size in loops for n in range(size)]
+
+
 def benchmark_sized_settings():
     """The criteria settings of the benchmark's mlp-robustness workload."""
     noise = NoiseSpec(scale=0.05, m=2, seed=0)
@@ -58,7 +67,39 @@ def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_l
     loop = [(t, i) for t in range(10) for i in range(2)]
     assert len(draw_log) == 52  # two legs once drew 104
     assert Counter((t, i) for t, i, _ in draw_log) == Counter(smooth + loop + loop)
-    assert all(worker for _, _, worker in draw_log)
+    assert [worker for _, _, worker in draw_log] == first_inline(12, 20, 20)
+
+
+def test_a_loops_first_draw_runs_while_no_other_thread_does(monkeypatch):
+    counts = []
+    real = smoothing._draw
+
+    def counted(spec, draw_index, step, out):
+        counts.append(threading.active_count())
+        real(spec, draw_index, step, out)
+
+    monkeypatch.setattr(smoothing, "_draw", counted)
+    cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.1, m=2, seed=0))
+    moreau.moreau_grad(oracles.Quadratic(), [oracles.wrap([1.0, -2.0])], None, cfg)
+    assert len(counts) == 6
+    assert counts[0] == 1
+    assert counts[1:] == [2] * 5  # the later draws come from one worker
+
+
+def test_a_one_step_loop_of_two_draws_starts_no_thread(monkeypatch, draw_log):
+    started = []
+    real = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    spec = NoiseSpec(scale=0.1, m=2, seed=0)
+    w = np.array([[1.0, -2.0]])
+    smoothing.smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w[0]), None, spec, w=w)
+    assert draw_log == [(0, 0, False), (0, 1, False)]
+    assert started == []
 
 
 def test_buffer_is_not_refilled_while_the_consumer_reads_it():
@@ -217,4 +258,5 @@ def test_worker_threads_end_when_prune_and_robustness_return(tmp_path, corpus_fi
     for command, extra in (("prune", ["--criterion", "moreau-gs"]), ("robustness", [])):
         assert cli.main([command, *base, *extra, "--out", str(tmp_path / command)]) == 0
         assert threading.active_count() == before
-    assert draw_log and all(worker for _, _, worker in draw_log)
+    # prune: one moreau-gs loop; robustness: smooth, moreau, moreau-gs
+    assert [worker for _, _, worker in draw_log] == first_inline(6, 3, 6, 6)

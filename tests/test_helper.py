@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -181,6 +182,73 @@ def test_default_gate_forks_for_slow_passes_only(monkeypatch, forks):
     helper_on(monkeypatch, False)
     alone = moreau.moreau_grad(Slow(), legs, None, cfg)
     assert slow.legs[0].mg_flat(legs[0]).tobytes() == alone.legs[0].mg_flat(legs[0]).tobytes()
+
+
+def test_parent_beside_a_helper_makes_its_even_draws_inline_and_starts_no_thread(
+    monkeypatch, forks
+):
+    parent = os.getpid()
+    drawn, started = [], []
+    real_draw, real_start = smoothing._draw, threading.Thread.start
+
+    def logged(spec, draw_index, step, out):
+        if os.getpid() == parent:
+            drawn.append((step, draw_index, threading.current_thread() is threading.main_thread()))
+        real_draw(spec, draw_index, step, out)
+
+    def start(thread):
+        started.append(thread.name)
+        real_start(thread)
+
+    monkeypatch.setattr(smoothing, "_draw", logged)
+    monkeypatch.setattr(threading.Thread, "start", start)
+    helper_on(monkeypatch, True)
+    cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.1, m=4, seed=0))
+    moreau.moreau_grad(oracles.Quadratic(), [oracles.wrap([1.0, -2.0])], None, cfg)
+    assert len(forks) == 1 and no_child_left()
+    assert drawn == [(t, i, True) for t in range(3) for i in (0, 2)]
+    assert started == []
+
+
+def test_host_check_counts_python_threads_where_proc_is_missing(monkeypatch):
+    def no_proc(path):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "listdir", no_proc)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert smoothing._spare_cpu()
+    parked = threading.Event()
+    thread = threading.Thread(target=parked.wait)
+    thread.start()
+    try:
+        assert not smoothing._spare_cpu()
+    finally:
+        parked.set()
+        thread.join()
+
+
+def test_host_check_refuses_a_helper_beside_a_parked_python_thread():
+    """With BLAS on one thread and two CPUs, the check passes until a Python
+    thread, however idle, is listed in /proc/self/task beside this one."""
+    script = (
+        "import os, threading\n"
+        "from proxprune import smoothing\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "before = smoothing._spare_cpu()\n"
+        "parked = threading.Event()\n"
+        "thread = threading.Thread(target=parked.wait)\n"
+        "thread.start()\n"
+        "during = smoothing._spare_cpu()\n"
+        "parked.set()\n"
+        "thread.join()\n"
+        "print(before, during)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True", "False"]
 
 
 class ExplodesAt:
