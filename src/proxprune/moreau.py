@@ -169,25 +169,22 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
     """Run the loop from each leg's weights; one MoreauResult per leg.
 
     Per leg only w0, v and the smoothed gradient g are held, as rows of
-    (k, P) arrays; the d scratch and the noisy point are shared, and every
-    step's draws go through one MonteCarloLoop, so a helper process, when the
-    loop forks one, serves all of its steps."""
+    (k, P) arrays; the d scratch is shared, and every step's draws go
+    through one MonteCarloLoop, so a helper process or a draw worker, when
+    the loop starts one, serves all of its steps."""
     params = legs[0]  # names and shapes, shared by every leg
     w0 = stack_flat(legs)
     guards = [1e3 * float(np.linalg.norm(row)) + 1e3 for row in w0]
     v = w0.copy()
     g = np.empty_like(w0)
     d = np.empty(w0.shape[1])  # v - w0 of one leg
-    noisy = np.empty(w0.shape[1])  # smoothing scratch, reused every step
     traces: list[list[float]] = [[] for _ in legs]
     alpha = config.gamma * config.eta
     damping = 1.0 - config.gamma / config.rho
     spec = config.noise
     with closing(MonteCarloLoop(model, params, batch, spec, range(config.steps))) as loop:
         for t in range(config.steps):
-            _, losses = smoothed_loss_and_grad(
-                model, params, batch, spec, step=t, w=v, out=g, loop=loop, noisy=noisy
-            )
+            _, losses = smoothed_loss_and_grad(model, params, batch, spec, w=v, out=g, loop=loop)
             for j, (vj, gj, w0j) in enumerate(zip(v, g, w0)):
                 # v = damping * v - gamma * (g - w0 / rho), in this grouping:
                 # IEEE arithmetic is not associative and outputs must stay

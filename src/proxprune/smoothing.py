@@ -16,12 +16,13 @@ concatenated in ParamSet order.
 Each draw is evaluated at every leg of a call: k weight vectors that share
 names and shapes, such as the two encodings of a robustness experiment. A
 ``MonteCarloLoop`` (one smoothing call, or one proximal loop across all of
-its steps) makes its first draw on the caller's thread. When that draw shows
-that the loop's gradient passes outweigh the cost of a process, it forks one
-helper that makes and evaluates the odd draws of every step while the parent
-does the even ones; else the later draws are filled on one worker thread one
-ahead of their use (``draw_stream``). Either way the parent folds every draw
-into the mean in ascending draw order.
+its steps) makes every one of its draws, walking its keys in order, and
+makes its first draw on the caller's thread. When that draw shows that the
+loop's gradient passes outweigh the cost of a process, it forks one helper
+that makes and evaluates the odd draws of every step while the parent makes
+and evaluates the even ones; else the loop's one worker thread makes each
+later draw one ahead of its use. Either way the parent folds every draw into
+the mean in ascending draw order.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import threading
 from contextlib import closing
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -86,38 +87,6 @@ def _draw(spec: NoiseSpec, draw_index: int, step: int, out: np.ndarray) -> None:
     np.random.default_rng((spec.seed, step, draw_index)).standard_normal(out=out)
 
 
-def draw_stream(
-    spec: NoiseSpec, keys: Sequence[tuple[int, int]], size: int
-) -> Iterator[np.ndarray]:
-    """The draws of ``keys``, (step, draw index) pairs, in that order, as
-    buffers of ``size`` values filled on one worker thread one draw ahead of
-    the consumer.
-
-    Asking for draw n sets the worker on draw n+1 in the buffer of draw n-1,
-    which the consumer no longer reads, so thread timing cannot change what
-    it reads. A draw's exception is raised by the ``next`` that asks for that
-    draw, and asking past the last draw raises IndexError. Closing the stream
-    joins the worker; a stream that is never asked starts no thread and
-    imports no executor.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    bufs = (np.empty(size), np.empty(size))
-    with ThreadPoolExecutor(1, thread_name_prefix="proxprune-draws") as pool:
-
-        def fill(n):
-            step, draw_index = keys[n]
-            return pool.submit(_draw, spec, draw_index, step, bufs[n % 2])
-
-        pending = fill(0)
-        for n in range(len(keys)):
-            ahead = fill(n + 1) if n + 1 < len(keys) else None
-            pending.result()
-            yield bufs[n % 2]
-            pending = ahead
-    raise IndexError(f"all {len(keys)} draws were taken")
-
-
 def sample_noise(
     params: ParamSet, spec: NoiseSpec, draw_index: int, step: int = 0
 ) -> dict[str, np.ndarray]:
@@ -143,7 +112,6 @@ def smoothed_loss_and_grad(
     w: np.ndarray,
     out: np.ndarray | None = None,
     loop: MonteCarloLoop | None = None,
-    noisy: np.ndarray | None = None,
 ) -> tuple[list[GradMap], list[float]]:
     """Monte Carlo smoothed gradient at each of k legs: the mean over m noisy
     gradient evaluations, accumulated in ascending draw order, and the mean
@@ -161,12 +129,11 @@ def smoothed_loss_and_grad(
     scale == 0 short-circuits to a single exact evaluation, which makes
     (m=1, scale=0) reduce to the plain gradient bit-exactly.
 
-    The draws of this step are evaluated by ``loop``, a ``MonteCarloLoop``
-    over the same model, params, batch and spec, when given (a caller that
-    evaluates repeatedly runs every step through one loop), else by a loop
-    of this call. Each noisy point is formed in ``noisy`` (scratch of P
-    values, allocated when absent), which the tape sees as per-parameter
-    views, and the draw gradients are summed in place into ``out``.
+    The draws are evaluated by ``loop``, a ``MonteCarloLoop`` over the same
+    model, params, batch and spec, when given: a caller that evaluates
+    repeatedly runs every step through one loop, which walks its own keys
+    and ignores ``step``. Without one the draws of ``step`` are evaluated by
+    a loop of this call. The draw gradients are summed in place into ``out``.
     """
     if out is None:
         out = np.empty(w.shape)
@@ -177,10 +144,12 @@ def smoothed_loss_and_grad(
             loss, grads = _eval(model, unflatten_map(params, wj), batch, draw=0)
             _store(mean, grads)
             losses.append(loss)
+    elif loop is not None:
+        losses = loop.step(w, means)
+        out /= spec.m
     else:
-        # a loop of its own unless given one; unasked, it starts nothing
         with closing(MonteCarloLoop(model, params, batch, spec, [step])) as own:
-            losses = (own if loop is None else loop).step(step, w, means, noisy)
+            losses = own.step(w, means)
         out /= spec.m
     return means, losses
 
@@ -189,85 +158,107 @@ class MonteCarloLoop:
     """The draws of one Monte Carlo loop, m for each step of ``steps``, and
     the processes that evaluate them at the legs.
 
-    The first draw is made and evaluated on the caller's thread. Its passes,
-    times the draws still to evaluate, then decide while no other thread
-    runs: at ``HELPER_MIN_S`` or more the loop forks one helper process that
-    makes and evaluates the odd draws of every step, while the parent does
-    the even ones; else one ``draw_stream`` fills the later draws when two or
-    more remain. The parent folds each draw into the sums in ascending draw
-    order. Draws are keyed and both processes run the same code on the same
-    operands, so the helper cannot change a byte. When the helper fails a
+    Draw n of the loop is key n of ``keys``, and ``_make`` is the one place
+    it is made, into buffer n modulo the number of buffers. The loop owns
+    the noisy point its passes are evaluated at. The first draw is made and
+    evaluated on the caller's thread. Its passes, times the draws still to
+    evaluate, then decide while no other thread runs: at ``HELPER_MIN_S`` or
+    more the loop forks one helper process that makes and evaluates the odd
+    draws of every step, while the parent makes the even ones on its own
+    thread; else, when two draws or more remain, one worker thread makes
+    each later draw one ahead of its use, in a second buffer. The parent
+    folds each draw into the sums in ascending draw order. Draws are keyed
+    and both processes run the same code on the same operands, so neither
+    the helper nor the worker can change a byte. When the helper fails a
     draw or dies, the parent stops it and makes and evaluates that draw and
     every later one itself; a genuine error is then raised by the parent's
-    own evaluation. Closing the loop closes the stream or kills and reaps the
-    helper.
+    own evaluation. A worker's error is raised as it was when its draw is
+    taken. Closing the loop joins the worker or kills and reaps the helper.
     """
 
     def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps):
         self.model, self.params, self.batch, self.spec = model, params, batch, spec
         self.keys = [(t, i) for t in steps for i in range(spec.m)]
-        self.z: np.ndarray | None = None  # the buffer of draws made in place
-        self.stream: Iterator[np.ndarray] | None = None
+        self.taken = 0  # draws the steps so far have used
+        self.bufs = [np.empty(params.size)]
+        self.noisy = np.empty(params.size)
+        self.leaves = unflatten_map(params, self.noisy)  # what the tape sees
+        self.worker = None  # a one-thread executor once started
+        self.ahead = None  # the worker's draw of the next _take
         self.helper: _Helper | None = None
 
     def close(self) -> None:
-        if self.stream is not None:
-            self.stream.close()
+        if self.worker is not None:
+            self.worker.shutdown()
         if self.helper is not None:
             self.helper.close()
             self.helper = None
 
-    def step(self, t: int, legs: np.ndarray, means, noisy: np.ndarray | None) -> list[float]:
-        """Sum the m draw gradients of step t at every leg into its map;
-        return the mean noisy loss of each leg."""
-        if noisy is None:
-            noisy = np.empty(legs.shape[1])
-        leaves = unflatten_map(self.params, noisy)
+    def step(self, legs: np.ndarray, means) -> list[float]:
+        """Sum the m draw gradients of the loop's next step at every leg into
+        its map; return the mean noisy loss of each leg."""
+        if self.taken == len(self.keys):
+            raise IndexError(f"all {len(self.keys) // self.spec.m} steps were taken")
+        first = self.taken
+        self.taken += self.spec.m
         losses: list[list[float]] = [[] for _ in legs]
         if self.helper is not None:
-            self.helper.start_step(t, legs)
+            self.helper.start_step(first, legs)
         for i in range(self.spec.m):
+            n = first + i
             if self.helper is not None and i % 2:
                 results = self.helper.take()
                 if results is not None:
                     _fold(i, results, means, losses)
                     if i + 2 < self.spec.m:
-                        self.helper.request(t, i + 2)  # its slot is free again
+                        self.helper.request(n + 2)  # its slot is free again
                     continue
                 self.helper.close()  # failed or died: the parent makes the rest
                 self.helper = None
-            z = next(self.stream) if self.stream is not None else self._draw_inline(t, i)
+            z = self._take(n)
             start = perf_counter()
-            _fold(i, self._passes(i, z, legs, leaves, noisy), means, losses)
-            if (t, i) == self.keys[0]:
-                del z  # held by self.z alone, which a stream frees
-                self._decide(t, legs, perf_counter() - start)
+            _fold(i, self._passes(i, z, legs), means, losses)
+            if n == 0:
+                self._decide(legs, perf_counter() - start)
         return [math.fsum(ls) / self.spec.m for ls in losses]
 
-    def _draw_inline(self, t: int, i: int) -> np.ndarray:
-        """Make draw (t, i) on this thread."""
-        if self.z is None:
-            self.z = np.empty(self.params.size)
-        _draw(self.spec, i, t, self.z)
-        return self.z
+    def _make(self, n: int) -> np.ndarray:
+        """Make draw n of the loop into its buffer."""
+        t, i = self.keys[n]
+        z = self.bufs[n % len(self.bufs)]
+        _draw(self.spec, i, t, z)
+        return z
 
-    def _passes(self, i, z, legs, leaves, noisy):
+    def _take(self, n: int) -> np.ndarray:
+        """Draw n: made on this thread, or by the worker once it is set on
+        draw n+1, in the buffer of draw n-1, which is no longer read."""
+        if self.worker is None:
+            return self._make(n)
+        pending = self.ahead
+        if n + 1 < len(self.keys):
+            self.ahead = self.worker.submit(self._make, n + 1)
+        return pending.result()
+
+    def _passes(self, i, z, legs):
         """(loss, gradient map) of draw i, noise z, at every leg in turn."""
         for wj in legs:
-            _noisy_point(self.spec, wj, z, noisy)
-            yield _eval(self.model, leaves, self.batch, draw=i)
+            _noisy_point(self.spec, wj, z, self.noisy)
+            yield _eval(self.model, self.leaves, self.batch, draw=i)
 
-    def _decide(self, t: int, legs: np.ndarray, seconds: float) -> None:
+    def _decide(self, legs: np.ndarray, seconds: float) -> None:
         """After the loop's first draw, which took ``seconds`` to evaluate:
-        fork the helper, or stream the draws still to come."""
+        fork the helper, or start the worker on the draws still to come."""
         rest = len(self.keys) - 1
         if self.spec.m >= 2 and seconds * rest >= HELPER_MIN_S and _spare_cpu():
             self.helper = _Helper.fork(self, legs.shape[0])
         if self.helper is not None:
-            self.helper.start_step(t, legs)
-        elif rest >= 2:  # a stream of one draw would not be ahead of its use
-            self.z = None  # freed before the stream allocates its two buffers
-            self.stream = draw_stream(self.spec, self.keys[1:], self.params.size)
+            self.helper.start_step(0, legs)
+        elif rest >= 2:  # a worker could not be ahead of a single draw left
+            from concurrent.futures import ThreadPoolExecutor
+
+            self.bufs.append(np.empty(self.params.size))
+            self.worker = ThreadPoolExecutor(1, thread_name_prefix="proxprune-draws")
+            self.ahead = self.worker.submit(self._make, 1)
 
 
 def _spare_cpu() -> bool:
@@ -296,9 +287,10 @@ class _Helper:
 
     Shared anonymous memory holds the legs' current points, which the parent
     writes at the start of each step, and one slot of k gradients and k
-    losses. The parent asks for one draw at a time, as (step, i) on one
-    pipe, and for the next only after it has folded the last; the helper
-    makes the keyed draw, evaluates it at every leg into the slot and
+    losses. The parent asks for one draw at a time, as the loop's draw index
+    n on one pipe, and for the next only after it has folded the last; the
+    helper makes draw n with the loop's ``_make``, evaluates it at every leg
+    at its inherited copy of the loop's noisy point, into the slot, and
     answers one byte on the other pipe. Any failure ends the helper, which
     the parent reads as EOF. It is forked, not spawned, so that it inherits
     the model and the batch instead of rebuilding or unpickling them; the
@@ -346,23 +338,23 @@ class _Helper:
 
     def serve(self, loop: MonteCarloLoop) -> None:
         """The helper's life: evaluate each requested draw until EOF."""
-        noisy = np.empty(loop.params.size)
-        leaves = unflatten_map(loop.params, noisy)
-        while request := os.read(self.requests, 16):
-            t, i = struct.unpack("2q", request)
-            z = loop._draw_inline(t, i)
-            for j, (loss, grads) in enumerate(loop._passes(i, z, self.points, leaves, noisy)):
+        while request := os.read(self.requests, 8):
+            (n,) = struct.unpack("q", request)
+            z = loop._make(n)
+            for j, (loss, grads) in enumerate(loop._passes(loop.keys[n][1], z, self.points)):
                 self.losses[j] = loss
                 _store(self.grads[j], grads)
             os.write(self.replies, b"\1")
 
-    def start_step(self, t: int, legs: np.ndarray) -> None:
+    def start_step(self, first: int, legs: np.ndarray) -> None:
+        """Take the legs of the step whose first draw is ``first``; ask for
+        the one after it."""
         np.copyto(self.points, legs)
-        self.request(t, 1)
+        self.request(first + 1)
 
-    def request(self, t: int, i: int) -> None:
+    def request(self, n: int) -> None:
         try:
-            os.write(self.requests, struct.pack("2q", t, i))
+            os.write(self.requests, struct.pack("q", n))
         except OSError:  # a dead helper: the next take reads EOF
             pass
 

@@ -19,7 +19,8 @@ import pytest
 from proxprune import checkpoint, cli, data, moreau, smoothing, zoo
 from proxprune.moreau import MoreauConfig
 from proxprune.robustness import PerturbSpec, consistency_experiment
-from proxprune.smoothing import NoiseSpec, draw_stream
+from proxprune.params import unflatten_map
+from proxprune.smoothing import NoiseSpec
 
 import oracles
 
@@ -102,36 +103,61 @@ def test_a_one_step_loop_of_two_draws_starts_no_thread(monkeypatch, draw_log):
     assert started == []
 
 
-def test_buffer_is_not_refilled_while_the_consumer_reads_it():
+class Recorder(oracles.Quadratic):
+    """A quadratic that keeps a copy of every point it is evaluated at and
+    then pauses, between one leg and the next."""
+
+    def __init__(self, pause=0.0):
+        self.pause, self.points = pause, []
+
+    def loss(self, p, batch):
+        self.points.append(p["w"].data.copy())
+        time.sleep(self.pause)
+        return super().loss(p, batch)
+
+
+def keyed_points(spec, w, steps):
+    """The noisy point of every draw of these steps at every leg, in order,
+    from the keyed draws: |w|, *= s, *= z, += w, as a loop forms them."""
+    for t in steps:
+        for i in range(spec.m):
+            z = np.random.default_rng((spec.seed, t, i)).standard_normal(w.shape[1])
+            for wj in w:
+                yield np.abs(wj) * spec.scale * z + wj
+
+
+def test_buffer_is_not_refilled_while_the_consumer_reads_it(draw_log):
     spec = NoiseSpec(scale=0.1, m=4, seed=3)
-    keys = [(1, i) for i in range(4)] + [(2, i) for i in range(4)]
-    with closing(draw_stream(spec, keys, 1000)) as draws:
-        for step, i in keys:
-            z = next(draws)
-            held = z.copy()
-            time.sleep(0.01)  # room for a worker that refilled the buffer in use
-            assert np.array_equal(z, held)
-            want = np.random.default_rng((spec.seed, step, i)).standard_normal(1000)
-            assert np.array_equal(z, want)
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((2, 1000))
+    model = Recorder(pause=0.01)  # room for a worker that refilled the buffer in use
+    for t in (1, 2):
+        smoothing.smoothed_loss_and_grad(model, oracles.wrap(w[0]), None, spec, t, w=w)
+    assert [worker for _, _, worker in draw_log] == first_inline(4, 4)
+    want = list(keyed_points(spec, w, (1, 2)))
+    assert len(model.points) == len(want) == 16
+    assert all(np.array_equal(got, exp) for got, exp in zip(model.points, want))
 
 
 def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
-    """Four consumers, each with its own worker (eight threads on fewer
-    cores), switching every microsecond: every buffer read must equal the
-    keyed draw, which a refill during a read would break."""
+    """Four smoothing calls at once, each loop with its own worker (eight
+    threads on fewer cores), switching every microsecond: every noisy point
+    must come from the keyed draw, which a refill during a read would
+    break."""
     spec = NoiseSpec(scale=0.1, m=8, seed=11)
-    keys = [(t, i) for t in range(6) for i in range(spec.m)]
-    want = {key: np.random.default_rng((spec.seed, *key)).standard_normal(500) for key in keys}
+    w = np.random.default_rng(1).standard_normal((2, 500))
+    want = list(keyed_points(spec, w, range(6)))
     bad = []
 
     def consume():
-        with closing(draw_stream(spec, keys, 500)) as draws:
-            for key in keys:
-                z = next(draws)
-                first = z.copy()
-                np.sqrt(np.abs(z)).sum()  # give the worker a chance to run
-                if not (np.array_equal(first, want[key]) and np.array_equal(z, want[key])):
-                    bad.append(key)
+        model = Recorder()
+        for t in range(6):
+            smoothing.smoothed_loss_and_grad(model, oracles.wrap(w[0]), None, spec, t, w=w)
+        if not (
+            len(model.points) == len(want)
+            and all(np.array_equal(got, exp) for got, exp in zip(model.points, want))
+        ):
+            bad.append(model.points)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -148,29 +174,41 @@ def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
 
 
 def test_draw_error_is_raised_by_the_take_of_that_draw(monkeypatch):
-    boom = ValueError("draw 1 failed")
+    boom = ValueError("draw 2 failed")
     real = smoothing._draw
+    on_worker = []
 
     def failing(spec, draw_index, step, out):
-        if draw_index == 1:
+        if draw_index == 2:
+            on_worker.append(threading.current_thread() is not threading.main_thread())
             raise boom
         real(spec, draw_index, step, out)
 
     monkeypatch.setattr(smoothing, "_draw", failing)
     before = threading.active_count()
-    with closing(draw_stream(NoiseSpec(scale=0.1, m=2, seed=0), [(0, 0), (0, 1)], 10)) as draws:
-        next(draws)
-        with pytest.raises(ValueError) as exc:
-            next(draws)
+    w = np.array([[1.0, -2.0]])
+    spec = NoiseSpec(scale=0.1, m=3, seed=0)
+    with pytest.raises(ValueError) as exc:
+        smoothing.smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w[0]), None, spec, w=w)
+    assert on_worker == [True]
     assert exc.value is boom
     assert threading.active_count() == before
 
 
 def test_taking_past_the_last_key_raises_instead_of_waiting():
-    with closing(draw_stream(NoiseSpec(scale=0.1, m=1, seed=0), [(0, 0)], 10)) as draws:
-        next(draws)
-        with pytest.raises(IndexError, match="all 1 draws were taken"):
-            next(draws)
+    """Stepping a loop past its last step raises, without a worker (m 2) and
+    with one (m 3)."""
+    w = np.array([[1.0, -2.0]])
+    params = oracles.wrap(w[0])
+    for m in (2, 3):
+        spec = NoiseSpec(scale=0.1, m=m, seed=0)
+        means = [unflatten_map(params, np.empty(2))]
+        loop = smoothing.MonteCarloLoop(oracles.Quadratic(), params, None, spec, [0])
+        with closing(loop):
+            loop.step(w, means)
+            assert (loop.worker is not None) == (m == 3)
+            with pytest.raises(IndexError, match="all 1 steps were taken"):
+                loop.step(w, means)
 
 
 def test_error_inside_a_draw_reaches_the_caller_unchanged(corpus, monkeypatch):
