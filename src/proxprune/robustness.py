@@ -10,18 +10,22 @@ outcomes across bfloat16 and float16 deployments.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import struct
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from . import importance as imp
-from . import lowprec
+from . import lowprec, smoothing
 from .moreau import MoreauConfig, channel_layout
 from .params import ParamSet, flatten_map
 from .smoothing import NoiseSpec
 
 KINDS = ("fp16-roundtrip", "bf16-roundtrip", "gaussian-ball")
+MONTE_CARLO = ("smooth", "moreau", "moreau-gs")  # the criteria that draw noise
 
 
 @dataclass(frozen=True)
@@ -150,6 +154,15 @@ def consistency_experiment(
 
     Distances are measured over the elements covered by prune structures --
     exactly the coordinates that decide what gets removed.
+
+    With two Monte Carlo criteria or more, and when ``smoothing._spare_cpu``
+    finds a CPU for it, one forked helper computes the last Monte Carlo
+    criterion while this process computes the others in order, and its
+    report is read back at that criterion's place. Both run the same code
+    on the same operands, so the reports are those of one process. When the
+    helper fails or dies this process computes that criterion itself, so
+    the first error in criteria order is raised as without a helper; an
+    earlier criterion that raises kills and reaps the helper first.
     """
     if not criteria:
         raise ValueError("need at least one criterion")
@@ -165,8 +178,7 @@ def consistency_experiment(
     dw = float(np.linalg.norm(w_a - w_b))
     del w_a, w_b  # the criteria below need only the distance
 
-    reports = []
-    for criterion in criteria:
+    def report(criterion: str) -> RobustnessReport:
         rep_a, rep_b = imp.run_criterion(
             criterion,
             model,
@@ -183,25 +195,63 @@ def consistency_experiment(
         denom = max(float(np.linalg.norm(i_a)), float(np.linalg.norm(i_b)))
         rel = di / denom if denom > 0 else 0.0
         sym = len(set(rep_a.prune_set) ^ set(rep_b.prune_set))
-        reports.append(
-            RobustnessReport(
-                criterion=criterion,
-                perturbation=spec.label(),
-                baseline=baseline_spec.label() if baseline_spec else "none",
-                importance_l2=di,
-                importance_rel=rel,
-                jaccard=jaccard(rep_a.prune_set, rep_b.prune_set),
-                symdiff=sym,
-                delta_w_l2=dw,
-                sensitivity=di / dw if dw > 0 else 0.0,
-                prune_set_a=rep_a.prune_set,
-                prune_set_b=rep_b.prune_set,
-                extra={"a": rep_a.extra, "b": rep_b.extra},
-            )
+        return RobustnessReport(
+            criterion=criterion,
+            perturbation=spec.label(),
+            baseline=baseline_spec.label() if baseline_spec else "none",
+            importance_l2=di,
+            importance_rel=rel,
+            jaccard=jaccard(rep_a.prune_set, rep_b.prune_set),
+            symdiff=sym,
+            delta_w_l2=dw,
+            sensitivity=di / dw if dw > 0 else 0.0,
+            prune_set_a=rep_a.prune_set,
+            prune_set_b=rep_b.prune_set,
+            extra={"a": rep_a.extra, "b": rep_b.extra},
         )
-        # free this criterion's scores before the next one runs
-        del rep_a, rep_b, i_a, i_b
+
+    # with two Monte Carlo criteria or more, and a CPU to spare, a forked
+    # helper computes the last of them while this process runs the others
+    monte_carlo = [i for i, c in enumerate(criteria) if c in MONTE_CARLO]
+    helper = None
+    if len(monte_carlo) >= 2 and smoothing._spare_cpu():
+        helper = _fork_report(report, criteria[monte_carlo[-1]])
+    reports = []
+    try:
+        for i, criterion in enumerate(criteria):
+            sent = None
+            if helper is not None and i == monte_carlo[-1]:
+                sent = _take_report(helper)
+                helper.close()
+                helper = None
+            # a criterion's scores are freed before the next one runs
+            reports.append(report(criterion) if sent is None else sent)
+    finally:
+        if helper is not None:  # an earlier criterion raised
+            helper.close()
     return reports
+
+
+def _fork_report(report, criterion: str) -> smoothing.ForkedChild | None:
+    """Fork a helper that sends ``report(criterion)`` back, pickled after
+    its length; None when the system refuses the fork. A helper that fails
+    sends nothing."""
+
+    def serve(child: smoothing.ForkedChild) -> None:
+        payload = pickle.dumps(report(criterion))
+        with os.fdopen(child.replies, "wb", closefd=False) as out:
+            out.write(struct.pack("q", len(payload)) + payload)
+
+    return smoothing.ForkedChild.fork(serve)
+
+
+def _take_report(helper: smoothing.ForkedChild) -> RobustnessReport | None:
+    """The helper's report, once it has ended; None when it failed or died."""
+    with os.fdopen(helper.replies, "rb", closefd=False) as replies:
+        sent = replies.read()
+    if len(sent) < 8 or struct.unpack_from("q", sent)[0] != len(sent) - 8:
+        return None
+    return pickle.loads(sent[8:])
 
 
 def directional_comparisons(reports: list[RobustnessReport]) -> list[dict]:
@@ -213,7 +263,7 @@ def directional_comparisons(reports: list[RobustnessReport]) -> list[dict]:
     out = []
     if plain is None:
         return out
-    for name in ("smooth", "moreau", "moreau-gs"):
+    for name in MONTE_CARLO:
         r = by_crit.get(name)
         if r is None:
             continue

@@ -282,38 +282,27 @@ def _spare_cpu() -> bool:
     return cpus >= 2 and threads == 1
 
 
-class _Helper:
-    """A forked process that evaluates the odd draws of a ``MonteCarloLoop``.
+class ForkedChild:
+    """A forked child process and the parent's ends of two pipes to it:
+    ``requests`` the child reads and ``replies`` it writes.
 
-    Shared anonymous memory holds the legs' current points, which the parent
-    writes at the start of each step, and one slot of k gradients and k
-    losses. The parent asks for one draw at a time, as the loop's draw index
-    n on one pipe, and for the next only after it has folded the last; the
-    helper makes draw n with the loop's ``_make``, evaluates it at every leg
-    at its inherited copy of the loop's noisy point, into the slot, and
-    answers one byte on the other pipe. Any failure ends the helper, which
-    the parent reads as EOF. It is forked, not spawned, so that it inherits
-    the model and the batch instead of rebuilding or unpickling them; the
-    loop forks only while a single thread runs.
+    The child runs ``serve`` on its own ends and then exits at once with
+    ``os._exit``, whatever ``serve`` raised, so that it never returns into
+    the caller's stack; the parent reads its death as EOF on ``replies``.
+    Objects inherited from the parent are never collected in the child, so
+    no finalizer of theirs runs twice. Closing kills and reaps the child.
     """
 
-    def __init__(
-        self, pid: int, requests: int, replies: int, shared: np.ndarray, params: ParamSet, k: int
-    ):
+    def __init__(self, pid: int, requests: int, replies: int):
         self.pid, self.requests, self.replies = pid, requests, replies
-        size = params.size
-        self.points = shared[: k * size].reshape(k, size)
-        rows = shared[k * size : 2 * k * size].reshape(k, size)
-        self.grads = [unflatten_map(params, row) for row in rows]
-        self.losses = shared[2 * k * size :]
 
     @classmethod
-    def fork(cls, loop: MonteCarloLoop, k: int) -> _Helper | None:
-        """Start a helper for ``loop``'s k legs; None when the system refuses
-        (no memory, descriptors or processes left)."""
+    def fork(cls, serve) -> ForkedChild | None:
+        """Fork a child that runs ``serve(child)`` on a ForkedChild of its own
+        pipe ends; None when the system refuses (no memory, descriptors or
+        processes left)."""
         fds: list[int] = []
         try:
-            shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * k * loop.params.size + k)))
             fds += os.pipe()
             fds += os.pipe()
             pid = os.fork()
@@ -324,27 +313,65 @@ class _Helper:
         requests_r, requests_w, replies_r, replies_w = fds
         if pid == 0:
             try:
-                # objects inherited from the parent are never collected here,
-                # so no finalizer of theirs runs twice
                 gc.freeze()
                 os.close(requests_w)
                 os.close(replies_r)
-                cls(0, requests_r, replies_w, shared, loop.params, k).serve(loop)
+                serve(cls(0, requests_r, replies_w))
             finally:
                 os._exit(0)
         os.close(requests_r)
         os.close(replies_w)
-        return cls(pid, requests_w, replies_r, shared, loop.params, k)
+        return cls(pid, requests_w, replies_r)
+
+    def close(self) -> None:
+        os.close(self.requests)
+        os.close(self.replies)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
+class _Helper:
+    """A forked process that evaluates the odd draws of a ``MonteCarloLoop``.
+
+    Shared anonymous memory holds the legs' current points, which the parent
+    writes at the start of each step, and one slot of k gradients and k
+    losses. The parent asks for one draw at a time, as the loop's draw index
+    n on the child's request pipe, and for the next only after it has folded
+    the last; the helper makes draw n with the loop's ``_make``, evaluates it
+    at every leg at its inherited copy of the loop's noisy point, into the
+    slot, and answers one byte on the reply pipe. Any failure ends the
+    helper, which the parent reads as EOF. It is forked, not spawned, so
+    that it inherits the model and the batch instead of rebuilding or
+    unpickling them; the loop forks only while a single thread runs.
+    """
+
+    def __init__(self, child: ForkedChild, shared: np.ndarray, params: ParamSet, k: int):
+        self.child = child
+        size = params.size
+        self.points = shared[: k * size].reshape(k, size)
+        rows = shared[k * size : 2 * k * size].reshape(k, size)
+        self.grads = [unflatten_map(params, row) for row in rows]
+        self.losses = shared[2 * k * size :]
+
+    @classmethod
+    def fork(cls, loop: MonteCarloLoop, k: int) -> _Helper | None:
+        """Start a helper for ``loop``'s k legs; None when the system refuses."""
+        try:
+            shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * k * loop.params.size + k)))
+        except OSError:
+            return None
+        child = ForkedChild.fork(lambda c: cls(c, shared, loop.params, k).serve(loop))
+        return None if child is None else cls(child, shared, loop.params, k)
 
     def serve(self, loop: MonteCarloLoop) -> None:
         """The helper's life: evaluate each requested draw until EOF."""
-        while request := os.read(self.requests, 8):
+        while request := os.read(self.child.requests, 8):
             (n,) = struct.unpack("q", request)
             z = loop._make(n)
             for j, (loss, grads) in enumerate(loop._passes(loop.keys[n][1], z, self.points)):
                 self.losses[j] = loss
                 _store(self.grads[j], grads)
-            os.write(self.replies, b"\1")
+            os.write(self.child.replies, b"\1")
 
     def start_step(self, first: int, legs: np.ndarray) -> None:
         """Take the legs of the step whose first draw is ``first``; ask for
@@ -354,7 +381,7 @@ class _Helper:
 
     def request(self, n: int) -> None:
         try:
-            os.write(self.requests, struct.pack("q", n))
+            os.write(self.child.requests, struct.pack("q", n))
         except OSError:  # a dead helper: the next take reads EOF
             pass
 
@@ -362,7 +389,7 @@ class _Helper:
         """(loss, gradient map) at every leg of the draw last asked for, or
         None when the helper failed it or died."""
         try:
-            done = os.read(self.replies, 1) == b"\1"
+            done = os.read(self.child.replies, 1) == b"\1"
         except OSError:
             done = False
         if not done:
@@ -370,10 +397,7 @@ class _Helper:
         return [(float(loss), grads) for loss, grads in zip(self.losses, self.grads)]
 
     def close(self) -> None:
-        os.close(self.requests)
-        os.close(self.replies)
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
+        self.child.close()
 
 
 def _noisy_point(spec: NoiseSpec, wj: np.ndarray, z: np.ndarray, noisy: np.ndarray) -> None:

@@ -55,7 +55,9 @@ def benchmark_sized_settings():
     }
 
 
-def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_log):
+def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_log, monkeypatch):
+    # every criterion in this process: no criterion helper takes one away
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: False)
     model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
     params = model.init_params(5)
     batch, _ = data.make_batch(model, corpus, 6, seed=(3, 0, 0))
@@ -281,7 +283,10 @@ def test_worker_ends_after_divergence_error_mid_loop():
     assert threading.active_count() == before
 
 
-def test_worker_threads_end_when_prune_and_robustness_return(tmp_path, corpus_file, draw_log):
+def test_worker_threads_end_when_prune_and_robustness_return(
+    tmp_path, corpus_file, draw_log, monkeypatch
+):
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: False)  # no criterion helper
     model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
     ckpt = tmp_path / "model.ckpt"
     checkpoint.save(ckpt, model.arch(), model.init_params(3), model.structures(), model.groups())

@@ -4,6 +4,7 @@ passed) and off (infinite constant) and require bitwise equal results; they
 also pin the gate itself and every way a helper can fail or a loop can end
 early.
 """
+import json
 import math
 import os
 import signal
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from proxprune import autodiff as ad
-from proxprune import checkpoint, cli, data, moreau, smoothing, zoo
+from proxprune import checkpoint, cli, data, importance, moreau, robustness, smoothing, zoo
 from proxprune.moreau import MoreauConfig
 from proxprune.params import stack_flat
 from proxprune.smoothing import NoiseSpec, smoothed_loss_and_grad
@@ -44,11 +45,11 @@ def forks(monkeypatch):
 
 def helper_on(monkeypatch, on: bool) -> None:
     """Force every loop of two draws or more to fork a helper, or none to.
-    Forced on, the host check passes too: the suite may run beside a
-    threaded BLAS, where the real check refuses."""
+    The host check is forced the same way: the suite may run beside a
+    threaded BLAS, where the real check refuses, or with BLAS on one thread,
+    where it lets a robustness experiment fork its criterion helper."""
     monkeypatch.setattr(smoothing, "HELPER_MIN_S", 0.0 if on else math.inf)
-    if on:
-        monkeypatch.setattr(smoothing, "_spare_cpu", lambda: True)
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: on)
 
 
 def no_child_left() -> bool:
@@ -159,7 +160,9 @@ def test_prune_and_robustness_write_the_same_bytes_with_a_helper(
             out = tmp_path / f"{command}-{on}"
             assert cli.main([command, *mlp_ckpt, *extra, "--out", str(out)]) == 0
             written[command, on] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    assert len(forks) == 4  # prune: one loop; robustness: smooth, moreau, moreau-gs
+    # prune: one loop; robustness: the criterion helper, whose moreau-gs loop
+    # forks its own, and the smooth and moreau loops
+    assert len(forks) == 4
     for command in ("prune", "robustness"):
         assert written[command, True] == written[command, False]
 
@@ -442,3 +445,174 @@ def test_cli_import_leaves_the_executor_unimported():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+# A robustness experiment with two Monte Carlo criteria or more forks one
+# criterion helper for the last of them; the tests below force the host
+# check and keep every Monte Carlo loop in its own process unless they say
+# otherwise.
+
+EXPERIMENT_SETTINGS = {
+    "smooth": NoiseSpec(scale=0.05, m=3, seed=0),
+    "moreau": MoreauConfig(rho=0.05, gamma=1e-3, steps=2, noise=NoiseSpec(scale=0.05, m=2, seed=0)),
+    "moreau-gs": MoreauConfig(
+        rho=0.2, gamma=2e-4, steps=2, eta=5e-6, noise=NoiseSpec(scale=0.05, m=2, seed=0)
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def small_mlp(corpus):
+    model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
+    params = model.init_params(5)
+    batch, _ = data.make_batch(model, corpus, 6, seed=(3, 0, 0))
+    return model, params, batch
+
+
+def criterion_helper_on(monkeypatch, on: bool) -> None:
+    """Let a robustness experiment fork its criterion helper, or not; no
+    Monte Carlo loop forks a draw helper either way."""
+    monkeypatch.setattr(smoothing, "HELPER_MIN_S", math.inf)
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: on)
+
+
+def experiment(setup, criteria):
+    model, params, batch = setup
+    return robustness.consistency_experiment(
+        model, params, batch, criteria, robustness.PerturbSpec("bf16-roundtrip"), 0.25,
+        baseline_spec=robustness.PerturbSpec("fp16-roundtrip"), settings=EXPERIMENT_SETTINGS,
+    )
+
+
+def report_bytes(reports) -> str:
+    """Every field of every report, each float as its repr."""
+    return json.dumps([r.to_json_dict() for r in reports])
+
+
+@pytest.fixture()
+def ran_here(monkeypatch):
+    """The criteria importance.run_criterion computes in this process."""
+    parent, ran = os.getpid(), []
+    real = importance.run_criterion
+
+    def logged(criterion, *args, **kwargs):
+        if os.getpid() == parent:
+            ran.append(criterion)
+        return real(criterion, *args, **kwargs)
+
+    monkeypatch.setattr(importance, "run_criterion", logged)
+    return ran
+
+
+@pytest.mark.parametrize(
+    "criteria, helper",
+    [
+        (("plain", "moreau"), None),
+        (("moreau",), None),
+        (("plain",), None),
+        (("moreau", "moreau-gs"), "moreau-gs"),
+        (("plain", "smooth", "moreau", "moreau-gs"), "moreau-gs"),
+        (("moreau-gs", "smooth", "plain"), "smooth"),
+    ],
+)
+def test_criterion_helper_forks_once_for_the_last_of_two_monte_carlo_criteria(
+    small_mlp, monkeypatch, forks, ran_here, criteria, helper
+):
+    criterion_helper_on(monkeypatch, True)
+    reports = experiment(small_mlp, criteria)
+    assert [r.criterion for r in reports] == list(criteria)
+    assert len(forks) == (helper is not None) and no_child_left()
+    assert ran_here == [c for c in criteria if c != helper]
+
+
+@pytest.mark.parametrize("draw_helpers", [False, True])
+def test_criterion_helper_reports_are_bitwise_equal(
+    small_mlp, transformer, monkeypatch, forks, ran_here, draw_helpers
+):
+    model, legs, batch = transformer
+    criteria = ("plain", "smooth", "moreau", "moreau-gs")
+    runs = {}
+    for setup in ("mlp", "transformer"):
+        args = small_mlp if setup == "mlp" else (model, legs[1], batch)
+        for on in (False, True):
+            criterion_helper_on(monkeypatch, on)
+            if on and draw_helpers:  # every loop of either process forks too
+                monkeypatch.setattr(smoothing, "HELPER_MIN_S", 0.0)
+            runs[setup, on] = report_bytes(experiment(args, criteria))
+            assert ran_here == list(criteria[: 3 if on else 4])
+            ran_here.clear()
+    # one criterion helper per experiment, plus the smooth and moreau loops
+    # of the parent when draw helpers are on
+    assert len(forks) == (6 if draw_helpers else 2) and no_child_left()
+    assert runs["mlp", True] == runs["mlp", False]
+    assert runs["transformer", True] == runs["transformer", False]
+
+
+def test_criterion_helper_divergence_exits_5_with_the_in_process_message(
+    tmp_path, mlp_ckpt, monkeypatch, forks, capsys
+):
+    ini = tmp_path / "diverges.ini"
+    ini.write_text(
+        "[data]\ncalib_size = 4\nholdout_size = 2\n"
+        "[moreau]\nrho = 1e6\ngamma = 1e6\nsteps = 3\n[noise]\nm = 2\nsmooth_m = 3\n"
+        "[robustness]\nspecs = fp16:bf16\ncriteria = plain,smooth,moreau\n"
+    )
+    argv = ["robustness", *mlp_ckpt[2:], "--config", str(ini)]
+    errors = []
+    for on in (False, True):
+        criterion_helper_on(monkeypatch, on)
+        assert cli.main([*argv, "--out", str(tmp_path / str(on))]) == cli.EXIT_OPTIMIZER
+        errors.append(capsys.readouterr().err)
+    assert len(forks) == 1 and no_child_left()
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("optimizer error: proximal iterate diverged at step 0")
+
+
+def test_earlier_failing_criterion_kills_the_criterion_helper(
+    small_mlp, monkeypatch, forks
+):
+    parent = os.getpid()
+    real = importance.run_criterion
+
+    def fails_here(criterion, *args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(60)  # a helper still busy when the parent fails
+        elif criterion == "smooth":
+            raise smoothing.SmoothingError("non-finite gradient in draw 0", 0)
+        return real(criterion, *args, **kwargs)
+
+    monkeypatch.setattr(importance, "run_criterion", fails_here)
+    criterion_helper_on(monkeypatch, True)
+    start = time.monotonic()
+    with pytest.raises(smoothing.SmoothingError, match="in draw 0"):
+        experiment(small_mlp, ("plain", "smooth", "moreau"))
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1 and no_child_left()
+
+
+@pytest.mark.parametrize("how", ["killed", "fails"])
+def test_parent_recomputes_the_criterion_of_a_dead_or_failed_helper(
+    small_mlp, monkeypatch, forks, ran_here, how
+):
+    criteria = ("plain", "smooth", "moreau", "moreau-gs")
+    criterion_helper_on(monkeypatch, False)
+    alone = report_bytes(experiment(small_mlp, criteria))
+    ran_here.clear()
+    parent = os.getpid()
+    logged = importance.run_criterion
+
+    def breaks_helper(criterion, *args, **kwargs):
+        if os.getpid() != parent:
+            if how == "fails":
+                raise MemoryError("only the helper runs out")
+            time.sleep(60)  # busy until the parent kills it
+        elif criterion == "smooth" and how == "killed":
+            os.kill(forks[0], signal.SIGKILL)
+        return logged(criterion, *args, **kwargs)
+
+    monkeypatch.setattr(importance, "run_criterion", breaks_helper)
+    criterion_helper_on(monkeypatch, True)
+    recomputed = report_bytes(experiment(small_mlp, criteria))
+    assert len(forks) == 1 and no_child_left()
+    assert ran_here == list(criteria)
+    assert recomputed == alone

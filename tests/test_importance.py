@@ -120,6 +120,25 @@ def test_rank_and_select_basics():
         imp.rank_and_select(scores, 1.0, cls)
 
 
+@pytest.mark.parametrize(
+    "ratio, size, pruned",
+    [
+        (0.29, 100, 29),  # 0.29 * 100 is 28.999999999999996 in floats
+        (0.57, 100, 57),
+        (0.58, 100, 58),
+        (0.2, 256, 51),
+        (0.2, 8, 1),
+        (0.2, 64, 12),
+        (0.9999999999999999, 10, 9),
+        (1e-05, 200000, 2),  # a repr in exponent form
+    ],
+)
+def test_rank_and_select_floors_the_decimal_product(ratio, size, pruned):
+    scores = {g: float(g) for g in range(size)}
+    cls = {g: "channel" for g in scores}
+    assert imp.rank_and_select(scores, ratio, cls) == tuple(range(pruned))
+
+
 def test_tie_at_cutoff_prefers_lower_id():
     scores = {0: 1.0, 1: 1.0, 2: 5.0, 3: 6.0}
     cls = {g: "channel" for g in scores}
