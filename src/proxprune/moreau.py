@@ -28,7 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import ParamSet, flatten_map, stack_flat, structure_flat_indices, unflatten_map
+from .params import ParamSet, stack_flat, structure_flat_indices, unflatten_map
+from .params import flatten_map  # noqa: F401 -- benchmark/tracer.py wraps it here by name
 from .smoothing import MonteCarloLoop, NoiseSpec, smoothed_loss_and_grad
 
 
@@ -138,14 +139,9 @@ def group_soft_threshold(
 
 @dataclass
 class MoreauResult:
-    w_final: ParamSet
-    displacement: dict[str, np.ndarray]
     mg: dict[str, np.ndarray]
     trace: list[float]
     zeroed_groups: tuple[int, ...] = ()
-
-    def mg_flat(self, like: ParamSet) -> np.ndarray:
-        return flatten_map(like, self.mg)
 
 
 @dataclass
@@ -170,8 +166,8 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
 
     Per leg only w0, v and the smoothed gradient g are held, as rows of
     (k, P) arrays; the d scratch is shared, and every step's draws go
-    through one MonteCarloLoop, so a helper process or a draw worker, when
-    the loop starts one, serves all of its steps."""
+    through one MonteCarloLoop, so a helper process, when the loop forks
+    one, serves all of its steps."""
     params = legs[0]  # names and shapes, shared by every leg
     w0 = stack_flat(legs)
     guards = [1e3 * float(np.linalg.norm(row)) + 1e3 for row in w0]
@@ -205,12 +201,12 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
                 traces[j].append(losses[j] + dist2 / (2.0 * config.rho))
                 if math.sqrt(dist2) > guards[j]:
                     raise DivergenceError(t, math.sqrt(dist2), guards[j])
-    # the last step's displacement v - w0 and mg = displacement / rho, into
-    # w0 and g, which the loop no longer needs
-    displacement = np.subtract(v, w0, out=w0)
-    mg = np.divide(displacement, config.rho, out=g)
+    # mg = (v - w0) / rho of the last step, into g, which the loop no
+    # longer needs
+    mg = np.subtract(v, w0, out=g)
+    mg /= config.rho
     results = []
-    for vj, dj, mgj, trace in zip(v, displacement, mg, traces):
+    for mgj, trace in zip(mg, traces):
         zeroed: tuple[int, ...] = ()
         if layout is not None:
             zeroed = tuple(
@@ -219,13 +215,7 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
                 if s.size > 0 and not np.any(mgj[s])
             )
         results.append(
-            MoreauResult(
-                w_final=ParamSet(unflatten_map(params, vj).items()),
-                displacement=unflatten_map(params, dj),
-                mg=unflatten_map(params, mgj),
-                trace=trace,
-                zeroed_groups=zeroed,
-            )
+            MoreauResult(mg=unflatten_map(params, mgj), trace=trace, zeroed_groups=zeroed)
         )
     return results
 

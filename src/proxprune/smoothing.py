@@ -16,13 +16,12 @@ concatenated in ParamSet order.
 Each draw is evaluated at every leg of a call: k weight vectors that share
 names and shapes, such as the two encodings of a robustness experiment. A
 ``MonteCarloLoop`` (one smoothing call, or one proximal loop across all of
-its steps) makes every one of its draws, walking its keys in order, and
-makes its first draw on the caller's thread. When that draw shows that the
-loop's gradient passes outweigh the cost of a process, it forks one helper
-that makes and evaluates the odd draws of every step while the parent makes
-and evaluates the even ones; else the loop's one worker thread makes each
-later draw one ahead of its use. Either way the parent folds every draw into
-the mean in ascending draw order.
+its steps) makes every one of its draws, walking its keys in order, on the
+thread that evaluates it. When its first draw shows that the loop's
+gradient passes outweigh the cost of a process, it forks one helper that
+makes and evaluates the odd draws of every step while the parent makes and
+evaluates the even ones. Either way the parent folds every draw into the
+mean in ascending draw order.
 """
 from __future__ import annotations
 
@@ -159,37 +158,30 @@ class MonteCarloLoop:
     the processes that evaluate them at the legs.
 
     Draw n of the loop is key n of ``keys``, and ``_make`` is the one place
-    it is made, into buffer n modulo the number of buffers. The loop owns
-    the noisy point its passes are evaluated at. The first draw is made and
-    evaluated on the caller's thread. Its passes, times the draws still to
-    evaluate, then decide while no other thread runs: at ``HELPER_MIN_S`` or
-    more the loop forks one helper process that makes and evaluates the odd
-    draws of every step, while the parent makes the even ones on its own
-    thread; else, when two draws or more remain, one worker thread makes
-    each later draw one ahead of its use, in a second buffer. The parent
-    folds each draw into the sums in ascending draw order. Draws are keyed
-    and both processes run the same code on the same operands, so neither
-    the helper nor the worker can change a byte. When the helper fails a
+    it is made, into the loop's one draw buffer, right before its passes.
+    The loop owns the noisy point its passes are evaluated at. The first
+    draw is made and evaluated on the caller's thread. Its passes, times the
+    draws still to evaluate, then decide: at ``HELPER_MIN_S`` or more the
+    loop forks one helper process that makes and evaluates the odd draws of
+    every step, while the parent makes the even ones; else the parent makes
+    every draw. The parent folds each draw into the sums in ascending draw
+    order. Draws are keyed and both processes run the same code on the same
+    operands, so the helper cannot change a byte. When the helper fails a
     draw or dies, the parent stops it and makes and evaluates that draw and
     every later one itself; a genuine error is then raised by the parent's
-    own evaluation. A worker's error is raised as it was when its draw is
-    taken. Closing the loop joins the worker or kills and reaps the helper.
+    own evaluation. Closing the loop kills and reaps the helper.
     """
 
     def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps):
         self.model, self.params, self.batch, self.spec = model, params, batch, spec
         self.keys = [(t, i) for t in steps for i in range(spec.m)]
         self.taken = 0  # draws the steps so far have used
-        self.bufs = [np.empty(params.size)]
+        self.z = np.empty(params.size)
         self.noisy = np.empty(params.size)
         self.leaves = unflatten_map(params, self.noisy)  # what the tape sees
-        self.worker = None  # a one-thread executor once started
-        self.ahead = None  # the worker's draw of the next _take
         self.helper: _Helper | None = None
 
     def close(self) -> None:
-        if self.worker is not None:
-            self.worker.shutdown()
         if self.helper is not None:
             self.helper.close()
             self.helper = None
@@ -215,7 +207,7 @@ class MonteCarloLoop:
                     continue
                 self.helper.close()  # failed or died: the parent makes the rest
                 self.helper = None
-            z = self._take(n)
+            z = self._make(n)
             start = perf_counter()
             _fold(i, self._passes(i, z, legs), means, losses)
             if n == 0:
@@ -223,21 +215,10 @@ class MonteCarloLoop:
         return [math.fsum(ls) / self.spec.m for ls in losses]
 
     def _make(self, n: int) -> np.ndarray:
-        """Make draw n of the loop into its buffer."""
+        """Make draw n of the loop into its draw buffer."""
         t, i = self.keys[n]
-        z = self.bufs[n % len(self.bufs)]
-        _draw(self.spec, i, t, z)
-        return z
-
-    def _take(self, n: int) -> np.ndarray:
-        """Draw n: made on this thread, or by the worker once it is set on
-        draw n+1, in the buffer of draw n-1, which is no longer read."""
-        if self.worker is None:
-            return self._make(n)
-        pending = self.ahead
-        if n + 1 < len(self.keys):
-            self.ahead = self.worker.submit(self._make, n + 1)
-        return pending.result()
+        _draw(self.spec, i, t, self.z)
+        return self.z
 
     def _passes(self, i, z, legs):
         """(loss, gradient map) of draw i, noise z, at every leg in turn."""
@@ -247,18 +228,12 @@ class MonteCarloLoop:
 
     def _decide(self, legs: np.ndarray, seconds: float) -> None:
         """After the loop's first draw, which took ``seconds`` to evaluate:
-        fork the helper, or start the worker on the draws still to come."""
+        fork the helper when the draws still to come outweigh its cost."""
         rest = len(self.keys) - 1
         if self.spec.m >= 2 and seconds * rest >= HELPER_MIN_S and _spare_cpu():
             self.helper = _Helper.fork(self, legs.shape[0])
-        if self.helper is not None:
-            self.helper.start_step(0, legs)
-        elif rest >= 2:  # a worker could not be ahead of a single draw left
-            from concurrent.futures import ThreadPoolExecutor
-
-            self.bufs.append(np.empty(self.params.size))
-            self.worker = ThreadPoolExecutor(1, thread_name_prefix="proxprune-draws")
-            self.ahead = self.worker.submit(self._make, 1)
+            if self.helper is not None:
+                self.helper.start_step(0, legs)
 
 
 def _spare_cpu() -> bool:

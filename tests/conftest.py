@@ -8,10 +8,10 @@ from proxprune import data, zoo
 
 
 @pytest.fixture(autouse=True)
-def no_worker_left_behind():
+def no_child_or_thread_left_behind():
     """Fail any test that leaves a child process (running or unreaped) or a
-    thread behind: helper processes and draw workers must end with the call
-    that started them, on every exit path."""
+    thread behind: helper processes must end with the call that forked them,
+    on every exit path."""
     threads = threading.active_count()
     yield
     try:

@@ -1,15 +1,13 @@
 """Noise draws are keyed by (seed, step, draw index). A Monte Carlo loop
-makes its first draw on the caller's thread; unless it then forks a helper,
-it fills its later draws on one worker thread ahead of their use. These
-tests pin what that must not change: each draw is made once per criterion
-however many legs evaluate it, no other thread runs at a loop's first draw,
-a buffer is not refilled while it is read, the worker ends with every call
-that started it, and an error inside a draw reaches the caller as it was
-raised.
+makes each of its draws on the thread that evaluates it, into its one draw
+buffer. These tests pin what that must keep: each draw is made once per
+criterion however many legs evaluate it, every draw runs on the main thread
+while no other thread does, no call starts a thread, every noisy point is
+formed from its keyed draw, and an error inside a draw reaches the caller as
+it was raised.
 """
 import sys
 import threading
-import time
 from collections import Counter
 from contextlib import closing
 
@@ -27,22 +25,35 @@ import oracles
 
 @pytest.fixture()
 def draw_log(monkeypatch):
-    """Record (step, draw index, on a worker thread) of every draw made."""
+    """Record (step, draw index, on the main thread) of every draw made."""
     log = []
     real = smoothing._draw
 
     def logged(spec, draw_index, step, out):
-        log.append((step, draw_index, threading.current_thread() is not threading.main_thread()))
+        log.append((step, draw_index, threading.current_thread() is threading.main_thread()))
         real(spec, draw_index, step, out)
 
     monkeypatch.setattr(smoothing, "_draw", logged)
     return log
 
 
-def first_inline(*loops):
-    """Whether each draw of loops of these sizes, in order, is made on a
-    worker: every draw but the first of each loop."""
-    return [n > 0 for size in loops for n in range(size)]
+def on_main(log) -> bool:
+    """Whether every draw of the log ran on the main thread."""
+    return all(main for _, _, main in log)
+
+
+@pytest.fixture()
+def thread_starts(monkeypatch):
+    """The name of every thread started while the test runs."""
+    started = []
+    real = threading.Thread.start
+
+    def start(thread):
+        started.append(thread.name)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return started
 
 
 def benchmark_sized_settings():
@@ -70,7 +81,7 @@ def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_l
     loop = [(t, i) for t in range(10) for i in range(2)]
     assert len(draw_log) == 52  # two legs once drew 104
     assert Counter((t, i) for t, i, _ in draw_log) == Counter(smooth + loop + loop)
-    assert [worker for _, _, worker in draw_log] == first_inline(12, 20, 20)
+    assert on_main(draw_log)
 
 
 def test_a_loops_first_draw_runs_while_no_other_thread_does(monkeypatch):
@@ -84,37 +95,33 @@ def test_a_loops_first_draw_runs_while_no_other_thread_does(monkeypatch):
     monkeypatch.setattr(smoothing, "_draw", counted)
     cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.1, m=2, seed=0))
     moreau.moreau_grad(oracles.Quadratic(), [oracles.wrap([1.0, -2.0])], None, cfg)
-    assert len(counts) == 6
-    assert counts[0] == 1
-    assert counts[1:] == [2] * 5  # the later draws come from one worker
+    assert counts == [1] * 6
 
 
-def test_a_one_step_loop_of_two_draws_starts_no_thread(monkeypatch, draw_log):
-    started = []
-    real = threading.Thread.start
-
-    def start(thread):
-        started.append(thread.name)
-        real(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    spec = NoiseSpec(scale=0.1, m=2, seed=0)
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_a_one_step_loop_starts_no_thread(draw_log, thread_starts, m):
+    spec = NoiseSpec(scale=0.1, m=m, seed=0)
     w = np.array([[1.0, -2.0]])
     smoothing.smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w[0]), None, spec, w=w)
-    assert draw_log == [(0, 0, False), (0, 1, False)]
-    assert started == []
+    assert draw_log == [(0, i, True) for i in range(m)]
+    assert thread_starts == []
+
+
+def test_a_three_step_proximal_loop_starts_no_thread(draw_log, thread_starts):
+    cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.1, m=2, seed=0))
+    moreau.moreau_grad(oracles.Quadratic(), [oracles.wrap([1.0, -2.0])], None, cfg)
+    assert draw_log == [(t, i, True) for t in range(3) for i in range(2)]
+    assert thread_starts == []
 
 
 class Recorder(oracles.Quadratic):
-    """A quadratic that keeps a copy of every point it is evaluated at and
-    then pauses, between one leg and the next."""
+    """A quadratic that keeps a copy of every point it is evaluated at."""
 
-    def __init__(self, pause=0.0):
-        self.pause, self.points = pause, []
+    def __init__(self):
+        self.points = []
 
     def loss(self, p, batch):
         self.points.append(p["w"].data.copy())
-        time.sleep(self.pause)
         return super().loss(p, batch)
 
 
@@ -132,20 +139,20 @@ def test_buffer_is_not_refilled_while_the_consumer_reads_it(draw_log):
     spec = NoiseSpec(scale=0.1, m=4, seed=3)
     rng = np.random.default_rng(0)
     w = rng.standard_normal((2, 1000))
-    model = Recorder(pause=0.01)  # room for a worker that refilled the buffer in use
+    model = Recorder()
     for t in (1, 2):
         smoothing.smoothed_loss_and_grad(model, oracles.wrap(w[0]), None, spec, t, w=w)
-    assert [worker for _, _, worker in draw_log] == first_inline(4, 4)
+    assert len(draw_log) == 8 and on_main(draw_log)
     want = list(keyed_points(spec, w, (1, 2)))
     assert len(model.points) == len(want) == 16
     assert all(np.array_equal(got, exp) for got, exp in zip(model.points, want))
 
 
 def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
-    """Four smoothing calls at once, each loop with its own worker (eight
-    threads on fewer cores), switching every microsecond: every noisy point
-    must come from the keyed draw, which a refill during a read would
-    break."""
+    """Four smoothing calls at once, each on its own thread (four threads on
+    fewer cores), switching every microsecond: every noisy point must come
+    from the keyed draw, which a loop that shared a buffer with another, or
+    refilled its own during a read, would break."""
     spec = NoiseSpec(scale=0.1, m=8, seed=11)
     w = np.random.default_rng(1).standard_normal((2, 500))
     want = list(keyed_points(spec, w, range(6)))
@@ -178,11 +185,11 @@ def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
 def test_draw_error_is_raised_by_the_take_of_that_draw(monkeypatch):
     boom = ValueError("draw 2 failed")
     real = smoothing._draw
-    on_worker = []
+    on_main_thread = []
 
     def failing(spec, draw_index, step, out):
         if draw_index == 2:
-            on_worker.append(threading.current_thread() is not threading.main_thread())
+            on_main_thread.append(threading.current_thread() is threading.main_thread())
             raise boom
         real(spec, draw_index, step, out)
 
@@ -192,14 +199,13 @@ def test_draw_error_is_raised_by_the_take_of_that_draw(monkeypatch):
     spec = NoiseSpec(scale=0.1, m=3, seed=0)
     with pytest.raises(ValueError) as exc:
         smoothing.smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w[0]), None, spec, w=w)
-    assert on_worker == [True]
+    assert on_main_thread == [True]
     assert exc.value is boom
     assert threading.active_count() == before
 
 
 def test_taking_past_the_last_key_raises_instead_of_waiting():
-    """Stepping a loop past its last step raises, without a worker (m 2) and
-    with one (m 3)."""
+    """Stepping a loop past its last step raises, at m 2 and at m 3."""
     w = np.array([[1.0, -2.0]])
     params = oracles.wrap(w[0])
     for m in (2, 3):
@@ -208,12 +214,11 @@ def test_taking_past_the_last_key_raises_instead_of_waiting():
         loop = smoothing.MonteCarloLoop(oracles.Quadratic(), params, None, spec, [0])
         with closing(loop):
             loop.step(w, means)
-            assert (loop.worker is not None) == (m == 3)
             with pytest.raises(IndexError, match="all 1 steps were taken"):
                 loop.step(w, means)
 
 
-def test_error_inside_a_draw_reaches_the_caller_unchanged(corpus, monkeypatch):
+def test_error_inside_a_draw_reaches_the_caller_unchanged(corpus, draw_log, monkeypatch):
     model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
     params = model.init_params(5)
     batch, _ = data.make_batch(model, corpus, 6, seed=(3, 0, 0))
@@ -231,6 +236,7 @@ def test_error_inside_a_draw_reaches_the_caller_unchanged(corpus, monkeypatch):
     with pytest.raises(RuntimeError) as exc:
         moreau.moreau_grad(model, [params, params.copy()], batch, cfg)
     assert exc.value is boom
+    assert len(draw_log) == 7 and on_main(draw_log)  # steps 0-2 and draw 0 of step 3
     assert threading.active_count() == before
 
 
@@ -250,13 +256,14 @@ class ExplodesOnCall:
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
-def test_worker_ends_after_smoothing_error_mid_loop():
+def test_a_smoothing_error_mid_loop_leaves_no_thread(draw_log):
     before = threading.active_count()
     cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=10, noise=NoiseSpec(scale=0.1, m=2, seed=0))
     obj = ExplodesOnCall(7)  # step 3, draw 0
     with pytest.raises(smoothing.SmoothingError) as exc:
         moreau.moreau_grad(obj, [oracles.wrap([1e5, 2.0])], None, cfg)
     assert exc.value.draw_index == 0
+    assert len(draw_log) == 7 and on_main(draw_log)
     assert threading.active_count() == before
 
 
@@ -269,7 +276,7 @@ class Concave:
         return ad.multiply(oracles.sum_all(ad.multiply(p["w"], p["w"])), -50.0)
 
 
-def test_worker_ends_after_divergence_error_mid_loop():
+def test_a_divergence_error_mid_loop_leaves_no_thread(draw_log):
     before = threading.active_count()
     cfg = MoreauConfig(
         rho=0.05, gamma=0.01, steps=40, eta=1e-3, noise=NoiseSpec(scale=0.1, m=3, seed=0)
@@ -280,6 +287,7 @@ def test_worker_ends_after_divergence_error_mid_loop():
             cfg, moreau.GroupLayout([[0, 1]], labels=[0], size=3),
         )
     assert 0 < exc.value.step < cfg.steps - 1
+    assert len(draw_log) == 3 * (exc.value.step + 1) and on_main(draw_log)
     assert threading.active_count() == before
 
 
@@ -302,4 +310,4 @@ def test_worker_threads_end_when_prune_and_robustness_return(
         assert cli.main([command, *base, *extra, "--out", str(tmp_path / command)]) == 0
         assert threading.active_count() == before
     # prune: one moreau-gs loop; robustness: smooth, moreau, moreau-gs
-    assert [worker for _, _, worker in draw_log] == first_inline(6, 3, 6, 6)
+    assert len(draw_log) == 6 + 3 + 6 + 6 and on_main(draw_log)

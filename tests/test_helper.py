@@ -107,9 +107,7 @@ def test_moreau_grad_is_bitwise_equal_with_a_helper(transformer, monkeypatch, fo
 
     def run():
         out = moreau.moreau_grad(model, legs, batch, cfg)
-        return [
-            (flat_bytes([r.mg, r.displacement, r.w_final], legs[0]), r.trace) for r in out.legs
-        ]
+        return [(flat_bytes([r.mg], legs[0]), r.trace) for r in out.legs]
 
     off, on, n = both_ways(monkeypatch, forks, run)
     assert on == off
@@ -127,7 +125,7 @@ def test_group_sparse_moreau_grad_is_bitwise_equal_with_a_helper(
 
     def run():
         out = moreau.group_sparse_moreau_grad(model, legs, batch, cfg, layout)
-        per_leg = [(flat_bytes([r.mg, r.w_final], legs[0]), r.trace) for r in out.legs]
+        per_leg = [(flat_bytes([r.mg], legs[0]), r.trace) for r in out.legs]
         return per_leg, out.zeroed_groups
 
     off, on, n = both_ways(monkeypatch, forks, run)
@@ -184,7 +182,7 @@ def test_default_gate_forks_for_slow_passes_only(monkeypatch, forks):
     assert len(forks) == 1
     helper_on(monkeypatch, False)
     alone = moreau.moreau_grad(Slow(), legs, None, cfg)
-    assert slow.legs[0].mg_flat(legs[0]).tobytes() == alone.legs[0].mg_flat(legs[0]).tobytes()
+    assert flat_bytes([slow.legs[0].mg], legs[0]) == flat_bytes([alone.legs[0].mg], legs[0])
 
 
 def test_parent_beside_a_helper_makes_its_even_draws_inline_and_starts_no_thread(
@@ -306,7 +304,7 @@ def test_helper_failing_a_draw_the_parent_can_evaluate_changes_nothing(
     alone = moreau.moreau_grad(model, legs, batch, cfg)
     assert len(forks) == 1 and no_child_left()
     for a, b in zip(failed.legs, alone.legs):
-        assert a.mg_flat(legs[0]).tobytes() == b.mg_flat(legs[0]).tobytes()
+        assert flat_bytes([a.mg], legs[0]) == flat_bytes([b.mg], legs[0])
         assert a.trace == b.trace
 
 
@@ -357,7 +355,7 @@ def test_fork_refused_gives_identical_outputs(transformer, monkeypatch):
     refused = moreau.moreau_grad(model, legs, batch, cfg)
     assert asked == [1]
     for a, b in zip(refused.legs, alone.legs):
-        assert a.mg_flat(legs[0]).tobytes() == b.mg_flat(legs[0]).tobytes()
+        assert flat_bytes([a.mg], legs[0]) == flat_bytes([b.mg], legs[0])
         assert a.trace == b.trace
 
 
@@ -381,7 +379,7 @@ def test_helper_killed_mid_loop_gives_identical_outputs(transformer, monkeypatch
     killed = moreau.moreau_grad(KillsHelper(), legs[:1], batch, cfg)
     assert len(forks) == 1 and no_child_left()
     a, b = killed.legs[0], alone.legs[0]
-    assert a.mg_flat(legs[0]).tobytes() == b.mg_flat(legs[0]).tobytes()
+    assert flat_bytes([a.mg], legs[0]) == flat_bytes([b.mg], legs[0])
     assert a.trace == b.trace
 
 
@@ -397,6 +395,7 @@ def test_host_check_refuses_a_helper_beside_a_blas_pool(tmp_path, threads, force
         "import numpy as np\n"
         "from proxprune import moreau, smoothing, zoo\n"
         "from proxprune.moreau import MoreauConfig\n"
+        "from proxprune.params import flatten_map\n"
         "from proxprune.smoothing import NoiseSpec\n"
         "pool = len(os.listdir('/proc/self/task')) > 1\n"
         "cpus = len(os.sched_getaffinity(0))\n"
@@ -418,7 +417,8 @@ def test_host_check_refuses_a_helper_beside_a_blas_pool(tmp_path, threads, force
         "runs = []\n"
         "for gate in (math.inf, 0.0):\n"
         "    smoothing.HELPER_MIN_S = gate\n"
-        "    runs.append(moreau.moreau_grad(model, [params], batch, cfg).legs[0].mg_flat(params))\n"
+        "    out = moreau.moreau_grad(model, [params], batch, cfg)\n"
+        "    runs.append(flatten_map(params, out.legs[0].mg))\n"
         "assert runs[0].tobytes() == runs[1].tobytes()\n"
         "print(pool, cpus, len(forks))\n"
     )
@@ -436,15 +436,24 @@ def test_host_check_refuses_a_helper_beside_a_blas_pool(tmp_path, threads, force
         assert forked == "1"
 
 
-def test_cli_import_leaves_the_executor_unimported():
+def test_cli_import_leaves_the_executor_unimported(tmp_path, mlp_ckpt):
+    """Neither importing the CLI nor running an MLP prune and a robustness
+    experiment through it imports an executor or starts a thread."""
+    script = (
+        "import sys, threading\n"
+        "from proxprune import cli\n"
+        f"base = {mlp_ckpt!r}\n"
+        "for command, extra in (('prune', ['--criterion', 'moreau']), ('robustness', [])):\n"
+        f"    out = {str(tmp_path)!r} + '/' + command\n"
+        "    assert cli.main([command, *base, *extra, '--out', out]) == 0\n"
+        "print('concurrent.futures' in sys.modules, threading.active_count())\n"
+    )
     run = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, proxprune.cli; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.splitlines()[-1].split() == ["False", "1"]
 
 
 # A robustness experiment with two Monte Carlo criteria or more forks one
