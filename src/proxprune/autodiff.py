@@ -261,6 +261,60 @@ def relu(x) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 _GELU_3A = 3 * _GELU_A
+# numpy's float64 power is, with AVX-512, Intel SVML's pow (documented within
+# 4 ulps), whose lanes with a negative base leave the vector path for a
+# scalar one about 40x slower; without AVX-512 it is libm's pow (within
+# 1 ulp). So the magnitudes of np.power(x, 3) and np.power(|x|, 3) lie
+# within 4 ulps of |x|^3 each, hence within _GELU_K float steps of each other
+# whenever the steps stay in one binade.
+_GELU_K = 8
+_BINADE = 1 << 52  # the float64 bit pattern's lowest exponent bit
+
+
+def _gelu_arg(xd: np.ndarray) -> np.ndarray:
+    """c*(x + a*x^3) as ((np.power(x, 3)*a) + x)*c, bit for bit, with the
+    slow negative-base power only where the cube's last bits can matter.
+
+    p = np.power(|x|, 3) runs on the vector path; where x's sign bit is
+    clear it is np.power(x, 3) itself, each lane computed independently.
+    Elsewhere the cube is -q with q within _GELU_K steps of p, so ``u``
+    evaluated at the two ends of that bracket bounds u at the cube: a, c > 0
+    and round-to-nearest make u nondecreasing in the cube. Equal ends are
+    therefore u itself. The ends must be normal floats in p's binade (which
+    then holds |x|^3, so the step count bounds the error), else the element
+    is not decided: zeros, subnormal, overflowing and nan cubes. Undecided
+    elements get np.power on their own compacted subset."""
+    x = xd.reshape(-1)
+    u = np.abs(x)
+    np.power(u, 3, out=u)  # warns of an overflowing cube, as np.power(x, 3) would
+    neg = np.flatnonzero(np.signbit(x))
+    xn = x[neg]
+    p = u[neg].view(np.int64)
+    lo, hi = p - _GELU_K, p + _GELU_K
+    # silent from here: the ends next to an inf or nan p are nan, and an
+    # overflowing cube was warned of above
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_lo = _cube_to_arg(-hi.view(np.float64), xn)
+        u_hi = _cube_to_arg(-lo.view(np.float64), xn)
+        decided = u_lo == u_hi  # false at a nan end
+        decided &= (lo ^ hi) < _BINADE  # same sign and exponent bits
+        decided &= lo >= _BINADE  # normal and positive
+        slow = neg[~decided]
+        xs = x[slow]
+        exact = _cube_to_arg(np.power(xs, 3), xs)
+        _cube_to_arg(u, x)
+    u[neg] = u_lo
+    u[slow] = exact
+    return u.reshape(xd.shape)
+
+
+def _cube_to_arg(cube: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """((cube*a) + x)*c, in place in ``cube``."""
+    cube *= _GELU_A
+    cube += x
+    cube *= _GELU_C
+    return cube
+
 
 # gelu, softmax and the cross_entropy adjoint run in place in one or two
 # buffers, but evaluate the same IEEE operations in the same order as the
@@ -276,10 +330,7 @@ def gelu(x) -> Tensor:
     Adjoint: 0.5*(1 + t) + 0.5*x*sech2*c*(1 + 3*0.044715*x^2) with
     t = tanh(...) and sech2 = 1 - t*t, each product left-associative."""
     xd, xt, xn = _parts(x)
-    t = np.power(xd, 3)
-    t *= _GELU_A
-    t += xd
-    t *= _GELU_C
+    t = _gelu_arg(xd)
     np.tanh(t, out=t)
     out = np.multiply(xd, 0.5)
     out *= np.add(t, 1.0)

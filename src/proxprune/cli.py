@@ -130,6 +130,8 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
     print(f"parameters before {params.size}, after {new_params.size}")
     print(f"holdout loss before {loss_before:.6f}, after {loss_after:.6f}")
     print(f"pruned {len(report.prune_set)} of {len(report.group_scores)} groups")
+    for cls in report.tied:
+        _warn_tie(cfg.criterion, cls)
     print(f"outputs: {ckpt_out}, importance.json, importance.csv")
     return EXIT_OK
 
@@ -168,12 +170,22 @@ def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
             f"|dI|={r.importance_l2:.4g} rel={r.importance_rel:.4g} "
             f"jaccard={r.jaccard:.3f} symdiff={r.symdiff}"
         )
+    for r in rows:
+        for encoding, cls in r.tied:
+            _warn_tie(f"{r.criterion} on {encoding}", cls)
     failed = [c for c in comparisons if not c["holds"]]
     for c in comparisons:
         print(f"directional {c['comparison']}: {'holds' if c['holds'] else 'FAILED'}")
     if strict and failed:
         return EXIT_STRICT
     return EXIT_OK
+
+
+def _warn_tie(what: str, cls: str) -> None:
+    print(
+        f"warning: {what}: the prune cut of class {cls} falls between equal "
+        "scores; the lower group ids were pruned"
+    )
 
 
 def cmd_recover(cfg: RunConfig, ckpt_path: str) -> int:

@@ -96,16 +96,39 @@ def rank_and_select(
     if not (0.0 <= ratio < 1.0):
         raise ValueError(f"pruning ratio must be in [0, 1), got {ratio}")
     num, den = _decimal_fraction(ratio)
-    pools: dict[str, list[int]] = {}
-    for gid in group_scores:
-        key = "all" if global_pool else cls_map[gid]
-        pools.setdefault(key, []).append(gid)
     selected: list[int] = []
-    for _, ids in sorted(pools.items()):
+    for _, ids in sorted(_pools(group_scores, cls_map, global_pool).items()):
         k = num * len(ids) // den
         ranked = sorted(ids, key=lambda g: (group_scores[g], g))
         selected.extend(ranked[:k])
     return tuple(sorted(selected))
+
+
+def tied_cuts(
+    group_scores: Mapping[int, float],
+    prune_set,
+    cls_map: Mapping[int, str],
+    global_pool: bool = False,
+) -> tuple[str, ...]:
+    """The pools ranked by rank_and_select (classes, or "all" under
+    global_pool) whose prune cut falls between equal scores, where the group
+    id alone decided what was pruned."""
+    chosen = set(prune_set)
+    tied = []
+    for key, ids in sorted(_pools(group_scores, cls_map, global_pool).items()):
+        pruned = [group_scores[g] for g in ids if g in chosen]
+        kept = [group_scores[g] for g in ids if g not in chosen]
+        if pruned and kept and max(pruned) == min(kept):
+            tied.append(key)
+    return tuple(tied)
+
+
+def _pools(group_scores, cls_map, global_pool) -> dict[str, list[int]]:
+    pools: dict[str, list[int]] = {}
+    for gid in group_scores:
+        key = "all" if global_pool else cls_map[gid]
+        pools.setdefault(key, []).append(gid)
+    return pools
 
 
 def _decimal_fraction(x: float) -> tuple[int, int]:
@@ -165,6 +188,7 @@ class ImportanceReport:
     cls_map: dict[int, str]
     prune_set: tuple[int, ...]
     extra: dict = field(default_factory=dict)
+    tied: tuple[str, ...] = ()  # tied_cuts of the prune set; not in the JSON
 
     def to_json_dict(self) -> dict:
         """JSON form: structure/group granularity (element scores stay on the
@@ -267,6 +291,7 @@ def run_criterion(
                 cls_map=cls,
                 prune_set=selected,
                 extra=extra,
+                tied=tied_cuts(group, selected, cls, global_pool=global_pool),
             )
         )
     return reports

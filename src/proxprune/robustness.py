@@ -82,7 +82,8 @@ def _round_trip(name: str, a: np.ndarray, fmt: str) -> np.ndarray:
 
 @dataclass
 class RobustnessReport:
-    """One criterion's stability between two encodings; its fields are its JSON keys."""
+    """One criterion's stability between two encodings; its fields but
+    ``tied`` are its JSON keys."""
 
     criterion: str
     perturbation: str
@@ -96,9 +97,12 @@ class RobustnessReport:
     prune_set_a: tuple[int, ...] = ()
     prune_set_b: tuple[int, ...] = ()
     extra: dict = field(default_factory=dict)
+    tied: tuple[tuple[str, str], ...] = ()  # (encoding, class) of each tied prune cut
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        doc = asdict(self)
+        del doc["tied"]
+        return doc
 
     def to_csv_row(self) -> list:
         """One row under CSV_COLUMNS; csv writes each float as its repr."""
@@ -195,10 +199,11 @@ def consistency_experiment(
         denom = max(float(np.linalg.norm(i_a)), float(np.linalg.norm(i_b)))
         rel = di / denom if denom > 0 else 0.0
         sym = len(set(rep_a.prune_set) ^ set(rep_b.prune_set))
+        label_a = baseline_spec.label() if baseline_spec else "none"
         return RobustnessReport(
             criterion=criterion,
             perturbation=spec.label(),
-            baseline=baseline_spec.label() if baseline_spec else "none",
+            baseline=label_a,
             importance_l2=di,
             importance_rel=rel,
             jaccard=jaccard(rep_a.prune_set, rep_b.prune_set),
@@ -208,6 +213,8 @@ def consistency_experiment(
             prune_set_a=rep_a.prune_set,
             prune_set_b=rep_b.prune_set,
             extra={"a": rep_a.extra, "b": rep_b.extra},
+            tied=tuple((label_a, c) for c in rep_a.tied)
+            + tuple((spec.label(), c) for c in rep_b.tied),
         )
 
     # with two Monte Carlo criteria or more, and a CPU to spare, a forked

@@ -48,11 +48,11 @@ from .params import ParamSet, stack_flat, unflatten_map
 # costs about 1.6 ms to fork, 2.5 ms to kill and reap, and some 3,800 page
 # faults in the parent and 2,450 in the helper while both write pages they
 # shared; a pass also runs about 19% slower while the other process computes.
-# Forced on the benchmark's mlp-robustness loops (products up to 0.1 s) a
-# helper made the job 30-45% slower, while tf-prune loops (0.29 s and up)
-# gain about a quarter of a job. 0.16 s keeps a margin of 1.6x or more to
-# both (README "Performance notes").
-HELPER_MIN_S = 0.16
+# Forced on the benchmark's mlp-robustness loops (99% of products below
+# 0.053 s) a helper made the job 30-45% slower, while tf-prune loops (0.150 s
+# and up) gain about a quarter of a job. 0.09 s keeps a margin of 1.6x or
+# more to both (README "Performance notes").
+HELPER_MIN_S = 0.09
 
 
 class SmoothingError(Exception):

@@ -267,6 +267,73 @@ def test_gelu_matches_oracle_bitwise_on_stacked_input():
     assert_same_bits(dx, want_dx)
 
 
+def wide_gelu_inputs():
+    """About 10^6 gelu inputs over every kind of cube: normal samples at
+    scales 1e-160 to 1e100, signed zeros, subnormal inputs, negatives whose
+    cube is subnormal, and cubes that overflow while the square stays finite."""
+    rng = np.random.default_rng(12)
+    n = 20_000
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    parts = [rng.normal(0, 10.0**e, 60_000) for e in range(-160, 101, 20)]
+    parts += [
+        rng.normal(0, 0.6, 100_000),
+        [0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022)],
+        signs * rng.uniform(0, 2.0**-1022, n),  # subnormal inputs
+        -np.exp2(rng.uniform(-358, -340.67, n)),  # subnormal cubes
+        signs * np.exp2(rng.uniform(341.34, 511, n)),  # overflowing cubes
+    ]
+    return np.concatenate(parts)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power")
+def test_gelu_matches_oracle_bitwise_at_every_scale():
+    x = wide_gelu_inputs()
+    assert x.size >= 10**6
+    g = np.random.default_rng(13).normal(size=x.size)
+    out, dx = adjoint(ad.gelu, x, g)
+    with np.errstate(over="ignore"):
+        want_out, want_dx = oracle_gelu(x, g)
+    assert_same_bits(out, want_out)
+    assert_same_bits(dx, want_dx)
+
+
+def test_gelu_decides_most_cubes_without_the_negative_base_power(monkeypatch):
+    """Both routes of autodiff._gelu_arg run on activation-like input: the
+    exact np.power on the compacted subset gets some elements, but few."""
+    sizes = []
+    power = np.power
+
+    def counted(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return power(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", counted)
+    x = np.random.default_rng(14).normal(0, 0.6, size=(4, 128, 128))
+    ad.gelu(x)
+    full, exact = sizes
+    assert full == x.size
+    assert 0 < exact < 0.25 * x.size
+
+
+def test_numpy_power_premise_of_gelu():
+    """What autodiff._gelu_arg assumes of np.power, checked on the numpy at
+    hand: a negative base's cube is within _GELU_K float steps of minus the
+    cube of its magnitude, and a lane's result does not depend on the other
+    elements of the array (compacted subsets and the positive lanes of a
+    mixed-sign array give the full array's bits)."""
+    rng = np.random.default_rng(15)
+    x = -np.exp2(rng.uniform(-340, 341, 200_000))  # every binade of normal cubes
+    steps = np.power(x, 3).view(np.int64) - (-np.power(-x, 3)).view(np.int64)
+    assert np.abs(steps).max() <= ad._GELU_K
+
+    mixed = rng.normal(0, 0.6, 100_000)
+    full = np.power(mixed, 3)
+    subset = np.flatnonzero(rng.random(mixed.size) < 0.1)
+    assert_same_bits(np.power(mixed[subset], 3), full[subset])
+    positive = ~np.signbit(mixed)
+    assert_same_bits(np.power(np.abs(mixed), 3)[positive], full[positive])
+
+
 def causal_scores(rng, n=9):
     """Attention scores with 0.0 and -0.0 rows and a row of +-700 scores,
     plus the causal mask zoo adds to them."""

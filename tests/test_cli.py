@@ -390,6 +390,39 @@ class TestPrune:
         assert doc["extra"]["eta"] == 5e-6
         assert doc["extra"]["zeroed_groups"] >= 0
 
+    def test_all_zero_scores_warn_of_the_tied_cut(self, trained_ckpt, tmp_path, corpus_file, capsys):
+        """At eta 1 moreau-gs zeroes every group of the tiny MLP, so its one
+        class is cut between equal scores: prune says so on stdout and the
+        outputs are those of a run without the warning."""
+        _, ckpt = trained_ckpt
+        cfg = write_cfg(tmp_path, corpus_file, extra={"moreau": {"eta": 1.0}}, name="eta1.ini")
+        argv = ["--config", str(cfg), "--checkpoint", str(ckpt), "--ratio", "0.25"]
+        assert cli.main(["prune", *argv, "--criterion", "moreau-gs", "--out", str(tmp_path / "gs")]) == 0
+        doc = json.loads((tmp_path / "gs" / "importance.json").read_text())
+        assert {g["score"] for g in doc["groups"]} == {0.0}
+        assert doc["prune_set"] == [0, 1, 2]  # the lowest ids of 12 groups
+        warnings = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("warning:")]
+        assert warnings == [
+            "warning: moreau-gs: the prune cut of class channel falls between "
+            "equal scores; the lower group ids were pruned"
+        ]
+        assert "tied" not in doc
+
+        assert cli.main(["prune", *argv, "--criterion", "moreau", "--out", str(tmp_path / "m")]) == 0
+        assert "warning:" not in capsys.readouterr().out
+
+        text = cfg.read_text() + "\n[robustness]\nspecs = fp16:bf16\ncriteria = plain,moreau-gs\n"
+        cfg.write_text(text)
+        assert cli.main(["robustness", *argv, "--out", str(tmp_path / "r")]) == 0
+        warnings = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("warning:")]
+        assert warnings == [
+            f"warning: moreau-gs on {leg}: the prune cut of class channel falls between "
+            "equal scores; the lower group ids were pruned"
+            for leg in ("fp16-roundtrip", "bf16-roundtrip")
+        ]
+        rows = json.loads((tmp_path / "r" / "robustness.json").read_text())["rows"]
+        assert all("tied" not in row for row in rows)
+
     def test_reruns_byte_identical(self, trained_ckpt, tmp_path):
         cfg, ckpt = trained_ckpt
         for out in ("a", "b"):

@@ -145,6 +145,20 @@ def test_tie_at_cutoff_prefers_lower_id():
     assert imp.rank_and_select(scores, 0.25, cls) == (0,)
 
 
+def test_tied_cuts_names_the_pools_a_group_id_decided():
+    scores = {0: 1.0, 1: 1.0, 2: 5.0, 3: 6.0, 4: 0.5, 5: 0.7}
+    cls = {0: "channel", 1: "channel", 2: "channel", 3: "channel", 4: "head", 5: "head"}
+    picked = imp.rank_and_select(scores, 0.5, cls)
+    assert picked == (0, 1, 4)  # the channel cut lies between 1.0 and 5.0
+    assert imp.tied_cuts(scores, picked, cls) == ()
+    picked = imp.rank_and_select(scores, 0.25, cls)
+    assert picked == (0,)  # group 1 scores 1.0 too and is kept
+    assert imp.tied_cuts(scores, picked, cls) == ("channel",)
+    pooled = imp.rank_and_select(scores, 0.5, cls, global_pool=True)
+    assert imp.tied_cuts(scores, pooled, cls, global_pool=True) == ("all",)
+    assert imp.tied_cuts(scores, (), cls) == ()  # nothing pruned, no cut
+
+
 def test_per_class_ratios_are_independent():
     scores = {0: 1.0, 1: 2.0, 2: 0.1, 3: 0.2, 4: 0.3, 5: 0.4}
     cls = {0: "head", 1: "head", 2: "channel", 3: "channel", 4: "channel", 5: "channel"}
