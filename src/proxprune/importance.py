@@ -23,6 +23,7 @@ from .smoothing import NoiseSpec
 CRITERIA = ("plain", "smooth", "moreau", "moreau-gs")
 # the settings each criterion other than plain takes (see run_criterion)
 _SETTINGS = {"smooth": NoiseSpec, "moreau": _moreau.MoreauConfig, "moreau-gs": _moreau.MoreauConfig}
+MONTE_CARLO = tuple(_SETTINGS)  # the criteria that draw noise
 
 
 class PruningError(Exception):

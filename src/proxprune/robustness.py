@@ -25,7 +25,6 @@ from .params import ParamSet, flatten_map
 from .smoothing import NoiseSpec
 
 KINDS = ("fp16-roundtrip", "bf16-roundtrip", "gaussian-ball")
-MONTE_CARLO = ("smooth", "moreau", "moreau-gs")  # the criteria that draw noise
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,15 @@ def consistency_experiment(
     Distances are measured over the elements covered by prune structures --
     exactly the coordinates that decide what gets removed.
 
-    With two Monte Carlo criteria or more, and when ``smoothing._spare_cpu``
-    finds a CPU for it, one forked helper computes the last Monte Carlo
-    criterion while this process computes the others in order, and its
-    report is read back at that criterion's place. Both run the same code
-    on the same operands, so the reports are those of one process. When the
-    helper fails or dies this process computes that criterion itself, so
-    the first error in criteria order is raised as without a helper; an
-    earlier criterion that raises kills and reaps the helper first.
+    With two Monte Carlo criteria or more, and when ``smoothing.ForkedChild``
+    lets it fork, one helper computes the last Monte Carlo criterion while
+    this process computes the others in order, and its report is read back
+    at that criterion's place. While it runs, no loop of either process
+    forks a draw helper. Both run the same code on the same operands, so
+    the reports are those of one process. When the helper fails or dies
+    this process computes that criterion itself, so the first error in
+    criteria order is raised as without a helper; an earlier criterion that
+    raises kills and reaps the helper first.
     """
     if not criteria:
         raise ValueError("need at least one criterion")
@@ -217,11 +217,11 @@ def consistency_experiment(
             + tuple((spec.label(), c) for c in rep_b.tied),
         )
 
-    # with two Monte Carlo criteria or more, and a CPU to spare, a forked
-    # helper computes the last of them while this process runs the others
-    monte_carlo = [i for i, c in enumerate(criteria) if c in MONTE_CARLO]
+    # with two Monte Carlo criteria or more a forked helper computes the
+    # last of them while this process runs the others
+    monte_carlo = [i for i, c in enumerate(criteria) if c in imp.MONTE_CARLO]
     helper = None
-    if len(monte_carlo) >= 2 and smoothing._spare_cpu():
+    if len(monte_carlo) >= 2:
         helper = _fork_report(report, criteria[monte_carlo[-1]])
     reports = []
     try:
@@ -241,7 +241,7 @@ def consistency_experiment(
 
 def _fork_report(report, criterion: str) -> smoothing.ForkedChild | None:
     """Fork a helper that sends ``report(criterion)`` back, pickled after
-    its length; None when the system refuses the fork. A helper that fails
+    its length; None when ``ForkedChild.fork`` refuses. A helper that fails
     sends nothing."""
 
     def serve(child: smoothing.ForkedChild) -> None:
@@ -270,7 +270,7 @@ def directional_comparisons(reports: list[RobustnessReport]) -> list[dict]:
     out = []
     if plain is None:
         return out
-    for name in MONTE_CARLO:
+    for name in imp.MONTE_CARLO:
         r = by_crit.get(name)
         if r is None:
             continue

@@ -18,10 +18,11 @@ names and shapes, such as the two encodings of a robustness experiment. A
 ``MonteCarloLoop`` (one smoothing call, or one proximal loop across all of
 its steps) makes every one of its draws, walking its keys in order, on the
 thread that evaluates it. When its first draw shows that the loop's
-gradient passes outweigh the cost of a process, it forks one helper that
+gradient passes outweigh the cost of a process, it may fork one helper that
 makes and evaluates the odd draws of every step while the parent makes and
-evaluates the even ones. Either way the parent folds every draw into the
-mean in ascending draw order.
+evaluates the even ones; ``ForkedChild.fork`` lets a process tree run one
+helper at a time. Either way the parent folds every draw into the mean in
+ascending draw order.
 """
 from __future__ import annotations
 
@@ -43,15 +44,17 @@ from . import autodiff as ad
 from .autodiff import GradMap
 from .params import ParamSet, stack_flat, unflatten_map
 
-# A loop forks a helper when the passes of its first draw, times the draws
-# still to evaluate, take at least this long. On a 2-vCPU Xeon VM a helper
-# costs about 1.6 ms to fork, 2.5 ms to kill and reap, and some 3,800 page
-# faults in the parent and 2,450 in the helper while both write pages they
-# shared; a pass also runs about 19% slower while the other process computes.
-# Forced on the benchmark's mlp-robustness loops (99% of products below
-# 0.053 s) a helper made the job 30-45% slower, while tf-prune loops (0.150 s
-# and up) gain about a quarter of a job. 0.09 s keeps a margin of 1.6x or
-# more to both (README "Performance notes").
+# A loop asks ForkedChild.fork for a helper when the passes of its first
+# draw, times the draws still to evaluate, take at least this long. On a
+# 2-vCPU Xeon VM a helper costs about 1.6 ms to fork, 2.5 ms to kill and
+# reap, and some 3,800 page faults in the parent and 2,450 in the helper
+# while both write pages they shared; a pass also runs about 19% slower
+# while the other process computes. Forced on the benchmark's mlp-robustness
+# loops (99% of products below 0.053 s) a helper made the job 30-45% slower,
+# while tf-prune loops (0.150 s and up) gain about a quarter of a job. 0.09 s
+# keeps a margin of 1.6x or more to both. The mlp-robustness margin concerns
+# only loops outside a criterion helper: while one runs, the fork is refused
+# to every loop of the tree (README "Performance notes").
 HELPER_MIN_S = 0.09
 
 
@@ -162,14 +165,24 @@ class MonteCarloLoop:
     The loop owns the noisy point its passes are evaluated at. The first
     draw is made and evaluated on the caller's thread. Its passes, times the
     draws still to evaluate, then decide: at ``HELPER_MIN_S`` or more the
-    loop forks one helper process that makes and evaluates the odd draws of
-    every step, while the parent makes the even ones; else the parent makes
-    every draw. The parent folds each draw into the sums in ascending draw
-    order. Draws are keyed and both processes run the same code on the same
-    operands, so the helper cannot change a byte. When the helper fails a
-    draw or dies, the parent stops it and makes and evaluates that draw and
-    every later one itself; a genuine error is then raised by the parent's
-    own evaluation. Closing the loop kills and reaps the helper.
+    loop asks ``ForkedChild.fork`` for one helper process that makes and
+    evaluates the odd draws of every step, while the parent makes the even
+    ones; else, or when the fork is refused, the parent makes every draw.
+    The parent folds each draw into the sums in ascending draw order.
+
+    Shared anonymous memory, mapped when the loop forks, holds the legs'
+    current points, which the parent writes at the start of each step, and
+    one slot of k gradients and k losses. The parent asks for one draw at a
+    time (``_ask``), as its index n on the helper's request pipe, and for
+    the next only after it has folded the last. The helper (``_serve``)
+    makes draw n with ``_make``, evaluates it at every leg at its inherited
+    copy of the noisy point, into the slot, and answers one byte on the
+    reply pipe (``_answered``). Draws are keyed and both processes run the
+    same code on the same operands, so the helper cannot change a byte.
+    When the helper fails a draw or dies, which the parent reads as EOF, the
+    parent stops it and makes and evaluates that draw and every later one
+    itself; a genuine error is then raised by the parent's own evaluation.
+    Closing the loop kills and reaps the helper.
     """
 
     def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps):
@@ -179,7 +192,7 @@ class MonteCarloLoop:
         self.z = np.empty(params.size)
         self.noisy = np.empty(params.size)
         self.leaves = unflatten_map(params, self.noisy)  # what the tape sees
-        self.helper: _Helper | None = None
+        self.helper: ForkedChild | None = None
 
     def close(self) -> None:
         if self.helper is not None:
@@ -195,18 +208,18 @@ class MonteCarloLoop:
         self.taken += self.spec.m
         losses: list[list[float]] = [[] for _ in legs]
         if self.helper is not None:
-            self.helper.start_step(first, legs)
+            np.copyto(self.points, legs)
+            self._ask(first + 1)
         for i in range(self.spec.m):
             n = first + i
             if self.helper is not None and i % 2:
-                results = self.helper.take()
+                results = self._answered()
                 if results is not None:
                     _fold(i, results, means, losses)
                     if i + 2 < self.spec.m:
-                        self.helper.request(n + 2)  # its slot is free again
+                        self._ask(n + 2)  # its slot is free again
                     continue
-                self.helper.close()  # failed or died: the parent makes the rest
-                self.helper = None
+                self.close()  # failed or died: the parent makes the rest
             z = self._make(n)
             start = perf_counter()
             _fold(i, self._passes(i, z, legs), means, losses)
@@ -228,12 +241,50 @@ class MonteCarloLoop:
 
     def _decide(self, legs: np.ndarray, seconds: float) -> None:
         """After the loop's first draw, which took ``seconds`` to evaluate:
-        fork the helper when the draws still to come outweigh its cost."""
-        rest = len(self.keys) - 1
-        if self.spec.m >= 2 and seconds * rest >= HELPER_MIN_S and _spare_cpu():
-            self.helper = _Helper.fork(self, legs.shape[0])
-            if self.helper is not None:
-                self.helper.start_step(0, legs)
+        ask for the helper when the draws still to come outweigh its cost."""
+        if self.spec.m < 2 or seconds * (len(self.keys) - 1) < HELPER_MIN_S:
+            return
+        k, size = legs.shape
+        try:
+            shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * k * size + k)))
+        except OSError:
+            return
+        self.points = shared[: k * size].reshape(k, size)
+        rows = shared[k * size : 2 * k * size].reshape(k, size)
+        self.slot_grads = [unflatten_map(self.params, row) for row in rows]
+        self.slot_losses = shared[2 * k * size :]
+        self.helper = ForkedChild.fork(self._serve)
+        if self.helper is not None:
+            np.copyto(self.points, legs)
+            self._ask(1)
+
+    def _serve(self, child: ForkedChild) -> None:
+        """The helper's life: evaluate each requested draw until EOF."""
+        while request := os.read(child.requests, 8):
+            (n,) = struct.unpack("q", request)
+            z = self._make(n)
+            for j, (loss, grads) in enumerate(self._passes(self.keys[n][1], z, self.points)):
+                self.slot_losses[j] = loss
+                _store(self.slot_grads[j], grads)
+            os.write(child.replies, b"\1")
+
+    def _ask(self, n: int) -> None:
+        """Ask the helper for draw n."""
+        try:
+            os.write(self.helper.requests, struct.pack("q", n))
+        except OSError:  # a dead helper: the next answer reads EOF
+            pass
+
+    def _answered(self) -> list[tuple[float, GradMap]] | None:
+        """(loss, gradient map) at every leg of the draw last asked for, or
+        None when the helper failed it or died."""
+        try:
+            done = os.read(self.helper.replies, 1) == b"\1"
+        except OSError:
+            done = False
+        if not done:
+            return None
+        return [(float(loss), grads) for loss, grads in zip(self.slot_losses, self.slot_grads)]
 
 
 def _spare_cpu() -> bool:
@@ -261,12 +312,18 @@ class ForkedChild:
     """A forked child process and the parent's ends of two pipes to it:
     ``requests`` the child reads and ``replies`` it writes.
 
-    The child runs ``serve`` on its own ends and then exits at once with
-    ``os._exit``, whatever ``serve`` raised, so that it never returns into
-    the caller's stack; the parent reads its death as EOF on ``replies``.
-    Objects inherited from the parent are never collected in the child, so
-    no finalizer of theirs runs twice. Closing kills and reaps the child.
+    ``fork`` is the one gate of every helper process: a process tree runs at
+    most one child at a time, and only on a CPU of its own. ``live`` counts
+    the children forked and not yet closed; a child inherits its parent's
+    count, so it forks none of its own. The child runs ``serve`` on its own
+    ends and then exits at once with ``os._exit``, whatever ``serve``
+    raised, so that it never returns into the caller's stack; the parent
+    reads its death as EOF on ``replies``. Objects inherited from the parent
+    are never collected in the child, so no finalizer of theirs runs twice.
+    Closing kills and reaps the child.
     """
+
+    live = 0
 
     def __init__(self, pid: int, requests: int, replies: int):
         self.pid, self.requests, self.replies = pid, requests, replies
@@ -274,14 +331,19 @@ class ForkedChild:
     @classmethod
     def fork(cls, serve) -> ForkedChild | None:
         """Fork a child that runs ``serve(child)`` on a ForkedChild of its own
-        pipe ends; None when the system refuses (no memory, descriptors or
-        processes left)."""
+        pipe ends; None while a child of this process tree runs, when the
+        host has no CPU to spare (``_spare_cpu``), or when the system refuses
+        (no memory, descriptors or processes left)."""
+        if cls.live or not _spare_cpu():
+            return None
+        cls.live += 1  # before the fork, so that the child inherits it
         fds: list[int] = []
         try:
             fds += os.pipe()
             fds += os.pipe()
             pid = os.fork()
         except OSError:
+            cls.live -= 1
             for fd in fds:
                 os.close(fd)
             return None
@@ -299,80 +361,11 @@ class ForkedChild:
         return cls(pid, requests_w, replies_r)
 
     def close(self) -> None:
+        ForkedChild.live -= 1
         os.close(self.requests)
         os.close(self.replies)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
-
-
-class _Helper:
-    """A forked process that evaluates the odd draws of a ``MonteCarloLoop``.
-
-    Shared anonymous memory holds the legs' current points, which the parent
-    writes at the start of each step, and one slot of k gradients and k
-    losses. The parent asks for one draw at a time, as the loop's draw index
-    n on the child's request pipe, and for the next only after it has folded
-    the last; the helper makes draw n with the loop's ``_make``, evaluates it
-    at every leg at its inherited copy of the loop's noisy point, into the
-    slot, and answers one byte on the reply pipe. Any failure ends the
-    helper, which the parent reads as EOF. It is forked, not spawned, so
-    that it inherits the model and the batch instead of rebuilding or
-    unpickling them; the loop forks only while a single thread runs.
-    """
-
-    def __init__(self, child: ForkedChild, shared: np.ndarray, params: ParamSet, k: int):
-        self.child = child
-        size = params.size
-        self.points = shared[: k * size].reshape(k, size)
-        rows = shared[k * size : 2 * k * size].reshape(k, size)
-        self.grads = [unflatten_map(params, row) for row in rows]
-        self.losses = shared[2 * k * size :]
-
-    @classmethod
-    def fork(cls, loop: MonteCarloLoop, k: int) -> _Helper | None:
-        """Start a helper for ``loop``'s k legs; None when the system refuses."""
-        try:
-            shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * k * loop.params.size + k)))
-        except OSError:
-            return None
-        child = ForkedChild.fork(lambda c: cls(c, shared, loop.params, k).serve(loop))
-        return None if child is None else cls(child, shared, loop.params, k)
-
-    def serve(self, loop: MonteCarloLoop) -> None:
-        """The helper's life: evaluate each requested draw until EOF."""
-        while request := os.read(self.child.requests, 8):
-            (n,) = struct.unpack("q", request)
-            z = loop._make(n)
-            for j, (loss, grads) in enumerate(loop._passes(loop.keys[n][1], z, self.points)):
-                self.losses[j] = loss
-                _store(self.grads[j], grads)
-            os.write(self.child.replies, b"\1")
-
-    def start_step(self, first: int, legs: np.ndarray) -> None:
-        """Take the legs of the step whose first draw is ``first``; ask for
-        the one after it."""
-        np.copyto(self.points, legs)
-        self.request(first + 1)
-
-    def request(self, n: int) -> None:
-        try:
-            os.write(self.child.requests, struct.pack("q", n))
-        except OSError:  # a dead helper: the next take reads EOF
-            pass
-
-    def take(self) -> list[tuple[float, GradMap]] | None:
-        """(loss, gradient map) at every leg of the draw last asked for, or
-        None when the helper failed it or died."""
-        try:
-            done = os.read(self.child.replies, 1) == b"\1"
-        except OSError:
-            done = False
-        if not done:
-            return None
-        return [(float(loss), grads) for loss, grads in zip(self.losses, self.grads)]
-
-    def close(self) -> None:
-        self.child.close()
 
 
 def _noisy_point(spec: NoiseSpec, wj: np.ndarray, z: np.ndarray, noisy: np.ndarray) -> None:

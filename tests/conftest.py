@@ -4,14 +4,14 @@ import threading
 import numpy as np
 import pytest
 
-from proxprune import data, zoo
+from proxprune import data, smoothing, zoo
 
 
 @pytest.fixture(autouse=True)
 def no_child_or_thread_left_behind():
-    """Fail any test that leaves a child process (running or unreaped) or a
-    thread behind: helper processes must end with the call that forked them,
-    on every exit path."""
+    """Fail any test that leaves a child process (running or unreaped), a
+    helper counted as live, or a thread behind: helper processes must end
+    with the call that forked them, on every exit path."""
     threads = threading.active_count()
     yield
     try:
@@ -20,6 +20,8 @@ def no_child_or_thread_left_behind():
         pass
     else:
         pytest.fail("the test left a child process behind")
+    live, smoothing.ForkedChild.live = smoothing.ForkedChild.live, 0  # spare later tests
+    assert live == 0, "the test left a helper counted as live"
     assert threading.active_count() == threads, "the test left a thread running"
 
 

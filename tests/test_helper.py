@@ -1,8 +1,8 @@
 """A Monte Carlo loop may fork one helper process that evaluates the odd draws
 of every step. These tests force the helper on (gate constant 0, host check
 passed) and off (infinite constant) and require bitwise equal results; they
-also pin the gate itself and every way a helper can fail or a loop can end
-early.
+also pin the gate itself, the rule of one helper per process tree, and
+every way a helper can fail or a loop can end early.
 """
 import json
 import math
@@ -158,9 +158,9 @@ def test_prune_and_robustness_write_the_same_bytes_with_a_helper(
             out = tmp_path / f"{command}-{on}"
             assert cli.main([command, *mlp_ckpt, *extra, "--out", str(out)]) == 0
             written[command, on] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-    # prune: one loop; robustness: the criterion helper, whose moreau-gs loop
-    # forks its own, and the smooth and moreau loops
-    assert len(forks) == 4
+    # prune: one loop; robustness: the criterion helper only, as no loop of
+    # either process forks while it runs
+    assert len(forks) == 2
     for command in ("prune", "robustness"):
         assert written[command, True] == written[command, False]
 
@@ -550,9 +550,9 @@ def test_criterion_helper_reports_are_bitwise_equal(
             runs[setup, on] = report_bytes(experiment(args, criteria))
             assert ran_here == list(criteria[: 3 if on else 4])
             ran_here.clear()
-    # one criterion helper per experiment, plus the smooth and moreau loops
-    # of the parent when draw helpers are on
-    assert len(forks) == (6 if draw_helpers else 2) and no_child_left()
+    # one criterion helper per experiment; with draw helpers on too, no loop
+    # of either process forks while it runs
+    assert len(forks) == 2 and no_child_left()
     assert runs["mlp", True] == runs["mlp", False]
     assert runs["transformer", True] == runs["transformer", False]
 
@@ -625,3 +625,143 @@ def test_parent_recomputes_the_criterion_of_a_dead_or_failed_helper(
     assert len(forks) == 1 and no_child_left()
     assert ran_here == list(criteria)
     assert recomputed == alone
+
+
+# ForkedChild.fork is the one gate of every helper: a process tree runs at
+# most one at a time, as a child inherits its parent's live count. The
+# forks fixture sees this process only, so the tests of the whole tree log
+# every process's forks to a file.
+
+
+@pytest.fixture()
+def tree_forks(tmp_path, monkeypatch):
+    """A function listing, for each helper forked while the test runs in any
+    process of its tree, the pid of the process that forked it."""
+    log = tmp_path / "forks.log"
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+            os.write(fd, b"%d\n" % os.getpid())
+            os.close(fd)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
+
+
+@pytest.mark.parametrize("setup", ["mlp", "transformer"])
+@pytest.mark.parametrize(
+    "criteria, helper",
+    [
+        (("plain", "moreau"), None),  # the moreau loop's draw helper, over both legs
+        (("smooth", "moreau"), "moreau"),
+        (("plain", "smooth", "moreau", "moreau-gs"), "moreau-gs"),
+    ],
+    ids=["plain,moreau", "smooth,moreau", "all-four"],
+)
+def test_robustness_forks_one_helper_in_the_whole_process_tree(
+    small_mlp, transformer, monkeypatch, tree_forks, ran_here, setup, criteria, helper
+):
+    """With both gates forced open an experiment forks one process in its
+    whole tree: the criterion helper when it has two Monte Carlo criteria or
+    more, else the draw helper of its Monte Carlo loop. The reports are
+    those of no helper."""
+    model, legs, batch = transformer
+    args = small_mlp if setup == "mlp" else (model, legs[1], batch)
+    helper_on(monkeypatch, False)
+    alone = report_bytes(experiment(args, criteria))
+    assert tree_forks() == []
+    ran_here.clear()
+    helper_on(monkeypatch, True)
+    on = report_bytes(experiment(args, criteria))
+    assert tree_forks() == [os.getpid()] and no_child_left()
+    assert ran_here == [c for c in criteria if c != helper]
+    assert on == alone
+
+
+def gate_reopened() -> None:
+    """The live count is back to 0, so the gate lets the next helper fork."""
+    assert smoothing.ForkedChild.live == 0
+    child = smoothing.ForkedChild.fork(lambda c: None)
+    assert child is not None
+    child.close()
+    assert smoothing.ForkedChild.live == 0 and no_child_left()
+
+
+def test_gate_admits_one_helper_per_process_tree(monkeypatch, forks):
+    gate = smoothing.ForkedChild
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: True)
+
+    def serve(child):
+        nested = gate.fork(lambda grandchild: None)
+        os.write(child.replies, b"%d %d" % (gate.live, nested is None))
+
+    child = gate.fork(serve)
+    assert gate.live == 1 and gate.fork(serve) is None
+    with os.fdopen(child.replies, "rb", closefd=False) as replies:
+        said = replies.read()
+    child.close()
+    assert said == b"1 1"  # the child inherited the count and forked nothing
+    assert len(forks) == 1
+    gate_reopened()
+
+
+@pytest.mark.parametrize("end", ["closed", "fails", "killed"])
+def test_gate_reopens_after_a_draw_helper_ends(monkeypatch, forks, end):
+    parent = os.getpid()
+
+    class Ends(oracles.Quadratic):
+        def loss(self, p, batch):
+            if os.getpid() != parent and end == "fails":
+                raise MemoryError("only the helper runs out")
+            if os.getpid() == parent and end == "killed" and smoothing.ForkedChild.live:
+                os.kill(forks[0], signal.SIGKILL)
+            return super().loss(p, batch)
+
+    helper_on(monkeypatch, True)
+    cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.1, m=4, seed=0))
+    moreau.moreau_grad(Ends(), [oracles.wrap([1.0, -2.0])], None, cfg)
+    assert len(forks) == 1
+    gate_reopened()
+
+
+def test_gate_reopens_after_an_earlier_criterion_raises(small_mlp, monkeypatch, forks):
+    parent = os.getpid()
+    real = importance.run_criterion
+
+    def fails_here(criterion, *args, **kwargs):
+        if os.getpid() == parent and criterion == "smooth":
+            raise smoothing.SmoothingError("non-finite gradient in draw 0", 0)
+        return real(criterion, *args, **kwargs)
+
+    monkeypatch.setattr(importance, "run_criterion", fails_here)
+    criterion_helper_on(monkeypatch, True)
+    with pytest.raises(smoothing.SmoothingError, match="in draw 0"):
+        experiment(small_mlp, ("plain", "smooth", "moreau"))
+    assert len(forks) == 1
+    gate_reopened()
+
+
+@pytest.mark.parametrize("call, at", [("pipe", 1), ("pipe", 2), ("fork", 1)])
+def test_gate_reopens_after_a_refused_fork(monkeypatch, call, at):
+    real = getattr(os, call)
+    calls = []
+
+    def refuses():
+        calls.append(call)
+        if len(calls) == at:
+            raise OSError(24, "Too many open files")
+        return real()
+
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: True)
+    fds = os.listdir("/proc/self/fd")
+    monkeypatch.setattr(os, call, refuses)
+    assert smoothing.ForkedChild.fork(lambda c: None) is None
+    assert len(calls) == at
+    monkeypatch.undo()
+    assert os.listdir("/proc/self/fd") == fds  # every pipe end of the refused fork closed
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: True)
+    gate_reopened()
