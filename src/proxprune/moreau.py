@@ -102,8 +102,9 @@ class GroupLayout:
 
 def channel_layout(params: ParamSet, structures) -> GroupLayout:
     """Layout whose subsets are the flat indices of each prune structure."""
+    offsets = params.offsets()
     return GroupLayout(
-        [structure_flat_indices(params, st) for st in structures],
+        [structure_flat_indices(params, st, offsets) for st in structures],
         labels=[st.id for st in structures],
         size=params.size,
     )

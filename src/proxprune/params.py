@@ -160,14 +160,16 @@ class PruneGroup:
 
 
 def structure_flat_indices(
-    ps: ParamSet, structure: PruneStructure
+    ps: ParamSet, structure: PruneStructure, offsets: Mapping[str, int] | None = None
 ) -> np.ndarray:
-    """Flat-vector indices (ParamSet order) covered by a structure's slices."""
-    offsets = ps.offsets()
-    shapes = ps.shapes()
+    """Flat-vector indices (ParamSet order) covered by a structure's slices.
+    A caller that walks many structures passes ``offsets``, ``ps.offsets()``
+    computed once."""
+    if offsets is None:
+        offsets = ps.offsets()
     parts = []
     for s in structure.slices:
-        shape = shapes[s.param]
+        shape = ps[s.param].shape
         # row-major: index = (outer * extent + j) * inner + i
         outer = math.prod(shape[: s.axis])
         inner = math.prod(shape[s.axis + 1 :])

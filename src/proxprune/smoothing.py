@@ -17,12 +17,12 @@ Each draw is evaluated at every leg of a call: k weight vectors that share
 names and shapes, such as the two encodings of a robustness experiment. A
 ``MonteCarloLoop`` (one smoothing call, or one proximal loop across all of
 its steps) makes every one of its draws, walking its keys in order, on the
-thread that evaluates it. When its first draw shows that the loop's
-gradient passes outweigh the cost of a process, it may fork one helper that
-makes and evaluates the odd draws of every step while the parent makes and
-evaluates the even ones; ``ForkedChild.fork`` lets a process tree run one
-helper at a time. Either way the parent folds every draw into the mean in
-ascending draw order.
+thread that evaluates it. A loop of two draws or more per step asks
+``ForkedChild.fork``, before its first draw, for one helper that makes and
+evaluates the odd draws of every step while the parent makes and evaluates
+the even ones; the fork lets a process tree run one helper at a time.
+Either way the parent folds every draw into the mean in ascending draw
+order.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ import struct
 import threading
 from contextlib import closing
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Sequence
 
 import numpy as np
@@ -43,20 +42,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import GradMap
 from .params import ParamSet, stack_flat, unflatten_map
-
-# A loop asks ForkedChild.fork for a helper when the passes of its first
-# draw, times the draws still to evaluate, take at least this long. On a
-# 2-vCPU Xeon VM a helper costs about 1.6 ms to fork, 2.5 ms to kill and
-# reap, and some 3,800 page faults in the parent and 2,450 in the helper
-# while both write pages they shared; a pass also runs about 19% slower
-# while the other process computes. Forced on the benchmark's mlp-robustness
-# loops (99% of products below 0.053 s) a helper made the job 30-45% slower,
-# while tf-prune loops (0.150 s and up) gain about a quarter of a job. 0.09 s
-# keeps a margin of 1.6x or more to both. The mlp-robustness margin concerns
-# only loops outside a criterion helper: while one runs, the fork is refused
-# to every loop of the tree (README "Performance notes").
-HELPER_MIN_S = 0.09
-
 
 class SmoothingError(Exception):
     def __init__(self, msg: str, draw_index: int):
@@ -162,15 +147,14 @@ class MonteCarloLoop:
 
     Draw n of the loop is key n of ``keys``, and ``_make`` is the one place
     it is made, into the loop's one draw buffer, right before its passes.
-    The loop owns the noisy point its passes are evaluated at. The first
-    draw is made and evaluated on the caller's thread. Its passes, times the
-    draws still to evaluate, then decide: at ``HELPER_MIN_S`` or more the
-    loop asks ``ForkedChild.fork`` for one helper process that makes and
-    evaluates the odd draws of every step, while the parent makes the even
-    ones; else, or when the fork is refused, the parent makes every draw.
-    The parent folds each draw into the sums in ascending draw order.
+    The loop owns the noisy point its passes are evaluated at. At its first
+    step, before any draw is made, a loop of two draws or more per step asks
+    ``ForkedChild.fork`` for one helper process that makes and evaluates the
+    odd draws of every step, while the parent makes the even ones; when the
+    fork is refused, the parent makes every draw. The parent folds each draw
+    into the sums in ascending draw order.
 
-    Shared anonymous memory, mapped when the loop forks, holds the legs'
+    Shared anonymous memory, mapped right before the fork, holds the legs'
     current points, which the parent writes at the start of each step, and
     one slot of k gradients and k losses. The parent asks for one draw at a
     time (``_ask``), as its index n on the helper's request pipe, and for
@@ -204,6 +188,8 @@ class MonteCarloLoop:
         its map; return the mean noisy loss of each leg."""
         if self.taken == len(self.keys):
             raise IndexError(f"all {len(self.keys) // self.spec.m} steps were taken")
+        if self.taken == 0:
+            self._fork(legs.shape)
         first = self.taken
         self.taken += self.spec.m
         losses: list[list[float]] = [[] for _ in legs]
@@ -221,10 +207,7 @@ class MonteCarloLoop:
                     continue
                 self.close()  # failed or died: the parent makes the rest
             z = self._make(n)
-            start = perf_counter()
             _fold(i, self._passes(i, z, legs), means, losses)
-            if n == 0:
-                self._decide(legs, perf_counter() - start)
         return [math.fsum(ls) / self.spec.m for ls in losses]
 
     def _make(self, n: int) -> np.ndarray:
@@ -239,12 +222,12 @@ class MonteCarloLoop:
             _noisy_point(self.spec, wj, z, self.noisy)
             yield _eval(self.model, self.leaves, self.batch, draw=i)
 
-    def _decide(self, legs: np.ndarray, seconds: float) -> None:
-        """After the loop's first draw, which took ``seconds`` to evaluate:
-        ask for the helper when the draws still to come outweigh its cost."""
-        if self.spec.m < 2 or seconds * (len(self.keys) - 1) < HELPER_MIN_S:
+    def _fork(self, shape: tuple[int, int]) -> None:
+        """Map the shared memory for legs of ``shape`` and fork the helper,
+        unless a step has no odd draw or ``ForkedChild`` would refuse."""
+        if self.spec.m < 2 or not ForkedChild.may_fork():
             return
-        k, size = legs.shape
+        k, size = shape
         try:
             shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * k * size + k)))
         except OSError:
@@ -254,9 +237,6 @@ class MonteCarloLoop:
         self.slot_grads = [unflatten_map(self.params, row) for row in rows]
         self.slot_losses = shared[2 * k * size :]
         self.helper = ForkedChild.fork(self._serve)
-        if self.helper is not None:
-            np.copyto(self.points, legs)
-            self._ask(1)
 
     def _serve(self, child: ForkedChild) -> None:
         """The helper's life: evaluate each requested draw until EOF."""
@@ -329,12 +309,17 @@ class ForkedChild:
         self.pid, self.requests, self.replies = pid, requests, replies
 
     @classmethod
+    def may_fork(cls) -> bool:
+        """Whether ``fork`` will try: no child of this process tree runs and
+        the host has a CPU to spare (``_spare_cpu``)."""
+        return not cls.live and _spare_cpu()
+
+    @classmethod
     def fork(cls, serve) -> ForkedChild | None:
         """Fork a child that runs ``serve(child)`` on a ForkedChild of its own
-        pipe ends; None while a child of this process tree runs, when the
-        host has no CPU to spare (``_spare_cpu``), or when the system refuses
-        (no memory, descriptors or processes left)."""
-        if cls.live or not _spare_cpu():
+        pipe ends; None unless ``may_fork``, or when the system refuses (no
+        memory, descriptors or processes left)."""
+        if not cls.may_fork():
             return None
         cls.live += 1  # before the fork, so that the child inherits it
         fds: list[int] = []

@@ -4,7 +4,9 @@ buffer. These tests pin what that must keep: each draw is made once per
 criterion however many legs evaluate it, every draw runs on the main thread
 while no other thread does, no call starts a thread, every noisy point is
 formed from its keyed draw, and an error inside a draw reaches the caller as
-it was raised.
+it was raised. Every loop here runs in this process: the host check is
+forced to fail, so that neither a draw helper nor a criterion helper is
+forked (tests/test_helper.py covers both).
 """
 import sys
 import threading
@@ -21,6 +23,11 @@ from proxprune.params import unflatten_map
 from proxprune.smoothing import NoiseSpec
 
 import oracles
+
+
+@pytest.fixture(autouse=True)
+def no_helper(monkeypatch):
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: False)
 
 
 @pytest.fixture()
@@ -66,9 +73,7 @@ def benchmark_sized_settings():
     }
 
 
-def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_log, monkeypatch):
-    # every criterion in this process: no criterion helper takes one away
-    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: False)
+def test_consistency_experiment_draws_each_key_once_per_criterion(corpus, draw_log):
     model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
     params = model.init_params(5)
     batch, _ = data.make_batch(model, corpus, 6, seed=(3, 0, 0))
@@ -291,10 +296,7 @@ def test_a_divergence_error_mid_loop_leaves_no_thread(draw_log):
     assert threading.active_count() == before
 
 
-def test_worker_threads_end_when_prune_and_robustness_return(
-    tmp_path, corpus_file, draw_log, monkeypatch
-):
-    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: False)  # no criterion helper
+def test_worker_threads_end_when_prune_and_robustness_return(tmp_path, corpus_file, draw_log):
     model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
     ckpt = tmp_path / "model.ckpt"
     checkpoint.save(ckpt, model.arch(), model.init_params(3), model.structures(), model.groups())

@@ -1,11 +1,12 @@
 """A Monte Carlo loop may fork one helper process that evaluates the odd draws
-of every step. These tests force the helper on (gate constant 0, host check
-passed) and off (infinite constant) and require bitwise equal results; they
-also pin the gate itself, the rule of one helper per process tree, and
-every way a helper can fail or a loop can end early.
+of every step. These tests force the host check to pass, which lets every
+loop of two draws or more fork, or to fail, which lets none, and require
+bitwise equal results; they also pin when a loop forks, the rule of one
+helper per process tree, and every way a helper can fail or a loop can end
+early.
 """
 import json
-import math
+import mmap
 import os
 import signal
 import subprocess
@@ -44,11 +45,10 @@ def forks(monkeypatch):
 
 
 def helper_on(monkeypatch, on: bool) -> None:
-    """Force every loop of two draws or more to fork a helper, or none to.
-    The host check is forced the same way: the suite may run beside a
-    threaded BLAS, where the real check refuses, or with BLAS on one thread,
-    where it lets a robustness experiment fork its criterion helper."""
-    monkeypatch.setattr(smoothing, "HELPER_MIN_S", 0.0 if on else math.inf)
+    """Let every loop of two draws or more, and every robustness experiment
+    with two Monte Carlo criteria or more, fork a helper, or none: the suite
+    may run beside a threaded BLAS, where the real host check refuses, or
+    with BLAS on one thread, where it passes."""
     monkeypatch.setattr(smoothing, "_spare_cpu", lambda: on)
 
 
@@ -165,24 +165,53 @@ def test_prune_and_robustness_write_the_same_bytes_with_a_helper(
         assert written[command, True] == written[command, False]
 
 
-def test_default_gate_forks_for_slow_passes_only(monkeypatch, forks):
-    class Slow(oracles.Quadratic):
-        def loss(self, p, batch):
-            time.sleep(0.01)
-            return super().loss(p, batch)
+def test_loop_forks_before_its_first_pass_unless_refused(monkeypatch):
+    """However short its passes, a loop of two draws or more per step forks
+    its helper once, before its first evaluation; a loop of one draw never
+    forks, and beside a live helper a loop neither maps memory nor forks."""
+    parent = os.getpid()
+    events = []
+    real_fork, real_mmap, real_eval = os.fork, mmap.mmap, smoothing._eval
 
-    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: True)
-    cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=10, noise=NoiseSpec(scale=0.1, m=2, seed=0))
+    def fork():
+        pid = real_fork()
+        if pid:
+            events.append("fork")
+        return pid
+
+    def mapped(*args, **kwargs):
+        events.append("mmap")
+        return real_mmap(*args, **kwargs)
+
+    def evaluated(*args, **kwargs):
+        if os.getpid() == parent:
+            events.append("eval")
+        return real_eval(*args, **kwargs)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(mmap, "mmap", mapped)
+    monkeypatch.setattr(smoothing, "_eval", evaluated)
+    helper_on(monkeypatch, True)
     legs = [oracles.wrap([1.0, -2.0])]
-    # 19 draws left after a pass of a few us: far below the constant
-    moreau.moreau_grad(oracles.Quadratic(), legs, None, cfg)
-    assert forks == []
-    # 19 draws left after a pass of at least 10 ms: 0.19 s or more
-    slow = moreau.moreau_grad(Slow(), legs, None, cfg)
-    assert len(forks) == 1
-    helper_on(monkeypatch, False)
-    alone = moreau.moreau_grad(Slow(), legs, None, cfg)
-    assert flat_bytes([slow.legs[0].mg], legs[0]) == flat_bytes([alone.legs[0].mg], legs[0])
+
+    def loop(m):
+        cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=NoiseSpec(scale=0.1, m=m, seed=0))
+        events.clear()
+        out = moreau.moreau_grad(oracles.Quadratic(), legs, None, cfg)
+        return flat_bytes([out.legs[0].mg], legs[0])
+
+    forked = loop(2)
+    assert events[:3] == ["mmap", "fork", "eval"] and events.count("fork") == 1
+    assert no_child_left()
+    loop(1)
+    assert events == ["eval"] * 3
+    busy = smoothing.ForkedChild.fork(lambda child: os.read(child.requests, 1))
+    try:
+        assert loop(2) == forked
+        assert events == ["eval"] * 6  # neither "mmap" nor a second "fork"
+    finally:
+        busy.close()
+    assert no_child_left()
 
 
 def test_parent_beside_a_helper_makes_its_even_draws_inline_and_starts_no_thread(
@@ -391,7 +420,7 @@ def test_host_check_refuses_a_helper_beside_a_blas_pool(tmp_path, threads, force
     passes. Either way the gradients are those of no helper."""
     script = tmp_path / "run.py"
     script.write_text(
-        "import math, os, sys\n"
+        "import os, sys\n"
         "import numpy as np\n"
         "from proxprune import moreau, smoothing, zoo\n"
         "from proxprune.moreau import MoreauConfig\n"
@@ -415,8 +444,8 @@ def test_host_check_refuses_a_helper_beside_a_blas_pool(tmp_path, threads, force
         "batch = (rng.standard_normal((128, 64)), rng.integers(0, 64, 128))\n"
         "cfg = MoreauConfig(steps=4, noise=NoiseSpec(scale=0.05, m=4, seed=0))\n"
         "runs = []\n"
-        "for gate in (math.inf, 0.0):\n"
-        "    smoothing.HELPER_MIN_S = gate\n"
+        "for check in (lambda: False, smoothing._spare_cpu):\n"
+        "    smoothing._spare_cpu = check\n"
         "    out = moreau.moreau_grad(model, [params], batch, cfg)\n"
         "    runs.append(flatten_map(params, out.legs[0].mg))\n"
         "assert runs[0].tobytes() == runs[1].tobytes()\n"
@@ -458,8 +487,9 @@ def test_cli_import_leaves_the_executor_unimported(tmp_path, mlp_ckpt):
 
 # A robustness experiment with two Monte Carlo criteria or more forks one
 # criterion helper for the last of them; the tests below force the host
-# check and keep every Monte Carlo loop in its own process unless they say
-# otherwise.
+# check. While the criterion helper runs no loop of the tree forks, so a
+# loop forks a draw helper only in an experiment without one, or once the
+# criterion helper is closed.
 
 EXPERIMENT_SETTINGS = {
     "smooth": NoiseSpec(scale=0.05, m=3, seed=0),
@@ -476,13 +506,6 @@ def small_mlp(corpus):
     params = model.init_params(5)
     batch, _ = data.make_batch(model, corpus, 6, seed=(3, 0, 0))
     return model, params, batch
-
-
-def criterion_helper_on(monkeypatch, on: bool) -> None:
-    """Let a robustness experiment fork its criterion helper, or not; no
-    Monte Carlo loop forks a draw helper either way."""
-    monkeypatch.setattr(smoothing, "HELPER_MIN_S", math.inf)
-    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: on)
 
 
 def experiment(setup, criteria):
@@ -527,16 +550,28 @@ def ran_here(monkeypatch):
 def test_criterion_helper_forks_once_for_the_last_of_two_monte_carlo_criteria(
     small_mlp, monkeypatch, forks, ran_here, criteria, helper
 ):
-    criterion_helper_on(monkeypatch, True)
+    criterion_helpers = []
+    real = robustness._fork_report
+
+    def logged(report, criterion):
+        child = real(report, criterion)
+        if child is not None:
+            criterion_helpers.append(criterion)
+        return child
+
+    monkeypatch.setattr(robustness, "_fork_report", logged)
+    helper_on(monkeypatch, True)
     reports = experiment(small_mlp, criteria)
     assert [r.criterion for r in reports] == list(criteria)
-    assert len(forks) == (helper is not None) and no_child_left()
+    assert criterion_helpers == ([helper] if helper is not None else [])
+    # without a criterion helper the one Monte Carlo loop forks its own
+    draw_helpers = helper is None and any(c in importance.MONTE_CARLO for c in criteria)
+    assert len(forks) - len(criterion_helpers) == draw_helpers and no_child_left()
     assert ran_here == [c for c in criteria if c != helper]
 
 
-@pytest.mark.parametrize("draw_helpers", [False, True])
 def test_criterion_helper_reports_are_bitwise_equal(
-    small_mlp, transformer, monkeypatch, forks, ran_here, draw_helpers
+    small_mlp, transformer, monkeypatch, forks, ran_here
 ):
     model, legs, batch = transformer
     criteria = ("plain", "smooth", "moreau", "moreau-gs")
@@ -544,14 +579,12 @@ def test_criterion_helper_reports_are_bitwise_equal(
     for setup in ("mlp", "transformer"):
         args = small_mlp if setup == "mlp" else (model, legs[1], batch)
         for on in (False, True):
-            criterion_helper_on(monkeypatch, on)
-            if on and draw_helpers:  # every loop of either process forks too
-                monkeypatch.setattr(smoothing, "HELPER_MIN_S", 0.0)
+            helper_on(monkeypatch, on)
             runs[setup, on] = report_bytes(experiment(args, criteria))
             assert ran_here == list(criteria[: 3 if on else 4])
             ran_here.clear()
-    # one criterion helper per experiment; with draw helpers on too, no loop
-    # of either process forks while it runs
+    # one criterion helper per experiment, and no loop of either process
+    # forks while it runs
     assert len(forks) == 2 and no_child_left()
     assert runs["mlp", True] == runs["mlp", False]
     assert runs["transformer", True] == runs["transformer", False]
@@ -569,10 +602,12 @@ def test_criterion_helper_divergence_exits_5_with_the_in_process_message(
     argv = ["robustness", *mlp_ckpt[2:], "--config", str(ini)]
     errors = []
     for on in (False, True):
-        criterion_helper_on(monkeypatch, on)
+        helper_on(monkeypatch, on)
         assert cli.main([*argv, "--out", str(tmp_path / str(on))]) == cli.EXIT_OPTIMIZER
         errors.append(capsys.readouterr().err)
-    assert len(forks) == 1 and no_child_left()
+    # the criterion helper, then the draw helper of the parent's recomputed
+    # moreau loop
+    assert len(forks) == 2 and no_child_left()
     assert errors[0] == errors[1]
     assert errors[0].startswith("optimizer error: proximal iterate diverged at step 0")
 
@@ -591,7 +626,7 @@ def test_earlier_failing_criterion_kills_the_criterion_helper(
         return real(criterion, *args, **kwargs)
 
     monkeypatch.setattr(importance, "run_criterion", fails_here)
-    criterion_helper_on(monkeypatch, True)
+    helper_on(monkeypatch, True)
     start = time.monotonic()
     with pytest.raises(smoothing.SmoothingError, match="in draw 0"):
         experiment(small_mlp, ("plain", "smooth", "moreau"))
@@ -604,7 +639,7 @@ def test_parent_recomputes_the_criterion_of_a_dead_or_failed_helper(
     small_mlp, monkeypatch, forks, ran_here, how
 ):
     criteria = ("plain", "smooth", "moreau", "moreau-gs")
-    criterion_helper_on(monkeypatch, False)
+    helper_on(monkeypatch, False)
     alone = report_bytes(experiment(small_mlp, criteria))
     ran_here.clear()
     parent = os.getpid()
@@ -620,9 +655,11 @@ def test_parent_recomputes_the_criterion_of_a_dead_or_failed_helper(
         return logged(criterion, *args, **kwargs)
 
     monkeypatch.setattr(importance, "run_criterion", breaks_helper)
-    criterion_helper_on(monkeypatch, True)
+    helper_on(monkeypatch, True)
     recomputed = report_bytes(experiment(small_mlp, criteria))
-    assert len(forks) == 1 and no_child_left()
+    # the criterion helper, then the draw helper of the parent's recomputed
+    # moreau-gs loop
+    assert len(forks) == 2 and no_child_left()
     assert ran_here == list(criteria)
     assert recomputed == alone
 
@@ -738,7 +775,7 @@ def test_gate_reopens_after_an_earlier_criterion_raises(small_mlp, monkeypatch, 
         return real(criterion, *args, **kwargs)
 
     monkeypatch.setattr(importance, "run_criterion", fails_here)
-    criterion_helper_on(monkeypatch, True)
+    helper_on(monkeypatch, True)
     with pytest.raises(smoothing.SmoothingError, match="in draw 0"):
         experiment(small_mlp, ("plain", "smooth", "moreau"))
     assert len(forks) == 1
