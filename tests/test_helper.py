@@ -570,22 +570,34 @@ def test_criterion_helper_forks_once_for_the_last_of_two_monte_carlo_criteria(
     assert ran_here == [c for c in criteria if c != helper]
 
 
+@pytest.mark.parametrize("draw_helpers", [False, True])
 def test_criterion_helper_reports_are_bitwise_equal(
-    small_mlp, transformer, monkeypatch, forks, ran_here
+    small_mlp, transformer, monkeypatch, forks, ran_here, draw_helpers
 ):
+    """A criterion helper's reports equal those of an experiment without
+    one, whose loops run in one process or, with draw_helpers, each fork a
+    draw helper of their own."""
     model, legs, batch = transformer
     criteria = ("plain", "smooth", "moreau", "moreau-gs")
-    runs = {}
+    monte_carlo = [c for c in criteria if c in importance.MONTE_CARLO]
+    real = robustness._fork_report
+    runs, forked = {}, {}
     for setup in ("mlp", "transformer"):
         args = small_mlp if setup == "mlp" else (model, legs[1], batch)
         for on in (False, True):
-            helper_on(monkeypatch, on)
+            helper_on(monkeypatch, on or draw_helpers)
+            refused = lambda report, criterion: None  # noqa: E731
+            monkeypatch.setattr(robustness, "_fork_report", real if on else refused)
+            before = len(forks)
             runs[setup, on] = report_bytes(experiment(args, criteria))
+            forked[setup, on] = len(forks) - before
             assert ran_here == list(criteria[: 3 if on else 4])
             ran_here.clear()
     # one criterion helper per experiment, and no loop of either process
-    # forks while it runs
-    assert len(forks) == 2 and no_child_left()
+    # forks while it runs; without one, each Monte Carlo loop forks its own
+    alone = len(monte_carlo) if draw_helpers else 0
+    assert forked == {(s, on): 1 if on else alone for s, on in forked}
+    assert no_child_left()
     assert runs["mlp", True] == runs["mlp", False]
     assert runs["transformer", True] == runs["transformer", False]
 
