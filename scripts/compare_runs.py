@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Semantic diff of two proxprune output directories.
+
+For every file of either directory (matched by relative path) it prints:
+
+* for a JSON report, each field that differs, with list indices folded to
+  ``[]`` and counted; the largest relative change of a float field
+  (scores, losses, distances; ids and counts are ints); the ids that each
+  prune set (``prune_set``, ``prune_set_a``, ``prune_set_b``) holds in one
+  run only; and, for an importance report, the classes whose prune cut
+  falls between equal scores in one run only. Cuts are taken per class, as ``prune`` ranks by default;
+  the report does not record ``global_pool``. A robustness report holds no
+  per-group scores, so its tied cuts cannot be compared;
+* for any other file (checkpoints, CSV), whether its bytes are equal.
+
+The last line is the verdict. Exit code 0: the runs are equal (same files,
+equal JSON values, equal bytes elsewhere); 1: they differ; 2: bad arguments.
+
+    python scripts/compare_runs.py runs/parent runs/change
+"""
+import argparse
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+from proxprune.importance import tied_cuts
+
+
+def leaves(doc, path=""):
+    """(path, value) of every scalar of a JSON document."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            yield from leaves(doc[key], f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from leaves(value, f"{path}[{i}]")
+    else:
+        yield path, doc
+
+
+def same(a, b) -> bool:
+    if type(a) is not type(b):
+        return False
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+def rel_change(a, b) -> float:
+    scale = max(abs(a), abs(b))
+    return abs(a - b) / scale if scale else 0.0
+
+
+def prune_sets(doc, path=""):
+    """(label, ids) of every prune_set* list; a row is labelled by its criterion."""
+    if isinstance(doc, dict):
+        for key in sorted(doc):
+            where = f"{path}.{key}" if path else key
+            if key.startswith("prune_set") and isinstance(doc[key], list):
+                crit = f" ({doc['criterion']})" if "criterion" in doc else ""
+                yield where + crit, doc[key]
+            else:
+                yield from prune_sets(doc[key], where)
+    elif isinstance(doc, list):
+        for i, value in enumerate(doc):
+            yield from prune_sets(value, f"{path}[{i}]")
+
+
+def tied(doc):
+    groups = doc.get("groups")
+    if not isinstance(groups, list):
+        return None
+    scores = {g["id"]: g["score"] for g in groups}
+    chosen = [g["id"] for g in groups if g["pruned"]]
+    return tied_cuts(scores, chosen, {g["id"]: g["class"] for g in groups})
+
+
+def compare_json(a, b) -> list[str]:
+    """Lines describing how document b differs from a; empty when equal."""
+    la, lb = dict(leaves(a)), dict(leaves(b))
+    by_pattern: dict[str, list[str]] = {}
+    for path in sorted(la.keys() | lb.keys()):
+        by_pattern.setdefault(re.sub(r"\[\d+\]", "[]", path), []).append(path)
+    lines, largest = [], None
+    for pattern, paths in by_pattern.items():
+        diff = [p for p in paths if not (p in la and p in lb and same(la[p], lb[p]))]
+        if not diff:
+            continue
+        p = diff[0]
+        shown = f"{p}: {la.get(p, '<absent>')!r} -> {lb.get(p, '<absent>')!r}"
+        if len(paths) > 1:
+            shown = f"{pattern}: {len(diff)} of {len(paths)} differ, e.g. {shown}"
+        lines.append(shown)
+        for p in diff:
+            if isinstance(la.get(p), float) and isinstance(lb.get(p), float):
+                r = rel_change(la[p], lb[p])
+                if largest is None or r > largest[0]:
+                    largest = (r, p)
+    if largest is not None:
+        r, p = largest
+        lines.append(f"largest relative change: {r:.3g} at {p} ({la[p]!r} -> {lb[p]!r})")
+    sets_a, sets_b = dict(prune_sets(a)), dict(prune_sets(b))
+    for label in sorted(sets_a.keys() | sets_b.keys()):
+        ids_a, ids_b = set(sets_a.get(label, ())), set(sets_b.get(label, ()))
+        if ids_a != ids_b:
+            lines.append(
+                f"prune set {label}: only in A {sorted(ids_a - ids_b)}, only in B {sorted(ids_b - ids_a)}"
+            )
+    ties_a, ties_b = tied(a), tied(b)
+    if ties_a != ties_b:
+        lines.append(f"tied cuts: A {list(ties_a or ())}, B {list(ties_b or ())}")
+    return lines
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description="Semantic diff of two proxprune output directories.")
+    p.add_argument("a", type=Path)
+    p.add_argument("b", type=Path)
+    args = p.parse_args(argv)
+    for d in (args.a, args.b):
+        if not d.is_dir():
+            p.error(f"{d} is not a directory")
+    files = {
+        f.relative_to(d).as_posix()
+        for d in (args.a, args.b) for f in d.rglob("*") if f.is_file()
+    }
+    differ = False
+    for name in sorted(files):
+        fa, fb = args.a / name, args.b / name
+        if not (fa.is_file() and fb.is_file()):
+            print(f"{name}: only in {'A' if fa.is_file() else 'B'}")
+            differ = True
+            continue
+        if name.endswith(".json"):
+            doc_a, doc_b = (json.loads(f.read_text(encoding="utf-8")) for f in (fa, fb))
+            lines = compare_json(doc_a, doc_b)
+            n_sets = len(dict(prune_sets(doc_a)))
+            ties = tied(doc_a)
+            summary = f"{n_sets} prune set{'s' * (n_sets != 1)}"
+            summary += f", tied cuts {list(ties)}" if ties is not None else ", no tied cuts recorded"
+            print(f"{name}: {'differs' if lines else 'equal'} ({summary})")
+            for line in lines:
+                print(f"  {line}")
+            differ |= bool(lines)
+        else:
+            equal = fa.read_bytes() == fb.read_bytes()
+            print(f"{name}: bytes {'equal' if equal else 'differ'}")
+            differ |= not equal
+    print(f"verdict: {'differ' if differ else 'equal'}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -170,11 +170,12 @@ def structure_flat_indices(
     parts = []
     for s in structure.slices:
         shape = ps[s.param].shape
-        # row-major: index = (outer * extent + j) * inner + i
-        outer = math.prod(shape[: s.axis])
-        inner = math.prod(shape[s.axis + 1 :])
-        picked = np.arange(shape[s.axis], dtype=np.int64)[s.start : s.stop]
-        rows = (np.arange(outer, dtype=np.int64)[:, None] * shape[s.axis] + picked) * inner
-        local = (rows[:, :, None] + np.arange(inner, dtype=np.int64)).reshape(-1)
-        parts.append(local + offsets[s.param])
+        # row-major: index = (o * extent + j) * inner + i, so for each o the
+        # slice covers one run of (stop - start) * inner indices
+        extent, inner = shape[s.axis], math.prod(shape[s.axis + 1 :])
+        step = extent * inner
+        first = offsets[s.param] + s.start * inner
+        starts = np.arange(first, first + math.prod(shape[: s.axis]) * step, step, dtype=np.int64)
+        run = np.arange((s.stop - s.start) * inner, dtype=np.int64)
+        parts.append((starts[:, None] + run).reshape(-1))
     return np.sort(np.concatenate(parts)) if parts else np.zeros(0, dtype=np.int64)

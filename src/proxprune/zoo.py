@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -49,6 +49,17 @@ class TrainingDivergedError(ZooError):
         super().__init__(f"non-finite loss at epoch {epoch}, step {step}")
         self.epoch = epoch
         self.step = step
+
+
+@lru_cache(maxsize=8)
+def causal_mask(n: int) -> np.ndarray:
+    """The (n, n) additive causal mask, -1e9 above the diagonal: large
+    negative but finite, so every intermediate stays finite. Every layer of
+    every pass at length n shares one read-only copy; the last 8 lengths
+    stay cached."""
+    mask = np.triu(np.full((n, n), -1e9), k=1)
+    mask.flags.writeable = False
+    return mask
 
 
 class _Declared:
@@ -255,9 +266,7 @@ class TinyTransformer(_Declared):
                 f"transformer: sequence length {n_tok} exceeds max_len {a.max_len}"
             )
         h = ad.add(ad.embedding(p["embed"], ids), ad.embedding(p["pos"], np.arange(n_tok)))
-        # causal mask, shared by every layer; large negative but finite, so
-        # every intermediate stays finite
-        mask = np.triu(np.full((n_tok, n_tok), -1e9), k=1)
+        mask = causal_mask(n_tok)
         for l in range(self.n_layers):
             normed = ad.layer_norm(h, p[f"l{l}.ln1.g"], p[f"l{l}.ln1.b"])
             h = ad.add(h, self._attention(p, normed, l, mask))

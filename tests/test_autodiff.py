@@ -394,3 +394,56 @@ def test_out_of_vocab_token_reports_sample_index():
     with pytest.raises(ad.OutOfVocabError) as exc:
         zoo.batch_loss(model, params, ids)
     assert exc.value.sample_index == 1
+
+
+def _block_tape(x, p):
+    """The (op, input nodes) of one transformer block whose input is node x
+    and whose parameters are the leaves p to p + 15; it writes nodes x + 1
+    to x + 29, its output."""
+    entries = [("layer_norm", (x, p, p + 1))]
+    for j in range(3):  # q, k, v
+        m = x + 2 + 4 * j
+        entries += [
+            ("matmul", (x + 1, p + 2 + 2 * j)), ("add", (m, p + 3 + 2 * j)),
+            ("reshape", (m + 1,)), ("transpose", (m + 2,)),
+        ]
+    return entries + [
+        ("transpose", (x + 9,)), ("matmul", (x + 5, x + 14)), ("softmax", (x + 15,)),
+        ("matmul", (x + 16, x + 13)), ("transpose", (x + 17,)), ("reshape", (x + 18,)),
+        ("matmul", (x + 19, p + 8)), ("add", (x + 20, p + 9)), ("add", (x, x + 21)),
+        ("layer_norm", (x + 22, p + 10, p + 11)), ("matmul", (x + 23, p + 12)),
+        ("add", (x + 24, p + 13)), ("gelu", (x + 25,)), ("matmul", (x + 26, p + 14)),
+        ("add", (x + 27, p + 15)), ("add", (x + 22, x + 28)),
+    ]
+
+
+# One benchmark-transformer pass at batch 1: nodes 0-37 are the parameter
+# leaves, and entry i writes node 38 + i. A change to the recording path
+# must leave this sequence as it is.
+BENCHMARK_TRANSFORMER_TAPE = [
+    ("embedding", (0,)), ("embedding", (1,)), ("add", (38, 39)),
+    *_block_tape(40, 2), *_block_tape(69, 18),
+    ("layer_norm", (98, 34, 35)), ("matmul", (99, 36)), ("add", (100, 37)),
+    ("cross_entropy", (101,)),
+]
+
+
+def test_benchmark_transformer_pass_records_the_pinned_tape():
+    model = zoo.TinyTransformer.build(256, 32, 4, 2)
+    params = dict(model.init_params(0))
+    batch = np.random.default_rng(0).integers(0, 256, size=(1, 129))
+    _, tape = ad.forward(model.loss, params, batch)
+    assert len(tape.leaves) == 38
+    assert [(e.op, e.inputs) for e in tape.entries] == BENCHMARK_TRANSFORMER_TAPE
+    assert [e.output for e in tape.entries] == list(range(38, 38 + 65))
+    # walking backwards, an output's shape is that of a later entry's
+    # contribution to it; the last output is the scalar loss
+    shapes = {tape.entries[-1].output: ()}
+    rng = np.random.default_rng(1)
+    for e in reversed(tape.entries):
+        contribs = e.backward(np.asarray(rng.normal(size=shapes[e.output])))
+        assert type(contribs) is list
+        assert [node for node, _ in contribs] == list(e.inputs)
+        for node, contrib in contribs:
+            assert type(contrib) is np.ndarray
+            shapes.setdefault(node, contrib.shape)

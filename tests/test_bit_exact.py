@@ -1,10 +1,12 @@
 """Bit-exact oracles for the allocation-lean hot loops.
 
 The Monte Carlo loop, the proximal loop, gelu, softmax (with attention's
-scale and causal mask folded in) and the cross-entropy adjoint run in place
-on flat buffers, and physical pruning deletes each parameter's slices in one
-call. Each is pinned here, bit for bit (uint64 views), against the
-straightforward formulation it replaced, kept below as the oracle. The oracles are test code only; the package has one runtime path.
+scale and causal mask folded in), layer_norm and the cross-entropy adjoint
+run in place on flat buffers, the transformer shares one cached causal mask
+per length, structure indices are built from runs, and physical pruning
+deletes each parameter's slices in one call. Each is pinned here, bit for
+bit (uint64 views), against the straightforward formulation it replaced,
+kept below as the oracle. The oracles are test code only; the package has one runtime path.
 """
 import math
 
@@ -21,7 +23,7 @@ from proxprune.moreau import (
     group_sparse_moreau_grad,
     moreau_grad,
 )
-from proxprune.params import ParamSet, flatten_map, structure_flat_indices
+from proxprune.params import ParamSet, PruneStructure, Slice, flatten_map, structure_flat_indices
 from proxprune.smoothing import NoiseSpec, smoothed_grad, smoothed_loss_and_grad
 
 import oracles
@@ -113,6 +115,24 @@ def oracle_softmax(xd, g):
     return out, out * (g - (g * out).sum(axis=-1, keepdims=True))
 
 
+def oracle_layer_norm(xd, gd, bd, g, eps=1e-5):
+    """(out, dx, dgain, dbias) through numpy's mean."""
+    d = xd.shape[-1]
+    mu = xd.mean(axis=-1, keepdims=True)
+    xc = xd - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    out = gd * xhat + bd
+    dxhat = g * gd
+    dx = inv * (
+        dxhat
+        - dxhat.mean(axis=-1, keepdims=True)
+        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+    )
+    return out, dx, (g * xhat).reshape(-1, d).sum(axis=0), g.reshape(-1, d).sum(axis=0)
+
+
 def oracle_structure_flat_indices(ps: ParamSet, structure):
     offsets = ps.offsets()
     shapes = ps.shapes()
@@ -168,6 +188,17 @@ SPECS = [
     NoiseSpec(scale=0.0, m=3, seed=5),
 ]
 SPEC_IDS = ["rel-m1", "rel-m3", "abs-m3", "scale0"]
+
+
+def shrunk_transformer_case():
+    """A transformer whose layers keep different head and channel counts."""
+    model = zoo.TinyTransformer.build(16, 12, 3, 2, max_len=8)
+    params = model.init_params(5)
+    structures = model.structures()
+    drop = [structures[1].id, structures[2].id] + [st.id for st in structures[20:27]]
+    small, params = prune_model(model, params, tuple(sorted(drop)))
+    assert small.a.heads == [1, 3] and small.a.ffn[0] != small.a.ffn[1]
+    return small, params, np.random.default_rng(6).integers(0, 16, size=(2, 8))
 
 
 # --- Monte Carlo and proximal loops ------------------------------------------
@@ -468,6 +499,37 @@ def test_cross_entropy_blocked_exp_sum_matches_whole_array_bitwise(shape):
     assert_same_bits(dx, (1.0 / count) * p.reshape(shape))
 
 
+def layer_norm_inputs():
+    """Benchmark-sized inputs, then rows of width 24, where dividing by d
+    and multiplying by 1/d differ."""
+    rng = np.random.default_rng(12)
+    constant = np.full((1, 4, 24), 0.75)  # var 0 in every row
+    offset = rng.normal(size=(2, 5, 24)) + np.array([[[1e6]], [[-3e8]]])
+    return [
+        rng.normal(size=(1, 128, 32)),
+        rng.normal(size=(4, 128, 32)) * 3.0 + 0.5,
+        constant,
+        offset,
+        np.concatenate([constant, offset[:1, :4], rng.normal(size=(1, 9, 24))], axis=1),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5), ids=["b1", "b4", "var0", "offset", "mixed"])
+def test_layer_norm_matches_mean_oracle_bitwise(case):
+    """add.reduce / d is numpy's mean, and the in-place buffers keep every
+    operation and its order."""
+    x = layer_norm_inputs()[case]
+    rng = np.random.default_rng(13)
+    gain, bias = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+    g = rng.normal(size=x.shape)
+    tape = ad.Tape()
+    out = ad.layer_norm(tape.leaf("x", x), tape.leaf("g", gain), tape.leaf("b", bias))
+    (_, dx), (_, dgain), (_, dbias) = tape.entries[-1].backward(g)
+    for got, want in zip((out.data, dx, dgain, dbias), oracle_layer_norm(x, gain, bias, g)):
+        assert got.shape == want.shape
+        assert_same_bits(got, want)
+
+
 # --- lockstep legs -------------------------------------------------------------
 
 
@@ -556,9 +618,12 @@ def test_legs_must_share_names_order_and_shapes():
 # --- layouts -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", CASES)
+LAYOUT_CASES = {**CASES, "shrunk-transformer": shrunk_transformer_case}
+
+
+@pytest.mark.parametrize("case", LAYOUT_CASES)
 def test_structure_flat_indices_match_index_grid(case):
-    model, params, _ = CASES[case]()
+    model, params, _ = LAYOUT_CASES[case]()
     for st in model.structures():
         got = structure_flat_indices(params, st)
         assert got.dtype == np.int64
@@ -572,6 +637,48 @@ def test_structure_flat_indices_on_benchmark_sized_models():
             assert np.array_equal(
                 structure_flat_indices(params, st), oracle_structure_flat_indices(params, st)
             )
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_structure_flat_indices_on_each_axis_of_a_3d_parameter(axis):
+    params = ParamSet([("a", np.zeros((2, 3))), ("t", np.zeros((3, 4, 5))), ("b", np.zeros(7))])
+    extent = params["t"].shape[axis]
+    for start in range(extent):
+        for stop in range(start + 1, extent + 1):
+            st = PruneStructure(0, (Slice("t", axis, start, stop), Slice("b", 0, 1, 3)), "x", "channel")
+            got = structure_flat_indices(params, st)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, oracle_structure_flat_indices(params, st))
+
+
+# --- causal mask -------------------------------------------------------------
+
+
+def test_causal_mask_is_the_triu_mask_and_read_only():
+    for n in (1, 2, 64, 128):
+        mask = zoo.causal_mask(n)
+        assert_same_bits(mask, np.triu(np.full((n, n), -1e9), k=1))
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, -1] = 0.0
+        assert zoo.causal_mask(n) is mask
+
+
+def test_cached_mask_gives_the_uncached_loss_bits(monkeypatch):
+    model = zoo.TinyTransformer.build(256, 32, 4, 2)
+    params = dict(model.init_params(0))
+    rng = np.random.default_rng(14)
+    batches = [rng.integers(0, 256, size=(1, n)) for n in (129, 65, 129)]
+    zoo.causal_mask.cache_clear()
+    cached = [ad.gradient(model.loss, params, b) for b in batches]
+    info = zoo.causal_mask.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)  # one entry per length
+    assert info.maxsize is not None
+    monkeypatch.setattr(zoo, "causal_mask", lambda n: np.triu(np.full((n, n), -1e9), k=1))
+    for (loss, grads), b in zip(cached, batches):
+        want_loss, want = ad.gradient(model.loss, params, b)
+        assert_same_bits(loss, want_loss)
+        for name in want:
+            assert_same_bits(grads[name], want[name])
 
 
 @pytest.mark.parametrize(
