@@ -234,15 +234,14 @@ def run_criterion(
     *,
     global_pool: bool = False,
     settings: NoiseSpec | _moreau.MoreauConfig | None = None,
-    layout: _moreau.GroupLayout | None = None,
 ) -> list[ImportanceReport]:
     """Full deterministic pipeline: criterion -> scores -> ranked prune set
     over the model's own structures and groups, one report per leg.
 
     ``settings`` is what the criterion needs besides the batch (see
     ``RunConfig.settings``): nothing for plain, a NoiseSpec for smooth and a
-    MoreauConfig for moreau and moreau-gs. ``layout`` is the channel layout
-    of the structures for moreau-gs; it is built here when not given.
+    MoreauConfig for moreau and moreau-gs. Only moreau-gs builds a channel
+    layout, from the first leg, and it needs disjoint prune structures.
 
     ``legs`` are weight sets with the same names and shapes: each noise draw
     is made once and evaluated at every leg, and each leg's report equals
@@ -264,8 +263,10 @@ def run_criterion(
         if criterion == "moreau":
             res = _moreau.moreau_grad(model, legs, batch, settings)
         else:
-            if layout is None:
+            try:
                 layout = _moreau.channel_layout(legs[0], structures)
+            except ValueError as e:
+                raise ValueError(f"moreau-gs needs disjoint prune structures: {e}") from None
             res = _moreau.group_sparse_moreau_grad(model, legs, batch, settings, layout)
         grad_likes = [r.mg for r in res.legs]
         extras = [

@@ -75,8 +75,7 @@ class MoreauConfig:
 
 class GroupLayout:
     """Disjoint index subsets over the flattened parameter vector, one per
-    channel-level structure; ``labels`` carries the structure ids and
-    ``indices`` every covered index in ascending order."""
+    channel-level structure; ``labels`` carries the structure ids."""
 
     def __init__(self, subsets, labels, size: int):
         self.subsets = [np.asarray(s, dtype=np.int64) for s in subsets]
@@ -90,11 +89,13 @@ class GroupLayout:
         owner = np.repeat(np.arange(len(self.subsets)), [s.size for s in self.subsets])
         order = np.argsort(flat, kind="stable")
         flat, owner = flat[order], owner[order]
-        if np.any((flat[1:] == flat[:-1]) & (owner[1:] != owner[:-1])):
-            raise ValueError("layout subsets must be disjoint")
+        shared = np.flatnonzero((flat[1:] == flat[:-1]) & (owner[1:] != owner[:-1]))
+        if shared.size:
+            k = shared[0]
+            a, b = self.labels[owner[k]], self.labels[owner[k + 1]]
+            raise ValueError(f"layout subsets must be disjoint: {a!r} and {b!r} share index {flat[k]}")
         if flat.size and flat[-1] >= size:
             raise ValueError("layout index out of range")
-        self.indices = flat
 
     def __len__(self) -> int:
         return len(self.subsets)

@@ -20,8 +20,9 @@ import numpy as np
 
 from . import importance as imp
 from . import lowprec, smoothing
-from .moreau import MoreauConfig, channel_layout
-from .params import ParamSet, flatten_map
+from .moreau import MoreauConfig
+from .moreau import channel_layout  # noqa: F401 -- benchmark/tracer.py wraps it here by name
+from .params import ParamSet
 from .smoothing import NoiseSpec
 
 KINDS = ("fp16-roundtrip", "bf16-roundtrip", "gaussian-ball")
@@ -131,8 +132,9 @@ def jaccard(a, b) -> float:
     return len(a & b) / len(union)
 
 
-def _prunable_vector(params: ParamSet, layout, values) -> np.ndarray:
-    return flatten_map(params, values)[layout.indices]
+def _prunable_vector(names: list[str], values) -> np.ndarray:
+    """The arrays of ``values`` under ``names``, raveled and concatenated in that order."""
+    return np.concatenate([values[n].reshape(-1) for n in names]) if names else np.zeros(0)
 
 
 def consistency_experiment(
@@ -155,8 +157,9 @@ def consistency_experiment(
     each leg ranks as ``prune`` would; ``settings`` maps each criterion to
     what it takes, and plain needs none.
 
-    Distances are measured over the elements covered by prune structures --
-    exactly the coordinates that decide what gets removed.
+    Distances are measured over every element of the parameters that prune
+    structures slice, in ParamSet order: the support of ``perturb``, so a
+    gaussian-ball row's ``delta_w_l2`` is its epsilon.
 
     With two Monte Carlo criteria or more, and when ``smoothing.ForkedChild``
     lets it fork, one helper computes the last Monte Carlo criterion while
@@ -170,17 +173,11 @@ def consistency_experiment(
     """
     if not criteria:
         raise ValueError("need at least one criterion")
-    structures = model.structures()
-    prunable = {s.param for st in structures for s in st.slices}
+    prunable = {s.param for st in model.structures() for s in st.slices}
     params_a = perturb(params, baseline_spec, prunable) if baseline_spec else params
     params_b = perturb(params, spec, prunable)
-    # one layout serves both legs of every criterion: perturbations keep shapes
-    layout = channel_layout(params, structures)
-
-    w_a = _prunable_vector(params, layout, params_a)
-    w_b = _prunable_vector(params, layout, params_b)
-    dw = float(np.linalg.norm(w_a - w_b))
-    del w_a, w_b  # the criteria below need only the distance
+    names = [n for n in params.names if n in prunable]
+    dw = float(np.linalg.norm(_prunable_vector(names, params_a) - _prunable_vector(names, params_b)))
 
     def report(criterion: str) -> RobustnessReport:
         rep_a, rep_b = imp.run_criterion(
@@ -191,10 +188,9 @@ def consistency_experiment(
             ratio,
             global_pool=global_pool,
             settings=(settings or {}).get(criterion),
-            layout=layout,
         )
-        i_a = _prunable_vector(params, layout, rep_a.element_scores)
-        i_b = _prunable_vector(params, layout, rep_b.element_scores)
+        i_a = _prunable_vector(names, rep_a.element_scores)
+        i_b = _prunable_vector(names, rep_b.element_scores)
         di = float(np.linalg.norm(i_a - i_b))
         denom = max(float(np.linalg.norm(i_a)), float(np.linalg.norm(i_b)))
         rel = di / denom if denom > 0 else 0.0

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from proxprune import autodiff as ad
-from proxprune import zoo
-from proxprune.importance import prune_model
+from proxprune import robustness, zoo
+from proxprune.importance import element_importance, prune_model
 from proxprune.moreau import (
     GroupLayout,
     MoreauConfig,
@@ -651,6 +651,46 @@ def test_structure_flat_indices_on_each_axis_of_a_3d_parameter(axis):
             assert np.array_equal(got, oracle_structure_flat_indices(params, st))
 
 
+# --- robustness distance vectors ----------------------------------------------
+
+
+def oracle_covered_vector(params: ParamSet, structures, values) -> np.ndarray:
+    """What robustness distances were once measured over: the sorted
+    concatenation of every structure's flat indices, gathered from the
+    flattened values."""
+    covered = np.sort(np.concatenate([oracle_structure_flat_indices(params, st) for st in structures]))
+    return flatten_map(params, values)[covered]
+
+
+def benchmark_case(model):
+    return lambda: (model, model.init_params(0), None)
+
+
+DISTANCE_CASES = {
+    "benchmark-mlp": benchmark_case(zoo.Mlp([1024, 64, 256])),
+    "benchmark-transformer": benchmark_case(zoo.TinyTransformer.build(256, 32, 4, 2)),
+    "shrunk-transformer": shrunk_transformer_case,
+}
+
+
+@pytest.mark.parametrize("case", DISTANCE_CASES)
+def test_prunable_vector_matches_covered_index_oracle_bitwise(case):
+    """Zoo structures tile the parameters they slice, so the elements of the
+    prunable parameters in ParamSet order are the covered indices in
+    ascending order, for the weights and for element scores alike."""
+    model, params, _ = DISTANCE_CASES[case]()
+    structures = model.structures()
+    prunable = {s.param for st in structures for s in st.slices}
+    names = [n for n in params.names if n in prunable]
+    weights = robustness.perturb(params, robustness.PerturbSpec(kind="bf16-roundtrip"), prunable)
+    rng = np.random.default_rng(8)
+    scores = element_importance({n: rng.standard_normal(a.shape) for n, a in params}, params)
+    for values in (weights, scores):
+        want = oracle_covered_vector(params, structures, values)
+        assert want.size == sum(params[n].size for n in names)
+        assert_same_bits(robustness._prunable_vector(names, values), want)
+
+
 # --- causal mask -------------------------------------------------------------
 
 
@@ -707,13 +747,16 @@ class TestGroupLayoutChecks:
     def test_duplicates_inside_one_subset_are_accepted(self):
         lay = GroupLayout([[1, 0, 1], [3, 2, 3]], labels=[0, 1], size=4)
         assert len(lay) == 2
-        assert lay.indices.tolist() == [0, 1, 1, 2, 3, 3]
 
     def test_overlap_across_subsets_rejected(self):
         with pytest.raises(ValueError, match="must be disjoint"):
             GroupLayout([[0, 1], [4], [5, 1]], labels=[0, 1, 2], size=6)
         with pytest.raises(ValueError, match="must be disjoint"):
             GroupLayout([[3, 3], [3]], labels=[0, 1], size=4)
+
+    def test_overlap_names_both_labels_and_the_shared_index(self):
+        with pytest.raises(ValueError, match="must be disjoint: 'a' and 'c' share index 1$"):
+            GroupLayout([[0, 1], [4], [5, 1], [4]], labels=["a", "b", "c", "d"], size=6)
 
     def test_index_at_or_above_size_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -728,7 +771,6 @@ class TestGroupLayoutChecks:
         assert len(GroupLayout([], labels=[], size=5)) == 0
         assert len(GroupLayout([], labels=[], size=0)) == 0
         assert len(GroupLayout([[], []], labels=[0, 1], size=0)) == 2
-        assert GroupLayout([], labels=[], size=0).indices.size == 0
 
     def test_channel_layout_covers_each_structure(self):
         model, params, _ = transformer_case()
@@ -736,4 +778,3 @@ class TestGroupLayoutChecks:
         assert lay.labels == [st.id for st in model.structures()]
         for s, st in zip(lay.subsets, model.structures()):
             assert np.array_equal(s, oracle_structure_flat_indices(params, st))
-        assert np.array_equal(lay.indices, np.sort(np.concatenate(lay.subsets)))

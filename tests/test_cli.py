@@ -2,6 +2,7 @@ import configparser
 import ctypes
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxprune import checkpoint, cli, config, data, zoo
+from proxprune import checkpoint, cli, config, data, reports, zoo
 from proxprune.config import ConfigError, RunConfig, load_config
 from proxprune.moreau import MoreauConfig
 from proxprune.params import ParamSet
@@ -70,6 +71,14 @@ def rewritten_header_ckpt(tmp_path, name, model, edit):
     edit(header)
     blob = json.dumps(header).encode()
     path.write_bytes(checkpoint.MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + hlen :])
+    return path
+
+
+def deep_mlp_ckpt(tmp_path):
+    """Untrained checkpoint of the write_cfg MLP with hidden = 8,8."""
+    model = zoo.Mlp([data.mlp_feature_width(4), 8, 8, data.VOCAB])
+    path = tmp_path / "deep.ckpt"
+    checkpoint.save(path, model.arch(), model.init_params(7), model.structures(), model.groups())
     return path
 
 
@@ -697,6 +706,56 @@ class TestRobustness:
         csv_text = (tmp_path / "rfmt" / "robustness.csv").read_text().splitlines()
         assert csv_text[0].startswith("criterion,perturbation,baseline,")
         assert len(csv_text) == 3
+
+    def test_two_hidden_layers(self, tmp_path, corpus_file):
+        """Channel u of hidden1 and channel v of hidden2 share w1[u, v], and
+        the distances cover each prunable element once: the experiment runs,
+        and a gaussian row's weight distance is its epsilon."""
+        jsonschema = pytest.importorskip("jsonschema")
+        extra = {
+            "model": {"hidden": "8,8"},
+            "robustness": {"specs": "fp16:bf16,gaussian", "criteria": "plain,smooth,moreau",
+                           "epsilon": 0.02},
+        }
+        cfg = write_cfg(tmp_path, corpus_file, extra=extra)
+        ckpt = deep_mlp_ckpt(tmp_path)
+        rc = cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--out", str(tmp_path / "rdeep")])
+        assert rc == 0
+        doc = json.loads((tmp_path / "rdeep" / "robustness.json").read_text())
+        jsonschema.validate(doc, reports.load_schema("robustness_report.schema.json"))
+        assert [r["criterion"] for r in doc["rows"]] == ["plain", "smooth", "moreau"] * 2
+        gaussian = [r for r in doc["rows"] if r["perturbation"] == "gaussian-ball(eps=0.02)"]
+        assert len(gaussian) == 3
+        for r in gaussian:
+            assert r["delta_w_l2"] == pytest.approx(0.02, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize(
+        "argv", [["prune", "--criterion", "moreau-gs"], ["robustness"]], ids=["prune", "robustness"]
+    )
+    def test_moreau_gs_on_two_hidden_layers_exits_2(self, tmp_path, corpus_file, capsys, argv):
+        """moreau-gs needs disjoint structures; the message names two that
+        share a weight, one from each hidden layer, and that weight's index."""
+        extra = {"model": {"hidden": "8,8"}, "robustness": {"criteria": "plain,moreau-gs"}}
+        cfg = write_cfg(tmp_path, corpus_file, extra=extra)
+        ckpt = deep_mlp_ckpt(tmp_path)
+        rc = cli.main([argv[0], "--config", str(cfg), "--checkpoint", str(ckpt), *argv[1:]])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        found = re.search(
+            r"moreau-gs needs disjoint prune structures: layout subsets must be disjoint: "
+            r"(\d+) and (\d+) share index (\d+)$",
+            err.strip(),
+        )
+        assert found
+        a, b, index = map(int, found.groups())
+        model, params, _ = checkpoint.load(ckpt)
+        blocks = {st.id: st.block for st in model.structures()}
+        assert (blocks[a], blocks[b]) == ("hidden1", "hidden2")
+        w1 = params.offsets()["w1"]
+        assert w1 <= index < w1 + params["w1"].size
+        assert not list((tmp_path / "run").glob("*"))
 
     def test_fp16_overflow_exits_2(self, tmp_path, corpus_file, capsys):
         """One weight outside the fp16 range inside the 2-d parameter w1

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from proxprune import data, reports, robustness, zoo
+from proxprune import data, moreau, reports, robustness, smoothing, zoo
 from proxprune.moreau import MoreauConfig
 from proxprune.robustness import (
     PerturbSpec,
@@ -106,6 +106,51 @@ def test_format_pair_experiment_produces_row_per_criterion(small_setup):
         assert 0.0 <= r.jaccard <= 1.0
     comps = directional_comparisons(rows)
     assert comps and comps[0]["comparison"] == "moreau<=plain"
+
+
+@pytest.mark.parametrize(
+    "criteria, layouts",
+    [(("plain", "smooth", "moreau"), 0), (("plain", "moreau-gs"), 1)],
+    ids=["plain-smooth-moreau", "plain-moreau-gs"],
+)
+def test_only_moreau_gs_builds_a_channel_layout(small_setup, monkeypatch, criteria, layouts):
+    """The experiment measures its distances without a channel layout; the
+    one layout of a run is moreau-gs's own. Helpers are off, so every call
+    is made in this process and counted."""
+    model, params, batch = small_setup
+    monkeypatch.setattr(smoothing, "_spare_cpu", lambda: False)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return layout(*args, **kwargs)
+
+    layout = moreau.channel_layout
+    monkeypatch.setattr(moreau, "channel_layout", counted)
+    monkeypatch.setattr(robustness, "channel_layout", counted)
+    mcfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=2, noise=NoiseSpec(scale=0.05, m=2, seed=1))
+    settings = {
+        "smooth": NoiseSpec(scale=0.05, m=2, seed=1),
+        "moreau": mcfg,
+        "moreau-gs": MoreauConfig(rho=0.05, gamma=1e-3, steps=2, eta=1e-4, noise=mcfg.noise),
+    }
+    rows = consistency_experiment(
+        model, params, batch, criteria, PerturbSpec(kind="bf16-roundtrip"), ratio=0.25,
+        baseline_spec=PerturbSpec(kind="fp16-roundtrip"), settings=settings,
+    )
+    assert [r.criterion for r in rows] == list(criteria)
+    assert len(calls) == layouts
+
+
+def test_a_model_without_structures_has_zero_distances(small_setup, monkeypatch):
+    model, params, batch = small_setup
+    monkeypatch.setattr(zoo.Mlp, "structures", lambda self: ())
+    monkeypatch.setattr(zoo.Mlp, "groups", lambda self: ())
+    (row,) = consistency_experiment(
+        model, params, batch, ("plain",), PerturbSpec(kind="bf16-roundtrip"), ratio=0.25
+    )
+    assert (row.delta_w_l2, row.importance_l2, row.sensitivity) == (0.0, 0.0, 0.0)
+    assert row.prune_set_a == row.prune_set_b == ()
 
 
 def test_report_json_and_csv_round_trip(tmp_path, small_setup):
