@@ -3,7 +3,8 @@
 Exit codes are part of the public contract:
     0 success
     2 configuration / input-file error, including weights that overflow
-      a 16-bit format in a robustness round trip
+      a 16-bit format in a robustness round trip, and a report that would
+      hold a NaN or infinite number (no report file is written)
     3 training divergence
     4 pruning would empty a layer or attention block
     5 proximal-loop divergence, or a non-finite gradient in a Monte Carlo

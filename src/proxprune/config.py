@@ -198,9 +198,15 @@ def _check(cfg: RunConfig) -> None:
         if not getattr(cfg, key):
             raise ConfigError(f"[robustness] {key} must name at least one entry")
     try:
-        cfg.experiments()
+        experiments = cfg.experiments()
     except ValueError as e:
         raise ConfigError(f"[robustness] {e}") from e
+    # a repeat would add rows that duplicate earlier ones; specs compare as
+    # the perturbation pairs they name, so "fp16 : bf16" repeats "fp16:bf16"
+    for key, entries in (("specs", experiments), ("criteria", cfg.criteria)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise ConfigError(f"[robustness] {key} repeats {getattr(cfg, key)[i]!r}")
     if cfg.model_kind == "mlp" and (cfg.context < 1 or min(cfg.hidden, default=0) < 1):
         raise ConfigError("[model] context and hidden must be >= 1, with at least one hidden width")
     if cfg.model_kind == "transformer":

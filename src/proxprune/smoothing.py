@@ -145,14 +145,14 @@ class MonteCarloLoop:
     """The draws of one Monte Carlo loop, m for each step of ``steps``, and
     the processes that evaluate them at the legs.
 
-    Draw n of the loop is key n of ``keys``, and ``_make`` is the one place
-    it is made, into the loop's one draw buffer, right before its passes.
-    The loop owns the noisy point its passes are evaluated at. At its first
-    step, before any draw is made, a loop of two draws or more per step asks
-    ``ForkedChild.fork`` for one helper process that makes and evaluates the
-    odd draws of every step, while the parent makes the even ones; when the
-    fork is refused, the parent makes every draw. The parent folds each draw
-    into the sums in ascending draw order.
+    Draw n of the loop is draw ``n % m`` of step ``steps[n // m]``, and
+    ``_make`` is the one place it is made, into the loop's one draw buffer,
+    right before its passes. The loop owns the noisy point its passes are
+    evaluated at. At its first step, before any draw is made, a loop of two
+    draws or more per step asks ``ForkedChild.fork`` for one helper process
+    that makes and evaluates the odd draws of every step, while the parent
+    makes the even ones; when the fork is refused, the parent makes every
+    draw. The parent folds each draw into the sums in ascending draw order.
 
     Shared anonymous memory, mapped right before the fork, holds the legs'
     current points, which the parent writes at the start of each step, and
@@ -169,9 +169,9 @@ class MonteCarloLoop:
     Closing the loop kills and reaps the helper.
     """
 
-    def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps):
+    def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps: Sequence[int]):
         self.model, self.params, self.batch, self.spec = model, params, batch, spec
-        self.keys = [(t, i) for t in steps for i in range(spec.m)]
+        self.steps = steps
         self.taken = 0  # draws the steps so far have used
         self.z = np.empty(params.size)
         self.noisy = np.empty(params.size)
@@ -186,8 +186,8 @@ class MonteCarloLoop:
     def step(self, legs: np.ndarray, means) -> list[float]:
         """Sum the m draw gradients of the loop's next step at every leg into
         its map; return the mean noisy loss of each leg."""
-        if self.taken == len(self.keys):
-            raise IndexError(f"all {len(self.keys) // self.spec.m} steps were taken")
+        if self.taken == len(self.steps) * self.spec.m:
+            raise IndexError(f"all {len(self.steps)} steps were taken")
         if self.taken == 0:
             self._fork(legs.shape)
         first = self.taken
@@ -212,8 +212,8 @@ class MonteCarloLoop:
 
     def _make(self, n: int) -> np.ndarray:
         """Make draw n of the loop into its draw buffer."""
-        t, i = self.keys[n]
-        _draw(self.spec, i, t, self.z)
+        t, i = divmod(n, self.spec.m)
+        _draw(self.spec, i, self.steps[t], self.z)
         return self.z
 
     def _passes(self, i, z, legs):
@@ -243,7 +243,7 @@ class MonteCarloLoop:
         while request := os.read(child.requests, 8):
             (n,) = struct.unpack("q", request)
             z = self._make(n)
-            for j, (loss, grads) in enumerate(self._passes(self.keys[n][1], z, self.points)):
+            for j, (loss, grads) in enumerate(self._passes(n % self.spec.m, z, self.points)):
                 self.slot_losses[j] = loss
                 _store(self.slot_grads[j], grads)
             os.write(child.replies, b"\1")

@@ -235,16 +235,19 @@ class TestConfig:
             ("model", "hidden", "0", "[model] context and hidden must be >= 1"),
             ("model", "hidden", "8,0", "[model] context and hidden must be >= 1"),
             ("model", "hidden", "", "with at least one hidden width"),
+            ("robustness", "criteria", "plain,moreau,plain", "[robustness] criteria repeats 'plain'"),
+            ("robustness", "specs", "fp16:bf16,fp16 : bf16", "[robustness] specs repeats 'fp16 : bf16'"),
         ],
         ids=["epochs=0", "batch_size=0", "holdout_size=0", "lr=nan", "lr=inf", "lr=-1",
-             "context=0", "hidden=0", "hidden=8,0", "hidden="],
+             "context=0", "hidden=0", "hidden=8,0", "hidden=", "criteria-repeat", "specs-repeat"],
     )
     @pytest.mark.parametrize("command", ["train", "prune", "robustness"])
     def test_bad_count_or_rate_exits_2_before_reading_inputs(
         self, tmp_path, capsys, command, section, key, value, message
     ):
-        """Every command checks the [train], [data] and mlp [model] counts and
-        lr at load, before the (missing) checkpoint and corpus are opened."""
+        """Every command checks the [train], [data] and mlp [model] counts, lr
+        and the [robustness] lists at load, before the (missing) checkpoint
+        and corpus are opened."""
         cfg = write_cfg(tmp_path, tmp_path / "no-corpus.txt", extra={section: {key: value}})
         argv = [command, "--config", str(cfg)]
         if command != "train":
@@ -802,6 +805,30 @@ class TestRobustness:
         err = capsys.readouterr().err
         assert "epsilon must be >= 0 and finite" in err and "Traceback" not in err
         assert not (tmp_path / "rinf").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonfinite_distance_exits_2_without_a_report(self, tmp_path, corpus_file, capsys):
+        """At rho = gamma = 1e-300 moreau's scores are so large that the sum
+        of squares inside the importance norm overflows: |dI| is inf and rel
+        is inf/inf. RFC 8259 JSON has no form for either, so robustness exits
+        2 naming the report and writes neither report file."""
+        extra = {
+            "model": {"hidden": 8},
+            "moreau": {"rho": 1e-300, "gamma": 1e-300, "steps": 2},
+            "robustness": {"criteria": "plain,moreau"},
+        }
+        cfg = write_cfg(tmp_path, corpus_file, extra=extra)
+        model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
+        ckpt = tmp_path / "h8.ckpt"
+        checkpoint.save(ckpt, model.arch(), model.init_params(7), model.structures(), model.groups())
+        out = tmp_path / "rnan"
+        rc = cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
+                       "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot write {out / 'robustness.json'}: Out of range float" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*"))
 
     def test_strict_divergence_exits_5(self, trained_ckpt, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"moreau": {"rho": 1e6, "gamma": 1e6}}, name="cfg_rdiv.ini")

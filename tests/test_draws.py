@@ -10,6 +10,7 @@ forked (tests/test_helper.py covers both).
 """
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from contextlib import closing
 
@@ -221,6 +222,21 @@ def test_taking_past_the_last_key_raises_instead_of_waiting():
             loop.step(w, means)
             with pytest.raises(IndexError, match="all 1 steps were taken"):
                 loop.step(w, means)
+
+
+def test_a_loop_is_built_in_constant_memory_whatever_its_draw_count():
+    """A loop derives each draw's (step, draw) key from the draw's index, so
+    one of 10 steps of 10**9 draws each allocates no more than a small one."""
+    params = oracles.wrap(np.array([1.0, -2.0]))
+    spec = NoiseSpec(scale=0.1, m=10**9, seed=0)
+    tracemalloc.start()
+    try:
+        loop = smoothing.MonteCarloLoop(oracles.Quadratic(), params, None, spec, range(10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    loop.close()
+    assert peak < 1 << 20
 
 
 def test_error_inside_a_draw_reaches_the_caller_unchanged(corpus, draw_log, monkeypatch):
