@@ -11,7 +11,10 @@ For every file of either directory (matched by relative path) it prints:
   falls between equal scores in one run only. Cuts are taken per class, as ``prune`` ranks by default;
   the report does not record ``global_pool``. A robustness report holds no
   per-group scores, so its tied cuts cannot be compared;
-* for any other file (checkpoints, CSV), whether its bytes are equal.
+* for any other file (checkpoints, CSV), and for a ``.json`` file that is
+  not UTF-8 JSON in either run, whether its bytes are equal; the line of
+  such a ``.json`` file names the run (A, B, or A and B) whose copy is not
+  JSON.
 
 The last line is the verdict. Exit code 0: the runs are equal (same files,
 equal JSON values, equal bytes elsewhere); 1: they differ; 2: bad arguments.
@@ -131,21 +134,30 @@ def main(argv=None) -> int:
             print(f"{name}: only in {'A' if fa.is_file() else 'B'}")
             differ = True
             continue
+        note = ""
         if name.endswith(".json"):
-            doc_a, doc_b = (json.loads(f.read_text(encoding="utf-8")) for f in (fa, fb))
-            lines = compare_json(doc_a, doc_b)
-            n_sets = len(dict(prune_sets(doc_a)))
-            ties = tied(doc_a)
-            summary = f"{n_sets} prune set{'s' * (n_sets != 1)}"
-            summary += f", tied cuts {list(ties)}" if ties is not None else ", no tied cuts recorded"
-            print(f"{name}: {'differs' if lines else 'equal'} ({summary})")
-            for line in lines:
-                print(f"  {line}")
-            differ |= bool(lines)
-        else:
-            equal = fa.read_bytes() == fb.read_bytes()
-            print(f"{name}: bytes {'equal' if equal else 'differ'}")
-            differ |= not equal
+            docs, broken = [], []
+            for side, f in (("A", fa), ("B", fb)):
+                try:
+                    docs.append(json.loads(f.read_text(encoding="utf-8")))
+                except ValueError:  # JSONDecodeError or UnicodeDecodeError
+                    broken.append(side)
+            if not broken:
+                doc_a, doc_b = docs
+                lines = compare_json(doc_a, doc_b)
+                n_sets = len(dict(prune_sets(doc_a)))
+                ties = tied(doc_a)
+                summary = f"{n_sets} prune set{'s' * (n_sets != 1)}"
+                summary += f", tied cuts {list(ties)}" if ties is not None else ", no tied cuts recorded"
+                print(f"{name}: {'differs' if lines else 'equal'} ({summary})")
+                for line in lines:
+                    print(f"  {line}")
+                differ |= bool(lines)
+                continue
+            note = f" (not JSON in {' and '.join(broken)})"
+        equal = fa.read_bytes() == fb.read_bytes()
+        print(f"{name}: bytes {'equal' if equal else 'differ'}{note}")
+        differ |= not equal
     print(f"verdict: {'differ' if differ else 'equal'}")
     return 1 if differ else 0
 

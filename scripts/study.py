@@ -4,15 +4,15 @@ between the two weight encodings of each [robustness] spec, over seeds, and
 how many channel groups moreau-gs zeroes as its group penalty eta grows.
 
 The model is a checkpoint written by `proxprune train`, and every other
-setting comes from the config. Seed s scores calibration batch (s, 0, 0) with
-the config's settings at seed s, as `proxprune robustness --seed s` does.
+setting comes from the config. Seed s scores the calibration batch and uses
+the settings that `proxprune robustness --seed s` does.
 """
 import argparse
 from dataclasses import replace
 
 import numpy as np
 
-from proxprune import checkpoint, data, importance, robustness
+from proxprune import checkpoint, cli, data, importance, robustness
 from proxprune.config import ConfigError, load_config
 from proxprune.data import CorpusError
 
@@ -53,9 +53,8 @@ def study(args):
 
     runs = []  # (settings, calibration batch) of each seed
     for s in range(args.seeds):
-        batch, _ = data.make_batch(model, corpus, cfg.calib_size, seed=(s, 0, 0),
-                                   seq_len=cfg.seq_len)
-        runs.append((replace(cfg, seed=s), batch))
+        run = replace(cfg, seed=s)
+        runs.append((run, cli.calibration_batch(model, corpus, run)[0]))
     for e, (baseline, spec) in enumerate(cfg.experiments()):
         print(f"\n{baseline.label() if baseline else 'none'}->{spec.label()}")
         print(f"{'criterion':>10s} {'seed':>4s} {'|dI|':>10s} {'rel':>8s} "

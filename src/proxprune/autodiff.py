@@ -148,28 +148,16 @@ def _finish(op, out, tape, contribs):
 
 
 def _record(op, out, tape, contribs):
-    """Record the entry if any input is tracked. A one-input op skips the
-    filtering and gets a one-pair adjoint."""
-    if tape is None:
-        return Tensor(out)
-    if len(contribs) == 1:
-        ((node, fn),) = contribs
-        if node is None:
-            return Tensor(out)
-        out_node = tape.new_node()
-        tape.record(op, (node,), out_node, lambda g: [(node, fn(g))])
-        return Tensor(out, tape, out_node)
-    tracked = [(n, fn) for n, fn in contribs if n is not None]
+    """Record the entry if an input is tracked on a tape: it names the
+    tracked inputs in input order, and its adjoint returns one pair for each."""
+    # list comprehensions: generators here cost time and mlp-robustness peak RSS
+    tracked = tape and [(n, fn) for n, fn in contribs if n is not None]
     if not tracked:
         return Tensor(out)
     out_node = tape.new_node()
-    nodes = tuple(n for n, _ in tracked)
-    fns = [fn for _, fn in tracked]
-
-    def backward(g):
-        return [(n, f(g)) for n, f in zip(nodes, fns)]
-
-    tape.record(op, nodes, out_node, backward)
+    tape.record(
+        op, tuple([n for n, _ in tracked]), out_node, lambda g: [(n, fn(g)) for n, fn in tracked]
+    )
     return Tensor(out, tape, out_node)
 
 
@@ -186,13 +174,19 @@ def _trailing_ok(a_shape, b_shape) -> bool:
     return len(a_shape) >= k and (k == 0 or a_shape[len(a_shape) - k:] == b_shape)
 
 
-def add(a, b) -> Tensor:
-    """Elementwise sum; the smaller operand may be shared across leading axes."""
+def _elementwise(op, a, b):
+    """(data, node) of both operands and their tape, after the broadcast rule."""
     ad, at, an = _parts(a)
     bd, bt, bn = _parts(b)
     tape = _one_tape(at, bt)
     if not (_trailing_ok(ad.shape, bd.shape) or _trailing_ok(bd.shape, ad.shape)):
-        raise ShapeError(f"add: incompatible shapes {ad.shape} and {bd.shape}")
+        raise ShapeError(f"{op}: incompatible shapes {ad.shape} and {bd.shape}")
+    return ad, an, bd, bn, tape
+
+
+def add(a, b) -> Tensor:
+    """Elementwise sum; the smaller operand may be shared across leading axes."""
+    ad, an, bd, bn, tape = _elementwise("add", a, b)
     out = ad + bd
     # the adjoints need only shapes, so the tape does not keep the operands alive
     a_shape, b_shape = ad.shape, bd.shape
@@ -206,11 +200,7 @@ def add(a, b) -> Tensor:
 
 def multiply(a, b) -> Tensor:
     """Elementwise product; same trailing-broadcast rule as add."""
-    ad, at, an = _parts(a)
-    bd, bt, bn = _parts(b)
-    tape = _one_tape(at, bt)
-    if not (_trailing_ok(ad.shape, bd.shape) or _trailing_ok(bd.shape, ad.shape)):
-        raise ShapeError(f"multiply: incompatible shapes {ad.shape} and {bd.shape}")
+    ad, an, bd, bn, tape = _elementwise("multiply", a, b)
     out = ad * bd
     # each adjoint keeps only the other operand alive, plus shapes
     a_shape, b_shape = ad.shape, bd.shape

@@ -39,7 +39,11 @@ EXIT_PRUNE = 4
 EXIT_OPTIMIZER = 5
 EXIT_STRICT = 6
 
-# rng stream tags so every consumer derives a distinct deterministic seed
+# Data stream tags: batch i of a stream draws from key (seed, stream, i). A
+# Monte Carlo draw's key is (seed, step, i), so calibration shares its stream
+# with draw 0 of step 0, training batch i with draw i of step 1 and holdout
+# with draw 0 of step 2. A gaussian direction draws from default_rng(seed),
+# as init_params(seed) did for the initial weights.
 _CALIB, _TRAIN, _HOLDOUT = 0, 1, 2
 
 
@@ -56,6 +60,11 @@ def _batch(model, corpus, cfg: RunConfig, n: int, stream: int, index: int = 0):
     return data.make_batch(
         model, corpus, n, seed=(cfg.seed, stream, index), seq_len=cfg.seq_len
     )
+
+
+def calibration_batch(model, corpus, cfg: RunConfig):
+    """(batch, window starts) that prune and robustness score at cfg.seed."""
+    return _batch(model, corpus, cfg, cfg.calib_size, _CALIB)
 
 
 def _train_batches(model, corpus, cfg: RunConfig) -> list:
@@ -98,7 +107,7 @@ def _load_ckpt(path: str):
 def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
     model, params, _ = _load_ckpt(ckpt_path)
     corpus = data.load_corpus(cfg.corpus)
-    batch, starts = _batch(model, corpus, cfg, cfg.calib_size, _CALIB)
+    batch, starts = calibration_batch(model, corpus, cfg)
     holdout, _ = _batch(model, corpus, cfg, cfg.holdout_size, _HOLDOUT)
 
     (report,) = importance.run_criterion(
@@ -140,7 +149,7 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
 def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
     model, params, _ = _load_ckpt(ckpt_path)
     corpus = data.load_corpus(cfg.corpus)
-    batch, starts = _batch(model, corpus, cfg, cfg.calib_size, _CALIB)
+    batch, starts = calibration_batch(model, corpus, cfg)
     rows, comparisons = [], []
     for baseline_spec, spec in cfg.experiments():
         legs = robustness.consistency_experiment(

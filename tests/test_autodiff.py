@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -199,6 +200,13 @@ def test_shape_error_names_primitive():
         ad.forward(prog, {"a": np.ones((2, 3)), "b": np.ones((4, 2))})
 
 
+@pytest.mark.parametrize("op", ["add", "multiply"])
+def test_elementwise_shape_error_names_its_op(op):
+    with pytest.raises(ad.ShapeError) as exc:
+        getattr(ad, op)(np.ones((2, 3)), np.ones((2,)))
+    assert str(exc.value) == f"{op}: incompatible shapes (2, 3) and (2,)"
+
+
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_nonfinite_error_carries_index():
     def prog(p, batch):
@@ -394,6 +402,42 @@ def test_out_of_vocab_token_reports_sample_index():
     with pytest.raises(ad.OutOfVocabError) as exc:
         zoo.batch_loss(model, params, ids)
     assert exc.value.sample_index == 1
+
+
+_OPERANDS = {
+    "x": np.array([[-1.0, 2.0, 0.5], [3.0, -4.0, 1.5]]),
+    "g": np.array([1.5, -2.0, 0.25]),
+    "b": np.array([0.5, -0.5, 2.0]),
+}
+
+
+@pytest.mark.parametrize("op, args", [("relu", "x"), ("add", "gx"), ("layer_norm", "xgb")])
+def test_an_entry_names_only_its_tracked_inputs(op, args):
+    """For each choice of leaf and constant operands: the entry names the
+    leaves only, in input order, and its adjoint returns one pair for each,
+    with the contribution that leaf gets when every operand is a leaf. An op
+    on constants records nothing."""
+    g = np.random.default_rng(0).normal(size=(2, 3))
+    reference = None
+    for tracked in itertools.product((True, False), repeat=len(args)):
+        tape = ad.Tape()
+        operands = [
+            tape.leaf(a, _OPERANDS[a]) if t else _OPERANDS[a] for a, t in zip(args, tracked)
+        ]
+        out = getattr(ad, op)(*operands)
+        if not any(tracked):
+            assert tape.entries == [] and out.tape is None and out.node is None
+            continue
+        (entry,) = tape.entries
+        leaves = [x.node for x in operands if isinstance(x, ad.Tensor)]
+        assert (entry.op, entry.inputs, entry.output) == (op, tuple(leaves), out.node)
+        contribs = entry.backward(g)
+        assert [node for node, _ in contribs] == leaves
+        if reference is None:  # the first choice makes every operand a leaf
+            reference = [c for _, c in contribs]
+        expected = [c for c, t in zip(reference, tracked) if t]
+        for (_, c), e in zip(contribs, expected):
+            assert c.tobytes() == e.tobytes()
 
 
 def _block_tape(x, p):

@@ -830,6 +830,32 @@ class TestRobustness:
         assert "Traceback" not in err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize(
+        "criteria, failed, code",
+        [("plain,smooth,moreau", "smooth<=plain", cli.EXIT_STRICT), ("plain,moreau", None, cli.EXIT_OK)],
+    )
+    def test_strict_exits_6_on_a_failed_comparison(
+        self, trained_ckpt, tmp_path, corpus_file, capsys, criteria, failed, code
+    ):
+        """--strict exits 6 when a directional comparison fails and changes
+        nothing else: both reports are written, with the bytes of the same run
+        without --strict, which exits 0. On this checkpoint smooth's
+        importance_rel (9.27e-4) exceeds plain's (9.22e-4); moreau's is below."""
+        cfg = write_cfg(tmp_path, corpus_file, extra={"robustness": {"criteria": criteria}},
+                        name="cfg_strict.ini")
+        _, ckpt = trained_ckpt
+        written = []
+        for strict, rc in (["--strict"], code), ([], cli.EXIT_OK):
+            out = tmp_path / f"r{len(written)}"
+            assert cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
+                             "--out", str(out), *strict]) == rc
+            lines = capsys.readouterr().out.splitlines()
+            assert [l for l in lines if l.endswith(": FAILED")] == (
+                [f"directional {failed}: FAILED"] if failed else []
+            )
+            written.append([(out / n).read_bytes() for n in ("robustness.json", "robustness.csv")])
+        assert written[0] == written[1]
+
     def test_strict_divergence_exits_5(self, trained_ckpt, tmp_path, corpus_file):
         cfg_path = write_cfg(tmp_path, corpus_file, extra={"moreau": {"rho": 1e6, "gamma": 1e6}}, name="cfg_rdiv.ini")
         _, ckpt = trained_ckpt

@@ -176,3 +176,23 @@ def test_compare_runs(script_corpus, tmp_path):
     assert "prune/pruned.ckpt: bytes equal" in lines
     assert lines[-1] == "verdict: differ"
     run_script("compare_runs.py", a, tmp_path / "missing", code=2)
+
+
+@pytest.mark.parametrize(
+    "damage", [lambda raw: raw[:-5], lambda raw: b"\xff" + raw], ids=["truncated", "not-utf8"]
+)
+def test_compare_runs_damaged_report(tmp_path, damage):
+    """A .json file that is not UTF-8 JSON in either run is compared byte for
+    byte, and its line names the run whose copy is not JSON. Two damaged
+    copies with equal bytes are equal; no case ends in a traceback."""
+    raw = json.dumps({"prune_set": [1, 2]}).encode()
+    for broken, verdict in (("A", "differ"), ("B", "differ"), ("A and B", "equal")):
+        a, b = tmp_path / broken / "a", tmp_path / broken / "b"
+        for side, d in (("A", a), ("B", b)):
+            d.mkdir(parents=True)
+            (d / "robustness.json").write_bytes(damage(raw) if side in broken else raw)
+        lines = run_script("compare_runs.py", a, b, code=0 if verdict == "equal" else 1)
+        assert lines == [
+            f"robustness.json: bytes {verdict} (not JSON in {broken})",
+            f"verdict: {verdict}",
+        ]
