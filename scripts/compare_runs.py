@@ -12,9 +12,9 @@ For every file of either directory (matched by relative path) it prints:
   the report does not record ``global_pool``. A robustness report holds no
   per-group scores, so its tied cuts cannot be compared;
 * for any other file (checkpoints, CSV), and for a ``.json`` file that is
-  not UTF-8 JSON in either run, whether its bytes are equal; the line of
-  such a ``.json`` file names the run (A, B, or A and B) whose copy is not
-  JSON.
+  not UTF-8 JSON in either run, or nests deeper than json loads, whether its
+  bytes are equal; the line of such a ``.json`` file names the run (A, B,
+  or A and B) whose copy is not JSON.
 
 The last line is the verdict. Exit code 0: the runs are equal (same files,
 equal JSON values, equal bytes elsewhere); 1: they differ; 2: bad arguments.
@@ -70,7 +70,7 @@ def prune_sets(doc, path=""):
 
 
 def tied(doc):
-    groups = doc.get("groups")
+    groups = doc.get("groups") if isinstance(doc, dict) else None
     if not isinstance(groups, list):
         return None
     scores = {g["id"]: g["score"] for g in groups}
@@ -140,7 +140,7 @@ def main(argv=None) -> int:
             for side, f in (("A", fa), ("B", fb)):
                 try:
                     docs.append(json.loads(f.read_text(encoding="utf-8")))
-                except ValueError:  # JSONDecodeError or UnicodeDecodeError
+                except (ValueError, RecursionError):  # not UTF-8 JSON, or nested too deep
                     broken.append(side)
             if not broken:
                 doc_a, doc_b = docs

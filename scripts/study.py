@@ -5,16 +5,16 @@ how many channel groups moreau-gs zeroes as its group penalty eta grows.
 
 The model is a checkpoint written by `proxprune train`, and every other
 setting comes from the config. Seed s scores the calibration batch and uses
-the settings that `proxprune robustness --seed s` does.
+the settings that `proxprune robustness --seed s` does; its rows are the
+ones that command writes, and an error exits with that command's code.
 """
 import argparse
+import sys
 from dataclasses import replace
 
 import numpy as np
 
-from proxprune import checkpoint, cli, data, importance, robustness
-from proxprune.config import ConfigError, load_config
-from proxprune.data import CorpusError
+from proxprune import cli, data, robustness
 
 
 def floats(text):
@@ -32,62 +32,49 @@ def main():
     p.add_argument("--etas", type=floats, default="0,1e-6,5e-6,1e-4,1e-2,1.0",
                    help="comma-separated moreau-gs eta values")
     args = p.parse_args()
-    try:
-        study(args)
-    except (ConfigError, CorpusError, checkpoint.CheckpointError, ValueError, OSError) as e:
-        p.error(str(e))
-
-
-def study(args):
     if args.seeds < 1:
-        raise ValueError("--seeds must be >= 1")
-    cfg = load_config(args.config, {"corpus": args.corpus})
-    model, params, _ = checkpoint.load(args.checkpoint)
+        p.error("--seeds must be >= 1")
+    sys.exit(cli.run(study, args, p))
+
+
+def study(args, p):
+    cfg = cli.load(args.config, {"corpus": args.corpus})
+    model, params, _ = cli.load_checkpoint(args.checkpoint)
     corpus = data.load_corpus(cfg.corpus)
     if args.sharpen:
         if "w1" not in params:
-            raise ValueError(f"--sharpen scales parameter w1, which {args.checkpoint} does not hold")
+            p.error(f"--sharpen scales parameter w1, which {args.checkpoint} does not hold")
         params = params.copy()
         params["w1"][:] *= args.sharpen
         print(f"sharpened w1 by x{args.sharpen:g}")
 
-    runs = []  # (settings, calibration batch) of each seed
-    for s in range(args.seeds):
-        run = replace(cfg, seed=s)
-        runs.append((run, cli.calibration_batch(model, corpus, run)[0]))
-    for e, (baseline, spec) in enumerate(cfg.experiments()):
-        print(f"\n{baseline.label() if baseline else 'none'}->{spec.label()}")
+    runs = [replace(cfg, seed=s) for s in range(args.seeds)]
+    batches = [cli.calibration_batch(model, corpus, run)[0] for run in runs]
+    tables = [cli.robustness_rows(model, params, b, run) for b, run in zip(batches, runs)]
+    for legs in zip(*tables):  # one spec's rows at each seed
+        print(f"\n{legs[0][0].baseline}->{legs[0][0].perturbation}")
         print(f"{'criterion':>10s} {'seed':>4s} {'|dI|':>10s} {'rel':>8s} "
               f"{'jaccard':>8s} {'symdiff':>7s}")
-        agg = {c: [] for c in cfg.criteria}
-        for run, batch in runs:
-            baseline, spec = run.experiments()[e]
-            for r in robustness.consistency_experiment(
-                model, params, batch, cfg.criteria, spec, cfg.ratio, baseline_spec=baseline,
-                global_pool=cfg.global_pool, settings={c: run.settings(c) for c in cfg.criteria},
-            ):
-                agg[r.criterion].append((r.importance_rel, r.jaccard, r.symdiff))
-                print(f"{r.criterion:>10s} {run.seed:>4d} {r.importance_l2:>10.3e} "
+        for seed, rows in enumerate(legs):
+            for r in rows:
+                print(f"{r.criterion:>10s} {seed:>4d} {r.importance_l2:>10.3e} "
                       f"{r.importance_rel:>8.4f} {r.jaccard:>8.3f} {r.symdiff:>7d}")
         print("\nmean over seeds:")
-        for c, values in agg.items():
-            rel, jac, sym = map(np.mean, zip(*values))
-            print(f"{c:>10s}  rel={rel:.4f}  jaccard={jac:.3f}  symdiff={sym:.2f}")
-
-    def report(criterion, run, batch):
-        (rep,) = importance.run_criterion(criterion, model, [params], batch, cfg.ratio,
-                                          global_pool=cfg.global_pool,
-                                          settings=run.settings(criterion))
-        return rep
+        for rows in zip(*legs):  # one criterion's rows at each seed
+            rel, jac, sym = (np.mean([getattr(r, f) for r in rows])
+                             for f in ("importance_rel", "jaccard", "symdiff"))
+            print(f"{rows[0].criterion:>10s}  rel={rel:.4f}  jaccard={jac:.3f}  symdiff={sym:.2f}")
 
     print(f"\n{'seed':>4s} {'eta':>10s} {'zeroed':>7s} {'pruned':>7s} {'jaccard vs moreau':>18s}")
-    for run, batch in runs:
-        base = report("moreau", run, batch).prune_set
+    for run, batch in zip(runs, batches):
+        base = cli.prune_report(model, params, batch, replace(run, criterion="moreau")).prune_set
         for eta in args.etas:
-            rep = report("moreau-gs", replace(run, eta=eta), batch)
+            rep = cli.prune_report(model, params, batch,
+                                   replace(run, criterion="moreau-gs", eta=eta))
             jac = robustness.jaccard(rep.prune_set, base)
             print(f"{run.seed:>4d} {eta:>10.2g} {rep.extra['zeroed_groups']:>7d} "
                   f"{len(rep.prune_set):>7d} {jac:>18.3f}")
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":

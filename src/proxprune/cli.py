@@ -97,19 +97,23 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_ckpt(path: str):
-    p = Path(path)
-    if not p.exists():
+def load(path: str | None, overrides: dict) -> RunConfig:
+    """The config of a run: ``load_config`` and a corpus to read."""
+    cfg = load_config(path, overrides)
+    if not cfg.corpus:
+        raise ConfigError("no corpus configured ([data] corpus or --corpus)")
+    return cfg
+
+
+def load_checkpoint(path: str):
+    """``checkpoint.load``; a missing file is a ConfigError naming it."""
+    if not Path(path).exists():
         raise ConfigError(f"checkpoint not found: {path}")
-    return checkpoint.load(p)
+    return checkpoint.load(Path(path))
 
 
-def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
-    model, params, _ = _load_ckpt(ckpt_path)
-    corpus = data.load_corpus(cfg.corpus)
-    batch, starts = calibration_batch(model, corpus, cfg)
-    holdout, _ = _batch(model, corpus, cfg, cfg.holdout_size, _HOLDOUT)
-
+def prune_report(model, params, batch, cfg: RunConfig) -> importance.ImportanceReport:
+    """The report that ``prune`` writes: cfg.criterion's scores and prune set."""
     (report,) = importance.run_criterion(
         cfg.criterion,
         model,
@@ -119,6 +123,27 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
         global_pool=cfg.global_pool,
         settings=cfg.settings(cfg.criterion),
     )
+    return report
+
+
+def robustness_rows(model, params, batch, cfg: RunConfig) -> list[list]:
+    """The rows that ``robustness`` writes, one list per [robustness] spec."""
+    return [
+        robustness.consistency_experiment(
+            model, params, batch, cfg.criteria, spec, cfg.ratio, baseline_spec=baseline_spec,
+            global_pool=cfg.global_pool, settings={c: cfg.settings(c) for c in cfg.criteria},
+        )
+        for baseline_spec, spec in cfg.experiments()
+    ]
+
+
+def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
+    model, params, _ = load_checkpoint(ckpt_path)
+    corpus = data.load_corpus(cfg.corpus)
+    batch, starts = calibration_batch(model, corpus, cfg)
+    holdout, _ = _batch(model, corpus, cfg, cfg.holdout_size, _HOLDOUT)
+
+    report = prune_report(model, params, batch, cfg)
     report.extra["calibration_starts"] = starts
 
     new_model, new_params = importance.prune_model(model, params, report.prune_set)
@@ -147,22 +172,11 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
 
 
 def cmd_robustness(cfg: RunConfig, ckpt_path: str, strict: bool) -> int:
-    model, params, _ = _load_ckpt(ckpt_path)
+    model, params, _ = load_checkpoint(ckpt_path)
     corpus = data.load_corpus(cfg.corpus)
     batch, starts = calibration_batch(model, corpus, cfg)
     rows, comparisons = [], []
-    for baseline_spec, spec in cfg.experiments():
-        legs = robustness.consistency_experiment(
-            model,
-            params,
-            batch,
-            cfg.criteria,
-            spec,
-            cfg.ratio,
-            baseline_spec=baseline_spec,
-            global_pool=cfg.global_pool,
-            settings={c: cfg.settings(c) for c in cfg.criteria},
-        )
+    for legs in robustness_rows(model, params, batch, cfg):
         rows.extend(legs)
         comparisons.extend(robustness.directional_comparisons(legs))
     out = _out_dir(cfg)
@@ -199,7 +213,7 @@ def _warn_tie(what: str, cls: str) -> None:
 
 
 def cmd_recover(cfg: RunConfig, ckpt_path: str) -> int:
-    model, params, meta = _load_ckpt(ckpt_path)
+    model, params, meta = load_checkpoint(ckpt_path)
     dataset = _train_batches(model, data.load_corpus(cfg.corpus), cfg)
     new_params, info = zoo.recover_finetune(model, params, dataset, cfg.epochs, cfg.lr)
     out = _out_dir(cfg) / "recovered.ckpt"
@@ -253,27 +267,10 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    _keep_freed_heap()
-    overrides = {
-        "out": getattr(args, "out", None),
-        "seed": getattr(args, "seed", None),
-        "corpus": getattr(args, "corpus", None),
-        "ratio": getattr(args, "ratio", None),
-        "criterion": getattr(args, "criterion", None),
-    }
+def run(command, *args) -> int:
+    """command(*args); an error it raises is printed as one line and mapped to its exit code."""
     try:
-        cfg = load_config(args.config, overrides)
-        if not cfg.corpus:
-            raise ConfigError("no corpus configured ([data] corpus or --corpus)")
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "prune":
-            return cmd_prune(cfg, args.checkpoint)
-        if args.command == "robustness":
-            return cmd_robustness(cfg, args.checkpoint, args.strict)
-        return cmd_recover(cfg, args.checkpoint)
+        return command(*args)
     except (
         ConfigError,
         CorpusError,
@@ -299,6 +296,30 @@ def main(argv=None) -> int:
     except (zoo.ZooError, AutodiffError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+
+
+def _dispatch(args, overrides: dict) -> int:
+    cfg = load(args.config, overrides)
+    if args.command == "train":
+        return cmd_train(cfg)
+    if args.command == "prune":
+        return cmd_prune(cfg, args.checkpoint)
+    if args.command == "robustness":
+        return cmd_robustness(cfg, args.checkpoint, args.strict)
+    return cmd_recover(cfg, args.checkpoint)
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    _keep_freed_heap()
+    overrides = {
+        "out": getattr(args, "out", None),
+        "seed": getattr(args, "seed", None),
+        "corpus": getattr(args, "corpus", None),
+        "ratio": getattr(args, "ratio", None),
+        "criterion": getattr(args, "criterion", None),
+    }
+    return run(_dispatch, args, overrides)
 
 
 if __name__ == "__main__":

@@ -33,11 +33,7 @@ from .params import flatten_map  # noqa: F401 -- benchmark/tracer.py wraps it he
 from .smoothing import MonteCarloLoop, NoiseSpec, smoothed_loss_and_grad
 
 
-class MoreauError(Exception):
-    pass
-
-
-class DivergenceError(MoreauError):
+class DivergenceError(Exception):
     def __init__(self, step: int, norm: float, limit: float):
         super().__init__(
             f"proximal iterate diverged at step {step}: "

@@ -17,17 +17,15 @@ class ParamSet:
     """Ordered mapping name -> float64 array; the model weight vector w."""
 
     def __init__(self, items: Iterable[tuple[str, np.ndarray]]):
-        self._names: list[str] = []
-        self._arrays: dict[str, np.ndarray] = {}
+        self._arrays: dict[str, np.ndarray] = {}  # in insertion order
         for name, arr in items:
             if name in self._arrays:
                 raise ValueError(f"duplicate parameter name {name!r}")
-            self._names.append(name)
             self._arrays[name] = np.ascontiguousarray(arr, dtype=np.float64)
 
     @property
     def names(self) -> list[str]:
-        return list(self._names)
+        return list(self._arrays)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._arrays[name]
@@ -36,11 +34,10 @@ class ParamSet:
         return name in self._arrays
 
     def __iter__(self) -> Iterator[tuple[str, np.ndarray]]:
-        for name in self._names:
-            yield name, self._arrays[name]
+        return iter(self._arrays.items())
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._arrays)
 
     def items(self):
         return iter(self)
@@ -50,15 +47,15 @@ class ParamSet:
         return sum(a.size for a in self._arrays.values())
 
     def shapes(self) -> dict[str, tuple[int, ...]]:
-        return {n: self._arrays[n].shape for n in self._names}
+        return {n: a.shape for n, a in self}
 
     def copy(self) -> "ParamSet":
         return ParamSet((n, a.copy()) for n, a in self)
 
     def flatten(self) -> np.ndarray:
-        if not self._names:
+        if not self._arrays:
             return np.zeros(0)
-        return np.concatenate([self._arrays[n].reshape(-1) for n in self._names])
+        return np.concatenate([a.reshape(-1) for a in self._arrays.values()])
 
     def unflatten(self, vec: np.ndarray) -> "ParamSet":
         vec = np.asarray(vec, dtype=np.float64)
@@ -66,8 +63,7 @@ class ParamSet:
             raise ValueError(f"expected flat vector of length {self.size}, got {vec.shape}")
         out = []
         pos = 0
-        for n in self._names:
-            a = self._arrays[n]
+        for n, a in self:
             out.append((n, vec[pos : pos + a.size].reshape(a.shape).copy()))
             pos += a.size
         return ParamSet(out)
@@ -75,9 +71,9 @@ class ParamSet:
     def offsets(self) -> dict[str, int]:
         """Start offset of each parameter inside the flattened vector."""
         off, pos = {}, 0
-        for n in self._names:
+        for n, a in self:
             off[n] = pos
-            pos += self._arrays[n].size
+            pos += a.size
         return off
 
     def add(self, delta: Mapping[str, np.ndarray], scale: float = 1.0) -> "ParamSet":

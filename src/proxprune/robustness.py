@@ -132,6 +132,17 @@ def jaccard(a, b) -> float:
     return len(a & b) / len(union)
 
 
+def _norm(x: np.ndarray) -> float:
+    """The l2 norm of x. np.linalg.norm sums squares, which overflow once an
+    element passes about 1e154; math.hypot scales, so a finite vector whose
+    norm is finite gets that norm."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(x))
+    if norm == math.inf and np.isfinite(x).all():
+        norm = math.hypot(*x)
+    return norm
+
+
 def _prunable_vector(names: list[str], values) -> np.ndarray:
     """The arrays of ``values`` under ``names``, raveled and concatenated in that order."""
     return np.concatenate([values[n].reshape(-1) for n in names]) if names else np.zeros(0)
@@ -177,7 +188,7 @@ def consistency_experiment(
     params_a = perturb(params, baseline_spec, prunable) if baseline_spec else params
     params_b = perturb(params, spec, prunable)
     names = [n for n in params.names if n in prunable]
-    dw = float(np.linalg.norm(_prunable_vector(names, params_a) - _prunable_vector(names, params_b)))
+    dw = _norm(_prunable_vector(names, params_a) - _prunable_vector(names, params_b))
 
     def report(criterion: str) -> RobustnessReport:
         rep_a, rep_b = imp.run_criterion(
@@ -191,8 +202,8 @@ def consistency_experiment(
         )
         i_a = _prunable_vector(names, rep_a.element_scores)
         i_b = _prunable_vector(names, rep_b.element_scores)
-        di = float(np.linalg.norm(i_a - i_b))
-        denom = max(float(np.linalg.norm(i_a)), float(np.linalg.norm(i_b)))
+        di = _norm(i_a - i_b)
+        denom = max(_norm(i_a), _norm(i_b))
         rel = di / denom if denom > 0 else 0.0
         sym = len(set(rep_a.prune_set) ^ set(rep_b.prune_set))
         label_a = baseline_spec.label() if baseline_spec else "none"

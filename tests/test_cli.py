@@ -1,12 +1,14 @@
 import configparser
 import ctypes
 import json
+import math
 import os
 import re
 import struct
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proxprune import checkpoint, cli, config, data, reports, zoo
+from proxprune import checkpoint, cli, config, data, importance, reports, robustness, zoo
 from proxprune.config import ConfigError, RunConfig, load_config
 from proxprune.moreau import MoreauConfig
 from proxprune.params import ParamSet
@@ -806,29 +808,46 @@ class TestRobustness:
         assert "epsilon must be >= 0 and finite" in err and "Traceback" not in err
         assert not (tmp_path / "rinf").exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_nonfinite_distance_exits_2_without_a_report(self, tmp_path, corpus_file, capsys):
-        """At rho = gamma = 1e-300 moreau's scores are so large that the sum
-        of squares inside the importance norm overflows: |dI| is inf and rel
-        is inf/inf. RFC 8259 JSON has no form for either, so robustness exits
-        2 naming the report and writes neither report file."""
+    def test_distance_whose_sum_of_squares_overflows_is_finite(self, tmp_path, corpus_file, capsys):
+        """At rho = gamma = 1e-300 moreau's element scores are about 2e283, so
+        the sum of squares inside np.linalg.norm overflows although each
+        distance is finite. robustness exits 0, warns of nothing, and writes
+        moreau's |dI| as math.hypot gives it over the two score vectors."""
         extra = {
             "model": {"hidden": 8},
             "moreau": {"rho": 1e-300, "gamma": 1e-300, "steps": 2},
             "robustness": {"criteria": "plain,moreau"},
         }
-        cfg = write_cfg(tmp_path, corpus_file, extra=extra)
+        cfg_path = write_cfg(tmp_path, corpus_file, extra=extra)
         model = zoo.Mlp([data.mlp_feature_width(4), 8, data.VOCAB])
         ckpt = tmp_path / "h8.ckpt"
         checkpoint.save(ckpt, model.arch(), model.init_params(7), model.structures(), model.groups())
-        out = tmp_path / "rnan"
-        rc = cli.main(["robustness", "--config", str(cfg), "--checkpoint", str(ckpt),
-                       "--out", str(out)])
-        assert rc == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"cannot write {out / 'robustness.json'}: Out of range float" in err
-        assert "Traceback" not in err
-        assert not list(out.glob("*"))
+        out = tmp_path / "rbig"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["robustness", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                           "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = json.loads((out / "robustness.json").read_text())["rows"]
+        for row in rows:
+            for key in ("importance_l2", "importance_rel", "delta_w_l2", "sensitivity"):
+                assert math.isfinite(row[key]), (row["criterion"], key)
+
+        cfg = cli.load(str(cfg_path), {})
+        model, params, _ = cli.load_checkpoint(str(ckpt))
+        batch, _ = cli.calibration_batch(model, data.load_corpus(cfg.corpus), cfg)
+        ((baseline, spec),) = cfg.experiments()
+        prunable = {s.param for structure in model.structures() for s in structure.slices}
+        legs = [robustness.perturb(params, sp, prunable) for sp in (baseline, spec)]
+        scores = [
+            np.concatenate([r.element_scores[n].reshape(-1) for n in params.names if n in prunable])
+            for r in importance.run_criterion("moreau", model, legs, batch, cfg.ratio,
+                                              settings=cfg.settings("moreau"))
+        ]
+        assert np.max(np.abs(scores[0])) > 1e154  # its square overflows
+        assert rows[1]["criterion"] == "moreau"
+        assert rows[1]["importance_l2"] == math.hypot(*(scores[0] - scores[1]))
 
     @pytest.mark.parametrize(
         "criteria, failed, code",

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,16 @@ def test_report_json_and_csv_round_trip(tmp_path, small_setup):
     reports.write_csv(tmp_path / "rob.csv", csv_rows)
     text = (tmp_path / "rob.csv").read_text()
     assert text.splitlines()[0] == ",".join(robustness.CSV_COLUMNS)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_write_json_refuses_a_nonfinite_float(tmp_path, value):
+    """RFC 8259 JSON has no form for a NaN or infinite number: write_json raises
+    a ValueError naming the file and writes nothing."""
+    path = tmp_path / "rob.json"
+    with pytest.raises(ValueError, match=re.escape(f"cannot write {path}: Out of range float")):
+        reports.write_json(path, {"rows": [{"importance_l2": value}]})
+    assert not path.exists()
 
 
 def test_importance_report_schema(tmp_path, small_setup):

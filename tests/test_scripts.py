@@ -40,24 +40,39 @@ def script_corpus(tmp_path_factory):
     return path
 
 
+def sharpened(ckpt, factor, out):
+    """Write the checkpoint with parameter w1 scaled by factor to out."""
+    model, params, _ = checkpoint.load(ckpt)
+    params["w1"][:] *= factor
+    checkpoint.save(out, model.arch(), params, model.structures(), model.groups())
+    return out
+
+
 @pytest.fixture(scope="module")
-def study(script_corpus, tmp_path_factory):
+def trained(script_corpus, tmp_path_factory):
+    """(config text, checkpoint) of a model that `proxprune train` wrote."""
+    tmp_path = tmp_path_factory.mktemp("trained")
+    text = (f"[data]\ncorpus = {script_corpus}\ncalib_size = 4\nholdout_size = 2\n"
+            "[train]\nepochs = 1\nsteps_per_epoch = 2\n[noise]\nm = 2\n")
+    cfg = tmp_path / "train.ini"
+    cfg.write_text(text)
+    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
+    return text, tmp_path / "t" / "model.ckpt"
+
+
+@pytest.fixture(scope="module")
+def study(trained, tmp_path_factory):
     """One run of study.py on a sharpened trained model, and a helper that
     runs a `proxprune` command on the same sharpened weights at a seed and
     returns the JSON it writes."""
     tmp_path = tmp_path_factory.mktemp("study")
+    text, ckpt = trained
     cfg = tmp_path / "study.ini"
     cfg.write_text(
-        f"[data]\ncorpus = {script_corpus}\ncalib_size = 4\nholdout_size = 2\n"
-        "[train]\nepochs = 1\nsteps_per_epoch = 2\n[moreau]\nsteps = 2\n[noise]\nm = 2\n"
+        text + "[moreau]\nsteps = 2\n"
         "[robustness]\nspecs = fp16:bf16,gaussian\ncriteria = plain,moreau\n"
     )
-    assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "t")]) == 0
-    ckpt = tmp_path / "t" / "model.ckpt"
-    model, params, _ = checkpoint.load(ckpt)
-    params["w1"][:] *= 50
-    sharp = tmp_path / "sharp.ckpt"
-    checkpoint.save(sharp, model.arch(), params, model.structures(), model.groups())
+    sharp = sharpened(ckpt, 50, tmp_path / "sharp.ckpt")
     lines = run_script("study.py", "--config", cfg, "--checkpoint", ckpt,
                        "--seeds", "2", "--sharpen", "50", "--etas", "5e-6,1")
 
@@ -123,6 +138,29 @@ def test_study_sharpen_needs_w1(script_corpus, tmp_path):
     assert err[-1] == f"study.py: error: --sharpen scales parameter w1, which {ckpt} does not hold"
 
 
+@pytest.mark.parametrize(
+    "moreau, sharpen, code",
+    [("rho = 1e9\ngamma = 1e9\n", 0, cli.EXIT_OPTIMIZER), ("", 1e300, cli.EXIT_CONFIG)],
+    ids=["proximal-divergence", "fp16-overflow"],
+)
+def test_study_fails_as_robustness_does(trained, tmp_path, capsys, moreau, sharpen, code):
+    """On a config whose proximal loop diverges, and on weights sharpened past
+    the fp16 range, the study exits with the code of `proxprune robustness`
+    on the same config and weights, and its last stderr line is the one that
+    command prints; neither ends in a traceback."""
+    text, ckpt = trained
+    cfg = tmp_path / "fail.ini"
+    cfg.write_text(text + f"[moreau]\n{moreau}steps = 2\n[robustness]\ncriteria = plain,moreau\n")
+    weights = sharpened(ckpt, sharpen, tmp_path / "sharp.ckpt") if sharpen else ckpt
+    argv = ["--config", str(cfg), "--checkpoint", str(weights), "--seed", "0"]
+    assert cli.main(["robustness", *argv, "--out", str(tmp_path / "r")]) == code
+    expected = capsys.readouterr().err.splitlines()[-1]
+    err = run_script("study.py", "--config", cfg, "--checkpoint", ckpt, "--seeds", "1",
+                     "--sharpen", sharpen, code=code, stderr=True)
+    assert err[-1] == expected
+    assert not any("Traceback" in line for line in err)
+
+
 def test_compare_runs(script_corpus, tmp_path):
     cfg = tmp_path / "exp.ini"
     cfg.write_text(
@@ -179,12 +217,16 @@ def test_compare_runs(script_corpus, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "damage", [lambda raw: raw[:-5], lambda raw: b"\xff" + raw], ids=["truncated", "not-utf8"]
+    "damage",
+    [lambda raw: raw[:-5], lambda raw: b"\xff" + raw,
+     lambda raw: b"[" * 10_000 + raw + b"]" * 10_000],
+    ids=["truncated", "not-utf8", "too-deep"],
 )
 def test_compare_runs_damaged_report(tmp_path, damage):
-    """A .json file that is not UTF-8 JSON in either run is compared byte for
-    byte, and its line names the run whose copy is not JSON. Two damaged
-    copies with equal bytes are equal; no case ends in a traceback."""
+    """A .json file that is not UTF-8 JSON in either run, or that nests deeper
+    than json loads, is compared byte for byte, and its line names the run
+    whose copy is not JSON. Two damaged copies with equal bytes are equal; no
+    case ends in a traceback."""
     raw = json.dumps({"prune_set": [1, 2]}).encode()
     for broken, verdict in (("A", "differ"), ("B", "differ"), ("A and B", "equal")):
         a, b = tmp_path / broken / "a", tmp_path / broken / "b"
@@ -196,3 +238,31 @@ def test_compare_runs_damaged_report(tmp_path, damage):
             f"robustness.json: bytes {verdict} (not JSON in {broken})",
             f"verdict: {verdict}",
         ]
+
+
+def test_compare_runs_report_that_is_not_an_object(tmp_path):
+    """A .json file whose top level is an array, not a report object, in
+    either run is compared by its values and records no tied cuts; no case
+    ends in a traceback."""
+    report, array = json.dumps({"prune_set": [1, 2]}), json.dumps([1])
+    expected = {
+        "A": ["robustness.json: differs (0 prune sets, no tied cuts recorded)",
+              "  [0]: 1 -> '<absent>'",
+              "  prune_set[]: 2 of 2 differ, e.g. prune_set[0]: '<absent>' -> 1",
+              "  prune set prune_set: only in A [], only in B [1, 2]",
+              "verdict: differ"],
+        "B": ["robustness.json: differs (1 prune set, no tied cuts recorded)",
+              "  [0]: '<absent>' -> 1",
+              "  prune_set[]: 2 of 2 differ, e.g. prune_set[0]: 1 -> '<absent>'",
+              "  prune set prune_set: only in A [1, 2], only in B []",
+              "verdict: differ"],
+        "A and B": ["robustness.json: equal (0 prune sets, no tied cuts recorded)",
+                    "verdict: equal"],
+    }
+    for arrays, lines in expected.items():
+        a, b = tmp_path / arrays / "a", tmp_path / arrays / "b"
+        for side, d in (("A", a), ("B", b)):
+            d.mkdir(parents=True)
+            (d / "robustness.json").write_text(array if side in arrays else report)
+        code = 0 if lines[-1] == "verdict: equal" else 1
+        assert run_script("compare_runs.py", a, b, code=code) == lines
