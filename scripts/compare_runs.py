@@ -6,11 +6,14 @@ For every file of either directory (matched by relative path) it prints:
 * for a JSON report, each field that differs, with list indices folded to
   ``[]`` and counted; the largest relative change of a float field
   (scores, losses, distances; ids and counts are ints); the ids that each
-  prune set (``prune_set``, ``prune_set_a``, ``prune_set_b``) holds in one
-  run only; and, for an importance report, the classes whose prune cut
-  falls between equal scores in one run only. Cuts are taken per class, as ``prune`` ranks by default;
-  the report does not record ``global_pool``. A robustness report holds no
-  per-group scores, so its tied cuts cannot be compared;
+  prune set (``prune_set``, ``prune_set_a``, ``prune_set_b``, a list of
+  int ids) holds in one run only; and, for an importance report, the
+  classes whose prune cut falls between equal scores in one run only. Cuts
+  are taken per class, as ``prune`` ranks by default; the report does not
+  record ``global_pool``. A robustness report holds no per-group scores, so
+  its tied cuts cannot be compared, and neither can those of a document
+  whose ``groups`` entries are not objects holding an int ``id``, a numeric
+  ``score``, a bool ``pruned`` and a string ``class``;
 * for any other file (checkpoints, CSV), and for a ``.json`` file that is
   not UTF-8 JSON in either run, or nests deeper than json loads, whether its
   bytes are equal; the line of such a ``.json`` file names the run (A, B,
@@ -55,23 +58,37 @@ def rel_change(a, b) -> float:
 
 
 def prune_sets(doc, path=""):
-    """(label, ids) of every prune_set* list; a row is labelled by its criterion."""
+    """(label, ids) of every prune_set* list of int ids; a row is labelled by
+    its criterion."""
     if isinstance(doc, dict):
         for key in sorted(doc):
             where = f"{path}.{key}" if path else key
-            if key.startswith("prune_set") and isinstance(doc[key], list):
+            ids = doc[key]
+            if key.startswith("prune_set") and isinstance(ids, list) and all(
+                type(i) is int for i in ids
+            ):
                 crit = f" ({doc['criterion']})" if "criterion" in doc else ""
-                yield where + crit, doc[key]
+                yield where + crit, ids
             else:
-                yield from prune_sets(doc[key], where)
+                yield from prune_sets(ids, where)
     elif isinstance(doc, list):
         for i, value in enumerate(doc):
             yield from prune_sets(value, f"{path}[{i}]")
 
 
+def is_group(g) -> bool:
+    """Whether g is a group of an importance report: an object with an int
+    id, a numeric score, a bool pruned and a string class."""
+    return (isinstance(g, dict) and type(g.get("id")) is int
+            and type(g.get("score")) in (int, float)
+            and type(g.get("pruned")) is bool and isinstance(g.get("class"), str))
+
+
 def tied(doc):
+    """The classes whose cut falls between equal scores, or None for a
+    document whose ``groups`` are not those of an importance report."""
     groups = doc.get("groups") if isinstance(doc, dict) else None
-    if not isinstance(groups, list):
+    if not isinstance(groups, list) or not all(map(is_group, groups)):
         return None
     scores = {g["id"]: g["score"] for g in groups}
     chosen = [g["id"] for g in groups if g["pruned"]]

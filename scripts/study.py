@@ -7,8 +7,15 @@ The model is a checkpoint written by `proxprune train`, and every other
 setting comes from the config. Seed s scores the calibration batch and uses
 the settings that `proxprune robustness --seed s` does; its rows are the
 ones that command writes, and an error exits with that command's code.
+
+Every criterion of a seed shares that seed's calibration batch and legs, so
+with `plain` listed and two seeds or more, each other criterion is also
+compared with `plain` seed by seed: the mean differences in rel and symdiff,
+a 95% percentile bootstrap interval of the mean rel difference over seeds,
+and a two-sided exact sign test over the seeds whose rel differs.
 """
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -16,9 +23,29 @@ import numpy as np
 
 from proxprune import cli, data, robustness
 
+# The bootstrap's generator seed and resample count: fixed, so that a study
+# prints the same interval every time.
+BOOTSTRAP_SEED = 0
+BOOTSTRAP_RESAMPLES = 10_000
+
 
 def floats(text):
     return [float(x) for x in text.split(",")]
+
+
+def paired(deltas):
+    """(mean, 95% percentile bootstrap interval (lo, hi) of the mean, two-sided
+    exact sign-test p, the count of nonzero deltas it is taken over) of the
+    per-seed differences ``deltas``. A zero difference is no sign, so the
+    sign test drops it."""
+    d = np.asarray(deltas, dtype=float)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    means = d[rng.integers(0, d.size, size=(BOOTSTRAP_RESAMPLES, d.size))].mean(axis=1)
+    lo, hi = np.percentile(means, [2.5, 97.5])
+    n = int(np.count_nonzero(d))
+    k = int(min(np.sum(d > 0), np.sum(d < 0)))
+    p = min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
+    return float(d.mean()), (float(lo), float(hi)), p, n
 
 
 def main():
@@ -60,10 +87,22 @@ def study(args, p):
                 print(f"{r.criterion:>10s} {seed:>4d} {r.importance_l2:>10.3e} "
                       f"{r.importance_rel:>8.4f} {r.jaccard:>8.3f} {r.symdiff:>7d}")
         print("\nmean over seeds:")
-        for rows in zip(*legs):  # one criterion's rows at each seed
+        per_criterion = {rows[0].criterion: rows for rows in zip(*legs)}  # rows at each seed
+        for name, rows in per_criterion.items():
             rel, jac, sym = (np.mean([getattr(r, f) for r in rows])
                              for f in ("importance_rel", "jaccard", "symdiff"))
-            print(f"{rows[0].criterion:>10s}  rel={rel:.4f}  jaccard={jac:.3f}  symdiff={sym:.2f}")
+            print(f"{name:>10s}  rel={rel:.4f}  jaccard={jac:.3f}  symdiff={sym:.2f}")
+        plain = per_criterion.get("plain")
+        if plain is None or len(legs) < 2:
+            continue
+        for name, rows in per_criterion.items():
+            if name == "plain":
+                continue
+            drel, (lo, hi), pval, n = paired(
+                [r.importance_rel - q.importance_rel for r, q in zip(rows, plain)])
+            dsym = np.mean([r.symdiff - q.symdiff for r, q in zip(rows, plain)])
+            print(f"{name:>10s}-plain  drel={drel:+.2e}  95% CI [{lo:+.2e}, {hi:+.2e}]  "
+                  f"sign p={pval:.3f} over {n}  dsymdiff={dsym:+.2f}")
 
     print(f"\n{'seed':>4s} {'eta':>10s} {'zeroed':>7s} {'pruned':>7s} {'jaccard vs moreau':>18s}")
     for run, batch in zip(runs, batches):

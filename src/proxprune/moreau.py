@@ -175,10 +175,9 @@ def _proximal_loop(model, legs: list[ParamSet], batch, config: MoreauConfig, lay
     traces: list[list[float]] = [[] for _ in legs]
     alpha = config.gamma * config.eta
     damping = 1.0 - config.gamma / config.rho
-    spec = config.noise
-    with closing(MonteCarloLoop(model, params, batch, spec, range(config.steps))) as loop:
+    with closing(MonteCarloLoop(model, params, batch, config.noise, config.steps)) as loop:
         for t in range(config.steps):
-            _, losses = smoothed_loss_and_grad(model, params, batch, spec, w=v, out=g, loop=loop)
+            _, losses = smoothed_loss_and_grad(loop, v, g)
             for j, (vj, gj, w0j) in enumerate(zip(v, g, w0)):
                 # v = damping * v - gamma * (g - w0 / rho), in this grouping:
                 # IEEE arithmetic is not associative and outputs must stay

@@ -13,11 +13,13 @@ the same seed, step and draw index give the same noise element for element,
 and with numpy's ``Generator`` the flat stream equals per-parameter draws
 concatenated in ParamSet order.
 
-Each draw is evaluated at every leg of a call: k weight vectors that share
-names and shapes, such as the two encodings of a robustness experiment. A
-``MonteCarloLoop`` (one smoothing call, or one proximal loop across all of
-its steps) makes every one of its draws, walking its keys in order, on the
-thread that evaluates it. A loop of two draws or more per step asks
+Every smoothed gradient is one step of a ``MonteCarloLoop``: the
+``smooth`` criterion steps a one-step loop, and a proximal loop of T steps
+steps one loop of T steps. The loop alone keys its draws: its draw n is
+(seed, n // m, n % m). Each draw is evaluated at every leg of a step: k
+weight vectors that share names and shapes, such as the two encodings of a
+robustness experiment. A loop makes every one of its draws, in draw order,
+on the thread that evaluates it. A loop of two draws or more per step asks
 ``ForkedChild.fork``, before its first draw, for one helper that makes and
 evaluates the odd draws of every step while the parent makes and evaluates
 the even ones; the fork lets a process tree run one helper at a time.
@@ -90,69 +92,51 @@ def sample_noise(
 
 
 def smoothed_loss_and_grad(
-    model,
-    params: ParamSet,
-    batch,
-    spec: NoiseSpec,
-    step: int = 0,
-    *,
-    w: np.ndarray,
-    out: np.ndarray | None = None,
-    loop: MonteCarloLoop | None = None,
+    loop: MonteCarloLoop, w: np.ndarray, out: np.ndarray
 ) -> tuple[list[GradMap], list[float]]:
-    """Monte Carlo smoothed gradient at each of k legs: the mean over m noisy
-    gradient evaluations, accumulated in ascending draw order, and the mean
-    noisy loss.
+    """Monte Carlo smoothed gradient at each of k legs, from the next step of
+    ``loop``: the mean over its m noisy gradient evaluations, accumulated in
+    ascending draw order, and the mean noisy loss.
 
-    ``w`` of shape (k, P) holds the flat weight vectors of the legs; params
-    only supply names and shapes. Each draw is made once and evaluated at
-    every leg before the next, so each leg's result equals a call on that
-    leg alone. The mean gradients are written into ``out`` (w's shape,
-    allocated when absent) and returned as a list of k per-parameter maps of
-    views of it, with a list of k losses; each map names every parameter, as
-    ``autodiff.backward`` gives a gradient for every leaf (zero where the
-    loss does not reach it).
+    ``w`` of shape (k, P) holds the flat weight vectors of the legs; the
+    loop's params only supply names and shapes. Each draw is made once and
+    evaluated at every leg before the next, so each leg's result equals a
+    call on that leg alone. The draw gradients are summed in place into
+    ``out`` (w's shape), and the means are returned as a list of k
+    per-parameter maps of views of it, with a list of k losses; each map
+    names every parameter, as ``autodiff.backward`` gives a gradient for
+    every leaf (zero where the loss does not reach it).
 
-    scale == 0 short-circuits to a single exact evaluation, which makes
-    (m=1, scale=0) reduce to the plain gradient bit-exactly.
-
-    The draws are evaluated by ``loop``, a ``MonteCarloLoop`` over the same
-    model, params, batch and spec, when given: a caller that evaluates
-    repeatedly runs every step through one loop, which walks its own keys
-    and ignores ``step``. Without one the draws of ``step`` are evaluated by
-    a loop of this call. The draw gradients are summed in place into ``out``.
+    scale == 0 short-circuits to a single exact evaluation per leg that
+    makes no draw and takes no step of the loop, so that it reduces to the
+    plain gradient bit-exactly at any m.
     """
-    if out is None:
-        out = np.empty(w.shape)
-    means = [unflatten_map(params, row) for row in out]
-    if spec.scale == 0.0:
+    means = [unflatten_map(loop.params, row) for row in out]
+    if loop.spec.scale == 0.0:
         losses = []
         for wj, mean in zip(w, means):
-            loss, grads = _eval(model, unflatten_map(params, wj), batch, draw=0)
+            loss, grads = _eval(loop.model, unflatten_map(loop.params, wj), loop.batch, draw=0)
             _store(mean, grads)
             losses.append(loss)
-    elif loop is not None:
-        losses = loop.step(w, means)
-        out /= spec.m
     else:
-        with closing(MonteCarloLoop(model, params, batch, spec, [step])) as own:
-            losses = own.step(w, means)
-        out /= spec.m
+        losses = loop.step(w, means)
+        out /= loop.spec.m
     return means, losses
 
 
 class MonteCarloLoop:
-    """The draws of one Monte Carlo loop, m for each step of ``steps``, and
+    """The draws of one Monte Carlo loop, m for each of its ``steps``, and
     the processes that evaluate them at the legs.
 
-    Draw n of the loop is draw ``n % m`` of step ``steps[n // m]``, and
-    ``_make`` is the one place it is made, into the loop's one draw buffer,
-    right before its passes. The loop owns the noisy point its passes are
-    evaluated at. At its first step, before any draw is made, a loop of two
-    draws or more per step asks ``ForkedChild.fork`` for one helper process
-    that makes and evaluates the odd draws of every step, while the parent
-    makes the even ones; when the fork is refused, the parent makes every
-    draw. The parent folds each draw into the sums in ascending draw order.
+    Draw n of the loop is keyed (seed, n // m, n % m): draw ``n % m`` of
+    step ``n // m``. ``_make`` is the one place a draw is keyed and made,
+    into the loop's one draw buffer, right before its passes. The loop owns
+    the noisy point its passes are evaluated at. At its first step, before
+    any draw is made, a loop of two draws or more per step asks
+    ``ForkedChild.fork`` for one helper process that makes and evaluates the
+    odd draws of every step, while the parent makes the even ones; when the
+    fork is refused, the parent makes every draw. The parent folds each draw
+    into the sums in ascending draw order.
 
     Shared anonymous memory, mapped right before the fork, holds the legs'
     current points, which the parent writes at the start of each step, and
@@ -169,7 +153,7 @@ class MonteCarloLoop:
     Closing the loop kills and reaps the helper.
     """
 
-    def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps: Sequence[int]):
+    def __init__(self, model, params: ParamSet, batch, spec: NoiseSpec, steps: int):
         self.model, self.params, self.batch, self.spec = model, params, batch, spec
         self.steps = steps
         self.taken = 0  # draws the steps so far have used
@@ -186,8 +170,8 @@ class MonteCarloLoop:
     def step(self, legs: np.ndarray, means) -> list[float]:
         """Sum the m draw gradients of the loop's next step at every leg into
         its map; return the mean noisy loss of each leg."""
-        if self.taken == len(self.steps) * self.spec.m:
-            raise IndexError(f"all {len(self.steps)} steps were taken")
+        if self.taken == self.steps * self.spec.m:
+            raise IndexError(f"all {self.steps} steps were taken")
         if self.taken == 0:
             self._fork(legs.shape)
         first = self.taken
@@ -213,7 +197,7 @@ class MonteCarloLoop:
     def _make(self, n: int) -> np.ndarray:
         """Make draw n of the loop into its draw buffer."""
         t, i = divmod(n, self.spec.m)
-        _draw(self.spec, i, self.steps[t], self.z)
+        _draw(self.spec, i, t, self.z)
         return self.z
 
     def _passes(self, i, z, legs):
@@ -393,10 +377,10 @@ def _eval(model, leaves: dict[str, np.ndarray], batch, draw: int):
     return loss, grads
 
 
-def smoothed_grad(
-    model, legs: Sequence[ParamSet], batch, spec: NoiseSpec, step: int = 0
-) -> list[GradMap]:
-    """The smoothed-gradient pruning criterion, one gradient map per leg; see
-    smoothed_loss_and_grad."""
+def smoothed_grad(model, legs: Sequence[ParamSet], batch, spec: NoiseSpec) -> list[GradMap]:
+    """The smoothed-gradient pruning criterion, one gradient map per leg: the
+    one step of a one-step loop; see smoothed_loss_and_grad."""
     legs = list(legs)
-    return smoothed_loss_and_grad(model, legs[0], batch, spec, step, w=stack_flat(legs))[0]
+    w = stack_flat(legs)
+    with closing(MonteCarloLoop(model, legs[0], batch, spec, 1)) as loop:
+        return smoothed_loss_and_grad(loop, w, np.empty(w.shape))[0]

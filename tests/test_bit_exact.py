@@ -9,6 +9,7 @@ bit (uint64 views), against the straightforward formulation it replaced,
 kept below as the oracle. The oracles are test code only; the package has one runtime path.
 """
 import math
+from contextlib import closing
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from proxprune.moreau import (
     moreau_grad,
 )
 from proxprune.params import ParamSet, PruneStructure, Slice, flatten_map, structure_flat_indices
-from proxprune.smoothing import NoiseSpec, smoothed_grad, smoothed_loss_and_grad
+from proxprune.smoothing import MonteCarloLoop, NoiseSpec, smoothed_grad, smoothed_loss_and_grad
 
 import oracles
 
@@ -204,13 +205,21 @@ def shrunk_transformer_case():
 # --- Monte Carlo and proximal loops ------------------------------------------
 
 
+def third_step(model, params: ParamSet, batch, spec: NoiseSpec, w: np.ndarray):
+    """smoothed_loss_and_grad at the legs w on the third step of a three-step
+    loop, whose draws are keyed by step 2."""
+    out = np.empty(w.shape)
+    with closing(MonteCarloLoop(model, params, batch, spec, 3)) as loop:
+        for _ in range(3):
+            grads, losses = smoothed_loss_and_grad(loop, w, out)
+    return grads, losses
+
+
 @pytest.mark.parametrize("case", CASES)
 @pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
 def test_smoothed_loss_and_grad_matches_oracle_bitwise(case, spec):
     model, params, batch = CASES[case]()
-    (grads,), (loss,) = smoothed_loss_and_grad(
-        model, params, batch, spec, step=2, w=params.flatten()[None]
-    )
+    (grads,), (loss,) = third_step(model, params, batch, spec, params.flatten()[None])
     want, want_loss = oracle_smoothed_loss_and_grad(model, params, batch, spec, step=2)
     assert list(grads) == list(want)
     for name in want:
@@ -559,15 +568,14 @@ def test_legs_smoothed_loss_and_grad_equals_single_leg_calls_bitwise(case, spec)
 
     model, params, batch = CASES[case]()
     legs = leg_params(params)
-    grads, losses = smoothed_loss_and_grad(model, params, batch, spec, step=2, w=stack_flat(legs))
+    grads, losses = third_step(model, params, batch, spec, stack_flat(legs))
     assert len(grads) == len(losses) == len(legs)
-    for leg, g, loss, crit in zip(legs, grads, losses, smoothed_grad(model, legs, batch, spec, 2)):
-        (want,), (want_loss,) = smoothed_loss_and_grad(
-            model, leg, batch, spec, step=2, w=leg.flatten()[None]
-        )
+    for leg, g, loss, crit in zip(legs, grads, losses, smoothed_grad(model, legs, batch, spec)):
+        (want,), (want_loss,) = third_step(model, leg, batch, spec, leg.flatten()[None])
         assert_same_maps(g, want)
-        assert_same_maps(crit, want)
         assert_same_bits(loss, want_loss)
+        (want,) = smoothed_grad(model, [leg], batch, spec)
+        assert_same_maps(crit, want)
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -107,8 +107,7 @@ def test_a_loops_first_draw_runs_while_no_other_thread_does(monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 8])
 def test_a_one_step_loop_starts_no_thread(draw_log, thread_starts, m):
     spec = NoiseSpec(scale=0.1, m=m, seed=0)
-    w = np.array([[1.0, -2.0]])
-    smoothing.smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w[0]), None, spec, w=w)
+    smoothing.smoothed_grad(oracles.Quadratic(), [oracles.wrap([1.0, -2.0])], None, spec)
     assert draw_log == [(0, i, True) for i in range(m)]
     assert thread_starts == []
 
@@ -132,13 +131,22 @@ class Recorder(oracles.Quadratic):
 
 
 def keyed_points(spec, w, steps):
-    """The noisy point of every draw of these steps at every leg, in order,
-    from the keyed draws: |w|, *= s, *= z, += w, as a loop forms them."""
-    for t in steps:
+    """The noisy point of every draw of a loop of these many steps at every
+    leg, in order, from the keyed draws: |w|, *= s, *= z, += w, as a loop
+    forms them."""
+    for t in range(steps):
         for i in range(spec.m):
             z = np.random.default_rng((spec.seed, t, i)).standard_normal(w.shape[1])
             for wj in w:
                 yield np.abs(wj) * spec.scale * z + wj
+
+
+def run_loop(model, spec, w, steps):
+    """Step a loop of these many steps over the legs w to its end."""
+    out = np.empty(w.shape)
+    with closing(smoothing.MonteCarloLoop(model, oracles.wrap(w[0]), None, spec, steps)) as loop:
+        for _ in range(steps):
+            smoothing.smoothed_loss_and_grad(loop, w, out)
 
 
 def test_buffer_is_not_refilled_while_the_consumer_reads_it(draw_log):
@@ -146,28 +154,26 @@ def test_buffer_is_not_refilled_while_the_consumer_reads_it(draw_log):
     rng = np.random.default_rng(0)
     w = rng.standard_normal((2, 1000))
     model = Recorder()
-    for t in (1, 2):
-        smoothing.smoothed_loss_and_grad(model, oracles.wrap(w[0]), None, spec, t, w=w)
-    assert len(draw_log) == 8 and on_main(draw_log)
-    want = list(keyed_points(spec, w, (1, 2)))
-    assert len(model.points) == len(want) == 16
+    run_loop(model, spec, w, 3)
+    assert len(draw_log) == 12 and on_main(draw_log)
+    want = list(keyed_points(spec, w, 3))
+    assert len(model.points) == len(want) == 24
     assert all(np.array_equal(got, exp) for got, exp in zip(model.points, want))
 
 
 def test_concurrent_consumers_read_the_keyed_bytes_under_fast_switching():
-    """Four smoothing calls at once, each on its own thread (four threads on
+    """Four six-step loops at once, each on its own thread (four threads on
     fewer cores), switching every microsecond: every noisy point must come
     from the keyed draw, which a loop that shared a buffer with another, or
     refilled its own during a read, would break."""
     spec = NoiseSpec(scale=0.1, m=8, seed=11)
     w = np.random.default_rng(1).standard_normal((2, 500))
-    want = list(keyed_points(spec, w, range(6)))
+    want = list(keyed_points(spec, w, 6))
     bad = []
 
     def consume():
         model = Recorder()
-        for t in range(6):
-            smoothing.smoothed_loss_and_grad(model, oracles.wrap(w[0]), None, spec, t, w=w)
+        run_loop(model, spec, w, 6)
         if not (
             len(model.points) == len(want)
             and all(np.array_equal(got, exp) for got, exp in zip(model.points, want))
@@ -201,10 +207,9 @@ def test_draw_error_is_raised_by_the_take_of_that_draw(monkeypatch):
 
     monkeypatch.setattr(smoothing, "_draw", failing)
     before = threading.active_count()
-    w = np.array([[1.0, -2.0]])
     spec = NoiseSpec(scale=0.1, m=3, seed=0)
     with pytest.raises(ValueError) as exc:
-        smoothing.smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w[0]), None, spec, w=w)
+        smoothing.smoothed_grad(oracles.Quadratic(), [oracles.wrap([1.0, -2.0])], None, spec)
     assert on_main_thread == [True]
     assert exc.value is boom
     assert threading.active_count() == before
@@ -217,7 +222,7 @@ def test_taking_past_the_last_key_raises_instead_of_waiting():
     for m in (2, 3):
         spec = NoiseSpec(scale=0.1, m=m, seed=0)
         means = [unflatten_map(params, np.empty(2))]
-        loop = smoothing.MonteCarloLoop(oracles.Quadratic(), params, None, spec, [0])
+        loop = smoothing.MonteCarloLoop(oracles.Quadratic(), params, None, spec, 1)
         with closing(loop):
             loop.step(w, means)
             with pytest.raises(IndexError, match="all 1 steps were taken"):
@@ -231,7 +236,7 @@ def test_a_loop_is_built_in_constant_memory_whatever_its_draw_count():
     spec = NoiseSpec(scale=0.1, m=10**9, seed=0)
     tracemalloc.start()
     try:
-        loop = smoothing.MonteCarloLoop(oracles.Quadratic(), params, None, spec, range(10))
+        loop = smoothing.MonteCarloLoop(oracles.Quadratic(), params, None, spec, 10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+from contextlib import closing
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from proxprune import autodiff as ad
 from proxprune import checkpoint, cli, data, importance, moreau, robustness, smoothing, zoo
 from proxprune.moreau import MoreauConfig
 from proxprune.params import stack_flat
-from proxprune.smoothing import NoiseSpec, smoothed_loss_and_grad
+from proxprune.smoothing import MonteCarloLoop, NoiseSpec, smoothed_grad, smoothed_loss_and_grad
 
 import oracles
 
@@ -87,13 +88,18 @@ def both_ways(monkeypatch, forks, run):
 def test_smoothed_loss_and_grad_is_bitwise_equal_with_a_helper(
     transformer, monkeypatch, forks, m, k
 ):
+    """Every step of a three-step loop, whose last draws are keyed by step 2."""
     model, legs, batch = transformer
     spec = NoiseSpec(scale=0.05, m=m, seed=3)
     w = stack_flat(legs[:k])
 
     def run():
-        means, losses = smoothed_loss_and_grad(model, legs[0], batch, spec, step=2, w=w)
-        return flat_bytes(means, legs[0]), losses
+        steps, out = [], np.empty(w.shape)
+        with closing(MonteCarloLoop(model, legs[0], batch, spec, 3)) as loop:
+            for _ in range(3):
+                means, losses = smoothed_loss_and_grad(loop, w, out)
+                steps.append((flat_bytes(means, legs[0]), losses))
+        return steps
 
     off, on, n = both_ways(monkeypatch, forks, run)
     assert on == off
@@ -132,6 +138,28 @@ def test_group_sparse_moreau_grad_is_bitwise_equal_with_a_helper(
     assert on == off
     assert on[1]  # the threshold zeroes some groups, so that path runs too
     assert n == (m > 1)
+
+
+def test_scale_zero_makes_no_draw_and_forks_no_helper(transformer, monkeypatch, forks):
+    """At scale 0 a loop of m 4 is evaluated exactly, so it draws nothing and
+    leaves a helper nothing to do, for `smooth` and for a three-step
+    `moreau`; `smooth` is then the plain gradient, bit for bit."""
+    model, legs, batch = transformer
+
+    def no_draw(*args):
+        raise AssertionError("a draw was made at scale 0")
+
+    monkeypatch.setattr(smoothing, "_draw", no_draw)
+    helper_on(monkeypatch, True)
+    spec = NoiseSpec(scale=0.0, m=4, seed=0)
+    for leg, smooth in zip(legs, smoothed_grad(model, legs, batch, spec)):
+        _, plain = ad.gradient(model.loss, dict(leg), batch)
+        assert list(smooth) == list(plain)
+        assert flat_bytes([smooth], leg) == flat_bytes([plain], leg)
+    cfg = MoreauConfig(rho=0.05, gamma=1e-3, steps=3, noise=spec)
+    out = moreau.moreau_grad(model, legs, batch, cfg)
+    assert [len(r.trace) for r in out.legs] == [3, 3]
+    assert forks == []
 
 
 @pytest.fixture()
@@ -300,12 +328,12 @@ def test_helper_draw_going_non_finite_raises_the_in_process_error(monkeypatch, f
     w = np.array([[1.0, -2.0]])
     z = np.random.default_rng((spec.seed, 0, 3)).standard_normal(2)
     model = ExplodesAt(z * spec.scale + w[0])  # draw 3, a helper's draw
-    legs = oracles.wrap(w[0])
+    legs = [oracles.wrap(w[0])]
     errors = []
     for on in (False, True):
         helper_on(monkeypatch, on)
         with pytest.raises(smoothing.SmoothingError) as exc:
-            smoothed_loss_and_grad(model, legs, None, spec, w=w)
+            smoothed_grad(model, legs, None, spec)
         errors.append(exc.value)
     assert len(forks) == 1 and no_child_left()
     off, on = errors

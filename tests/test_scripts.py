@@ -1,6 +1,7 @@
 """Smoke test for the scripts in ``scripts/``: each runs on a small corpus, or
 ``compare_runs.py`` on two small runs, and prints its expected lines. They
 import the package, so an API change that breaks them fails here."""
+import importlib.util
 import json
 import os
 import shutil
@@ -88,7 +89,8 @@ def study(trained, tmp_path_factory):
 def test_robustness_table(study):
     """Per [robustness] spec, the study prints one row per seed and criterion
     with the distances that `proxprune robustness --seed s` writes for the
-    sharpened weights, then their means over seeds."""
+    sharpened weights, then their means over seeds and moreau's differences
+    from plain, paired by seed."""
     lines, report = study
     header = " criterion seed       |dI|      rel  jaccard symdiff"
     rows = {seed: report(seed, "robustness")["rows"] for seed in (0, 1)}
@@ -104,11 +106,16 @@ def test_robustness_table(study):
     ]
     assert lines[10].startswith(f"     plain  rel={plain_rel:.4f}  jaccard=")
     assert lines[11].startswith("    moreau  rel=")
-    assert lines[12:15] == ["", "none->gaussian-ball(eps=0.01)", header]
-    assert [line.split()[:2] for line in lines[15:19]] == [
+    drel = [rows[s][1]["importance_rel"] - rows[s][0]["importance_rel"] for s in (0, 1)]
+    dsym = [rows[s][1]["symdiff"] - rows[s][0]["symdiff"] for s in (0, 1)]
+    assert lines[12].startswith(f"    moreau-plain  drel={(drel[0] + drel[1]) / 2:+.2e}  95% CI [")
+    assert lines[12].endswith(f"  dsymdiff={(dsym[0] + dsym[1]) / 2:+.2f}")
+    assert lines[13:16] == ["", "none->gaussian-ball(eps=0.01)", header]
+    assert [line.split()[:2] for line in lines[16:20]] == [
         ["plain", "0"], ["moreau", "0"], ["plain", "1"], ["moreau", "1"]
     ]
-    assert lines[19:21] == ["", "mean over seeds:"]
+    assert lines[20:22] == ["", "mean over seeds:"]
+    assert lines[24].startswith("    moreau-plain  drel=")
 
 
 def test_eta_sweep(study):
@@ -116,15 +123,34 @@ def test_eta_sweep(study):
     with the groups moreau-gs zeroes and prunes and the overlap with moreau's
     prune set, as `proxprune prune --seed s` computes them."""
     lines, report = study
-    assert lines[23:25] == ["", "seed        eta  zeroed  pruned  jaccard vs moreau"]
-    assert [line.split()[:2] for line in lines[25:]] == [
+    assert lines[25:27] == ["", "seed        eta  zeroed  pruned  jaccard vs moreau"]
+    assert [line.split()[:2] for line in lines[27:]] == [
         ["0", "5e-06"], ["0", "1"], ["1", "5e-06"], ["1", "1"]
     ]
     gs = report(1, "prune", "--criterion", "moreau-gs")
     pruned = set(gs["prune_set"])
     base = set(report(1, "prune", "--criterion", "moreau")["prune_set"])
-    assert lines[27] == (f"   1      5e-06 {gs['extra']['zeroed_groups']:>7d} {len(pruned):>7d} "
+    assert lines[29] == (f"   1      5e-06 {gs['extra']['zeroed_groups']:>7d} {len(pruned):>7d} "
                          f"{len(pruned & base) / len(pruned | base):>18.3f}")
+
+
+def test_paired_statistics_on_a_hand_computed_case():
+    """Per-seed differences 1, 2, 3, 4 have mean 2.5 and, all four positive,
+    a two-sided sign-test p of 2 / 2**4; seeds whose difference is zero carry
+    no sign and drop out of the test but not out of the mean; the bootstrap
+    interval is the same on every call."""
+    spec = importlib.util.spec_from_file_location("study_script", ROOT / "scripts" / "study.py")
+    study_script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study_script)
+    paired = study_script.paired
+    mean, (lo, hi), p, n = paired([1, 2, 3, 4])
+    assert (mean, p, n) == (2.5, 0.125, 4)
+    assert 1 <= lo < mean < hi <= 4
+    assert paired([1, 2, 3, 4]) == paired([1, 2, 3, 4])
+    mean, _, p, n = paired([0, 1, -2, 3, 0])
+    assert (mean, p, n) == (0.4, 1.0, 3)  # one sign of three: p = 2 (1 + 3) / 2**3, capped
+    assert paired([0, 0])[2:] == (1.0, 0)
+    assert paired([-1, -1, -1, -1, -1, 0])[2:] == (0.0625, 5)
 
 
 def test_study_sharpen_needs_w1(script_corpus, tmp_path):
@@ -266,3 +292,25 @@ def test_compare_runs_report_that_is_not_an_object(tmp_path):
             (d / "robustness.json").write_text(array if side in arrays else report)
         code = 0 if lines[-1] == "verdict: equal" else 1
         assert run_script("compare_runs.py", a, b, code=code) == lines
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"groups": [{"id": 1}]}, {"groups": [1, 2]},
+     {"groups": [{"id": [1], "score": 0.5, "pruned": True, "class": "channel"}]},
+     {"prune_set": [[1]]}, {"prune_set": [3, "a"]}],
+    ids=["group-without-score", "groups-not-objects", "unhashable-id",
+         "unhashable-ids", "mixed-ids"],
+)
+def test_compare_runs_groups_or_prune_sets_unlike_a_report(tmp_path, doc):
+    """A .json object whose ``groups`` are not an importance report's, or whose
+    prune set holds ids that are not ints, in either run is compared by its
+    values: exit 0 when the runs are equal and 1 when they differ, never a
+    traceback."""
+    report = json.dumps({"prune_set": [1, 2]})
+    for odd, code in (("A", 1), ("B", 1), ("A and B", 0)):
+        a, b = tmp_path / odd / "a", tmp_path / odd / "b"
+        for side, d in (("A", a), ("B", b)):
+            d.mkdir(parents=True)
+            (d / "report.json").write_text(json.dumps(doc) if side in odd else report)
+        assert run_script("compare_runs.py", a, b, code=code, stderr=True) == []

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from proxprune import smoothing, zoo
-from proxprune.smoothing import NoiseSpec, sample_noise, smoothed_grad, smoothed_loss_and_grad
+from proxprune.smoothing import NoiseSpec, sample_noise, smoothed_grad
 
 import oracles
 
@@ -99,7 +99,7 @@ def test_quadratic_smoothed_grad_within_monte_carlo_error():
     w = np.array([0.7])
     sigma, m = 0.5, 1000
     spec = NoiseSpec(scale=sigma, m=m, seed=11, mode="absolute")
-    (grads,), _ = smoothed_loss_and_grad(oracles.Quadratic(), oracles.wrap(w), None, spec, w=w[None])
+    (grads,) = smoothed_grad(oracles.Quadratic(), [oracles.wrap(w)], None, spec)
     se = sigma / math.sqrt(m)
     assert abs(grads["w"][0] - w[0]) < 3 * se
 
