@@ -4,11 +4,13 @@
 For every file of either directory (matched by relative path) it prints:
 
 * for a JSON report, each field that differs, with list indices folded to
-  ``[]`` and counted; the largest relative change of a float field
-  (scores, losses, distances; ids and counts are ints); the ids that each
-  prune set (``prune_set``, ``prune_set_a``, ``prune_set_b``, a list of
-  int ids) holds in one run only; and, for an importance report, the
-  classes whose prune cut falls between equal scores in one run only. Cuts
+  ``[]`` and counted (an empty object or array is a field, and a key that
+  is not a name is written ``["key"]``, so two fields never print alike);
+  the largest relative change of a float field (scores, losses,
+  distances; ids and counts are ints); the ids that each prune set
+  (``prune_set``, ``prune_set_a``, ``prune_set_b``, a list of int ids)
+  holds in one run only; and, for an importance report, the classes whose
+  prune cut falls between equal scores in one run only. Cuts
   are taken per class, as ``prune`` ranks by default; the report does not
   record ``global_pool``. A robustness report holds no per-group scores, so
   its tied cuts cannot be compared, and neither can those of a document
@@ -34,16 +36,29 @@ from pathlib import Path
 from proxprune.importance import tied_cuts
 
 
-def leaves(doc, path=""):
-    """(path, value) of every scalar of a JSON document."""
-    if isinstance(doc, dict):
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def child(path, key):
+    """The path of member ``key`` under ``path``: ``a.b`` for a name, and
+    ``a["b.c"]`` for any other key, so that no two paths print alike."""
+    if NAME.fullmatch(key):
+        return f"{path}.{key}" if path else key
+    return f"{path}[{json.dumps(key)}]"
+
+
+def leaves(doc, path="", folded=""):
+    """(path, folded path, value) of every scalar and every empty object or
+    array of a JSON document; the folded path writes each list index as
+    ``[]``."""
+    if isinstance(doc, dict) and doc:
         for key in sorted(doc):
-            yield from leaves(doc[key], f"{path}.{key}" if path else key)
-    elif isinstance(doc, list):
+            yield from leaves(doc[key], child(path, key), child(folded, key))
+    elif isinstance(doc, list) and doc:
         for i, value in enumerate(doc):
-            yield from leaves(value, f"{path}[{i}]")
+            yield from leaves(value, f"{path}[{i}]", f"{folded}[]")
     else:
-        yield path, doc
+        yield path, folded, doc
 
 
 def same(a, b) -> bool:
@@ -58,17 +73,17 @@ def rel_change(a, b) -> float:
 
 
 def prune_sets(doc, path=""):
-    """(label, ids) of every prune_set* list of int ids; a row is labelled by
-    its criterion."""
+    """(path, (label, ids)) of every prune_set* list of int ids; the label
+    adds to the path the criterion of the row or report that holds it."""
     if isinstance(doc, dict):
         for key in sorted(doc):
-            where = f"{path}.{key}" if path else key
+            where = child(path, key)
             ids = doc[key]
             if key.startswith("prune_set") and isinstance(ids, list) and all(
                 type(i) is int for i in ids
             ):
                 crit = f" ({doc['criterion']})" if "criterion" in doc else ""
-                yield where + crit, ids
+                yield where, (where + crit, ids)
             else:
                 yield from prune_sets(ids, where)
     elif isinstance(doc, list):
@@ -97,10 +112,13 @@ def tied(doc):
 
 def compare_json(a, b) -> list[str]:
     """Lines describing how document b differs from a; empty when equal."""
-    la, lb = dict(leaves(a)), dict(leaves(b))
+    la, lb, folded = {}, {}, {}
+    for doc, found in ((a, la), (b, lb)):
+        for path, fold, value in leaves(doc):
+            found[path], folded[path] = value, fold
     by_pattern: dict[str, list[str]] = {}
     for path in sorted(la.keys() | lb.keys()):
-        by_pattern.setdefault(re.sub(r"\[\d+\]", "[]", path), []).append(path)
+        by_pattern.setdefault(folded[path], []).append(path)
     lines, largest = [], None
     for pattern, paths in by_pattern.items():
         diff = [p for p in paths if not (p in la and p in lb and same(la[p], lb[p]))]
@@ -120,8 +138,9 @@ def compare_json(a, b) -> list[str]:
         r, p = largest
         lines.append(f"largest relative change: {r:.3g} at {p} ({la[p]!r} -> {lb[p]!r})")
     sets_a, sets_b = dict(prune_sets(a)), dict(prune_sets(b))
-    for label in sorted(sets_a.keys() | sets_b.keys()):
-        ids_a, ids_b = set(sets_a.get(label, ())), set(sets_b.get(label, ()))
+    for where in sorted(sets_a.keys() | sets_b.keys()):
+        label = (sets_a.get(where) or sets_b[where])[0]
+        ids_a, ids_b = (set(sets.get(where, ("", ()))[1]) for sets in (sets_a, sets_b))
         if ids_a != ids_b:
             lines.append(
                 f"prune set {label}: only in A {sorted(ids_a - ids_b)}, only in B {sorted(ids_b - ids_a)}"

@@ -1,7 +1,6 @@
 #!/usr/bin/env python3
 """Stability study: how far each pruning criterion's scores and prune set move
-between the two weight encodings of each [robustness] spec, over seeds, and
-how many channel groups moreau-gs zeroes as its group penalty eta grows.
+between the two weight encodings of each [robustness] spec, over seeds.
 
 The model is a checkpoint written by `proxprune train`, and every other
 setting comes from the config. Seed s scores the calibration batch and uses
@@ -12,7 +11,8 @@ Every criterion of a seed shares that seed's calibration batch and legs, so
 with `plain` listed and two seeds or more, each other criterion is also
 compared with `plain` seed by seed: the mean differences in rel and symdiff,
 a 95% percentile bootstrap interval of the mean rel difference over seeds,
-and a two-sided exact sign test over the seeds whose rel differs.
+and a two-sided exact sign test over the seeds whose rel differs, and one
+over the seeds whose symdiff differs.
 """
 import argparse
 import math
@@ -21,16 +21,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from proxprune import cli, data, robustness
+from proxprune import cli, data
 
 # The bootstrap's generator seed and resample count: fixed, so that a study
 # prints the same interval every time.
 BOOTSTRAP_SEED = 0
 BOOTSTRAP_RESAMPLES = 10_000
-
-
-def floats(text):
-    return [float(x) for x in text.split(",")]
 
 
 def paired(deltas):
@@ -56,8 +52,6 @@ def main():
     p.add_argument("--seeds", type=int, default=5, help="run seeds 0 .. N-1")
     p.add_argument("--sharpen", type=float, default=0.0,
                    help="factor applied to parameter w1 first (0 leaves it)")
-    p.add_argument("--etas", type=floats, default="0,1e-6,5e-6,1e-4,1e-2,1.0",
-                   help="comma-separated moreau-gs eta values")
     args = p.parse_args()
     if args.seeds < 1:
         p.error("--seeds must be >= 1")
@@ -76,8 +70,8 @@ def study(args, p):
         print(f"sharpened w1 by x{args.sharpen:g}")
 
     runs = [replace(cfg, seed=s) for s in range(args.seeds)]
-    batches = [cli.calibration_batch(model, corpus, run)[0] for run in runs]
-    tables = [cli.robustness_rows(model, params, b, run) for b, run in zip(batches, runs)]
+    tables = [cli.robustness_rows(model, params, cli.calibration_batch(model, corpus, run)[0], run)
+              for run in runs]
     for legs in zip(*tables):  # one spec's rows at each seed
         print(f"\n{legs[0][0].baseline}->{legs[0][0].perturbation}")
         print(f"{'criterion':>10s} {'seed':>4s} {'|dI|':>10s} {'rel':>8s} "
@@ -100,19 +94,10 @@ def study(args, p):
                 continue
             drel, (lo, hi), pval, n = paired(
                 [r.importance_rel - q.importance_rel for r, q in zip(rows, plain)])
-            dsym = np.mean([r.symdiff - q.symdiff for r, q in zip(rows, plain)])
+            dsym, _, psym, nsym = paired([r.symdiff - q.symdiff for r, q in zip(rows, plain)])
             print(f"{name:>10s}-plain  drel={drel:+.2e}  95% CI [{lo:+.2e}, {hi:+.2e}]  "
-                  f"sign p={pval:.3f} over {n}  dsymdiff={dsym:+.2f}")
-
-    print(f"\n{'seed':>4s} {'eta':>10s} {'zeroed':>7s} {'pruned':>7s} {'jaccard vs moreau':>18s}")
-    for run, batch in zip(runs, batches):
-        base = cli.prune_report(model, params, batch, replace(run, criterion="moreau")).prune_set
-        for eta in args.etas:
-            rep = cli.prune_report(model, params, batch,
-                                   replace(run, criterion="moreau-gs", eta=eta))
-            jac = robustness.jaccard(rep.prune_set, base)
-            print(f"{run.seed:>4d} {eta:>10.2g} {rep.extra['zeroed_groups']:>7d} "
-                  f"{len(rep.prune_set):>7d} {jac:>18.3f}")
+                  f"sign p={pval:.3f} over {n}  dsymdiff={dsym:+.2f}  "
+                  f"sign p={psym:.3f} over {nsym}")
     return cli.EXIT_OK
 
 

@@ -4,6 +4,7 @@ import the package, so an API change that breaks them fails here."""
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -11,9 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from proxprune import checkpoint, cli, data, zoo
+from proxprune import checkpoint, cli, config, data, zoo
 
 ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text("utf-8")
 
 
 def run_python(*args, code=0, stderr=False):
@@ -75,7 +77,7 @@ def study(trained, tmp_path_factory):
     )
     sharp = sharpened(ckpt, 50, tmp_path / "sharp.ckpt")
     lines = run_script("study.py", "--config", cfg, "--checkpoint", ckpt,
-                       "--seeds", "2", "--sharpen", "50", "--etas", "5e-6,1")
+                       "--seeds", "2", "--sharpen", "50")
 
     def report(seed, *argv):
         out = tmp_path / "_".join(map(str, (seed, *argv)))
@@ -90,7 +92,7 @@ def test_robustness_table(study):
     """Per [robustness] spec, the study prints one row per seed and criterion
     with the distances that `proxprune robustness --seed s` writes for the
     sharpened weights, then their means over seeds and moreau's differences
-    from plain, paired by seed."""
+    from plain, paired by seed, and nothing after the last spec."""
     lines, report = study
     header = " criterion seed       |dI|      rel  jaccard symdiff"
     rows = {seed: report(seed, "robustness")["rows"] for seed in (0, 1)}
@@ -109,29 +111,17 @@ def test_robustness_table(study):
     drel = [rows[s][1]["importance_rel"] - rows[s][0]["importance_rel"] for s in (0, 1)]
     dsym = [rows[s][1]["symdiff"] - rows[s][0]["symdiff"] for s in (0, 1)]
     assert lines[12].startswith(f"    moreau-plain  drel={(drel[0] + drel[1]) / 2:+.2e}  95% CI [")
-    assert lines[12].endswith(f"  dsymdiff={(dsym[0] + dsym[1]) / 2:+.2f}")
+    n = sum(d != 0 for d in dsym)
+    p = 0.5 if n == 2 and dsym[0] * dsym[1] > 0 else 1.0  # both flips one way: 2 / 2**2
+    assert lines[12].endswith(
+        f"  dsymdiff={(dsym[0] + dsym[1]) / 2:+.2f}  sign p={p:.3f} over {n}")
     assert lines[13:16] == ["", "none->gaussian-ball(eps=0.01)", header]
     assert [line.split()[:2] for line in lines[16:20]] == [
         ["plain", "0"], ["moreau", "0"], ["plain", "1"], ["moreau", "1"]
     ]
     assert lines[20:22] == ["", "mean over seeds:"]
     assert lines[24].startswith("    moreau-plain  drel=")
-
-
-def test_eta_sweep(study):
-    """After the robustness tables, the study prints one row per seed and eta
-    with the groups moreau-gs zeroes and prunes and the overlap with moreau's
-    prune set, as `proxprune prune --seed s` computes them."""
-    lines, report = study
-    assert lines[25:27] == ["", "seed        eta  zeroed  pruned  jaccard vs moreau"]
-    assert [line.split()[:2] for line in lines[27:]] == [
-        ["0", "5e-06"], ["0", "1"], ["1", "5e-06"], ["1", "1"]
-    ]
-    gs = report(1, "prune", "--criterion", "moreau-gs")
-    pruned = set(gs["prune_set"])
-    base = set(report(1, "prune", "--criterion", "moreau")["prune_set"])
-    assert lines[29] == (f"   1      5e-06 {gs['extra']['zeroed_groups']:>7d} {len(pruned):>7d} "
-                         f"{len(pruned & base) / len(pruned | base):>18.3f}")
+    assert len(lines) == 25
 
 
 def test_paired_statistics_on_a_hand_computed_case():
@@ -314,3 +304,69 @@ def test_compare_runs_groups_or_prune_sets_unlike_a_report(tmp_path, doc):
             d.mkdir(parents=True)
             (d / "report.json").write_text(json.dumps(doc) if side in odd else report)
         assert run_script("compare_runs.py", a, b, code=code, stderr=True) == []
+
+
+@pytest.mark.parametrize(
+    "doc_a, doc_b, path, value_a, value_b",
+    [({"prune_set": [], "ratio": 0.0}, {"ratio": 0.0}, "prune_set", [], "<absent>"),
+     ({"extra": {}}, {"extra": []}, "extra", {}, []),
+     ({"a.b": 1}, {"a": {"b": 1}}, '["a.b"]', 1, "<absent>")],
+    ids=["empty-array-or-absent", "empty-object-or-array", "dotted-key-or-nested"],
+)
+def test_compare_runs_documents_that_are_not_equal_values(tmp_path, doc_a, doc_b, path,
+                                                           value_a, value_b):
+    """Two JSON documents that are not equal values differ, whichever run
+    holds which: an empty array against an absent key, an empty object
+    against an empty array, a dotted key against a nested one. The line
+    names the path that differs, and each document is equal to itself."""
+    for name, (a_doc, b_doc), code in (("ab", (doc_a, doc_b), 1), ("ba", (doc_b, doc_a), 1),
+                                       ("aa", (doc_a, doc_a), 0), ("bb", (doc_b, doc_b), 0)):
+        a, b = tmp_path / name / "a", tmp_path / name / "b"
+        for d, doc in ((a, a_doc), (b, b_doc)):
+            d.mkdir(parents=True)
+            (d / "report.json").write_text(json.dumps(doc))
+        lines = run_script("compare_runs.py", a, b, code=code)
+        shown = (value_a, value_b) if name == "ab" else (value_b, value_a)
+        if code:
+            assert f"  {path}: {shown[0]!r} -> {shown[1]!r}" in lines
+            assert lines[-1] == "verdict: differ"
+        else:
+            assert lines[-1] == "verdict: equal"
+
+
+def test_readme_ini_blocks_load(tmp_path):
+    """Every INI block of README.md is a config that loads, with the corpus
+    overridden as --corpus does."""
+    blocks = re.findall(r"```ini\n(.*?)```", README, re.S)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"{i}.ini"
+        path.write_text(block)
+        config.load_config(str(path), {"corpus": "corpus.txt"})
+
+
+def test_readme_study_invocations_pass_only_listed_options():
+    """Every scripts/study.py invocation in README.md, continuation lines
+    included, passes only options that `study.py --help` lists."""
+    listed = set(re.findall(r"--[a-z][a-z-]*", "\n".join(run_script("study.py", "--help"))))
+    calls = re.findall(r"study\.py((?:\\\n|[^\n])*)", README)
+    used = [set(re.findall(r"--[a-z][a-z-]*", call)) for call in calls]
+    assert sum("--checkpoint" in options for options in used) >= 2
+    assert all(options <= listed for options in used), [o - listed for o in used]
+
+
+@pytest.mark.parametrize("ids_b, shown", [([4, 7, 11], []), ([4, 7, 12], [11, 12])],
+                         ids=["same-set", "one-swap"])
+def test_compare_runs_matches_prune_sets_by_path(tmp_path, ids_b, shown):
+    """A prune set is matched by its path, whatever the criterion of the
+    report that holds it: against a moreau report, a moreau-gs report lists
+    only the ids that one of the two sets holds."""
+    for side, doc in (("a", {"criterion": "moreau", "prune_set": [4, 7, 11]}),
+                      ("b", {"criterion": "moreau-gs", "prune_set": ids_b})):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "importance.json").write_text(json.dumps(doc))
+    lines = run_script("compare_runs.py", tmp_path / "a", tmp_path / "b", code=1)
+    assert "  criterion: 'moreau' -> 'moreau-gs'" in lines
+    assert [line for line in lines if line.startswith("  prune set ")] == (
+        [f"  prune set prune_set (moreau): only in A [{shown[0]}], only in B [{shown[1]}]"]
+        if shown else [])
