@@ -10,12 +10,12 @@ For every file of either directory (matched by relative path) it prints:
   distances; ids and counts are ints); the ids that each prune set
   (``prune_set``, ``prune_set_a``, ``prune_set_b``, a list of int ids)
   holds in one run only; and, for an importance report, the classes whose
-  prune cut falls between equal scores in one run only. Cuts
-  are taken per class, as ``prune`` ranks by default; the report does not
-  record ``global_pool``. A robustness report holds no per-group scores, so
-  its tied cuts cannot be compared, and neither can those of a document
-  whose ``groups`` entries are not objects holding an int ``id``, a numeric
-  ``score``, a bool ``pruned`` and a string ``class``;
+  prune cut falls between equal scores in one run only. Cuts are taken per
+  class because that is how ``prune`` ranks. A robustness report holds no
+  per-group scores, so its tied cuts cannot be compared, and neither can
+  those of a document whose ``groups`` entries are not objects holding an
+  int ``id``, a numeric ``score``, a bool ``pruned`` and a string
+  ``class``;
 * for any other file (checkpoints, CSV), and for a ``.json`` file that is
   not UTF-8 JSON in either run, or nests deeper than json loads, whether its
   bytes are equal; the line of such a ``.json`` file names the run (A, B,

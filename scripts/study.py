@@ -11,13 +11,22 @@ Every criterion of a seed shares that seed's calibration batch and legs, so
 with `plain` listed and two seeds or more, each other criterion is also
 compared with `plain` seed by seed: the mean differences in rel and symdiff,
 a 95% percentile bootstrap interval of the mean rel difference over seeds,
-and a two-sided exact sign test over the seeds whose rel differs, and one
-over the seeds whose symdiff differs.
+a two-sided exact sign test over the seeds whose rel differs, the seeds
+needed to detect a 20% difference (n20), and a sign test over the seeds
+whose symdiff differs.
+
+Then each criterion prunes the study's own weights (sharpened, if asked)
+as `proxprune prune --seed s --criterion c` does, and the held-out loss
+before and after pruning is printed per seed, with its means and, against
+`plain`, the paired difference in the loss after pruning. Its n20 is taken
+against `plain`'s mean loss increase from pruning: the loss before is the
+same for every criterion of a seed.
 """
 import argparse
 import math
 import sys
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 
@@ -27,6 +36,8 @@ from proxprune import cli, data
 # prints the same interval every time.
 BOOTSTRAP_SEED = 0
 BOOTSTRAP_RESAMPLES = 10_000
+# z quantiles of a two-sided test at 5% with 80% power, for n20
+Z_SUM = NormalDist().inv_cdf(0.975) + NormalDist().inv_cdf(0.8)
 
 
 def paired(deltas):
@@ -42,6 +53,26 @@ def paired(deltas):
     k = int(min(np.sum(d > 0), np.sum(d < 0)))
     p = min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2**n)
     return float(d.mean()), (float(lo), float(hi)), p, n
+
+
+def n20(deltas, m):
+    """The seeds that a paired test needs to detect a mean difference of 20%
+    of ``m`` (two-sided 5%, power 80%), at the sample SD of the per-seed
+    differences ``deltas``: ceil(((z_0.975 + z_0.8) s / (0.2 m))^2), so 0
+    when every delta is equal. None with fewer than two deltas or when m
+    is 0."""
+    d = np.asarray(deltas, dtype=float)
+    if d.size < 2 or m == 0:
+        return None
+    return math.ceil((Z_SUM * d.std(ddof=1) / (0.2 * m)) ** 2)
+
+
+def paired_line(name, deltas, m, what):
+    """The paired statistics of ``deltas`` against `plain`, labelled ``what``."""
+    mean, (lo, hi), p, n = paired(deltas)
+    k = n20(deltas, m)
+    return (f"{name:>10s}-plain  {what}={mean:+.2e}  95% CI [{lo:+.2e}, {hi:+.2e}]  "
+            f"sign p={p:.3f} over {n}  n20={'n/a' if k is None else k}")
 
 
 def main():
@@ -70,8 +101,11 @@ def study(args, p):
         print(f"sharpened w1 by x{args.sharpen:g}")
 
     runs = [replace(cfg, seed=s) for s in range(args.seeds)]
-    tables = [cli.robustness_rows(model, params, cli.calibration_batch(model, corpus, run)[0], run)
-              for run in runs]
+    batches = [cli.calibration_batch(model, corpus, run)[0] for run in runs]
+    tables = [cli.robustness_rows(model, params, batch, run) for run, batch in zip(runs, batches)]
+    losses = {c: [held_out_losses(model, params, corpus, batch, replace(run, criterion=c))
+                  for run, batch in zip(runs, batches)]
+              for c in cfg.criteria}
     for legs in zip(*tables):  # one spec's rows at each seed
         print(f"\n{legs[0][0].baseline}->{legs[0][0].perturbation}")
         print(f"{'criterion':>10s} {'seed':>4s} {'|dI|':>10s} {'rel':>8s} "
@@ -85,20 +119,44 @@ def study(args, p):
         for name, rows in per_criterion.items():
             rel, jac, sym = (np.mean([getattr(r, f) for r in rows])
                              for f in ("importance_rel", "jaccard", "symdiff"))
-            print(f"{name:>10s}  rel={rel:.4f}  jaccard={jac:.3f}  symdiff={sym:.2f}")
+            print(f"{name:>10s}  rel={rel:.6g}  jaccard={jac:.6g}  symdiff={sym:.6g}")
         plain = per_criterion.get("plain")
         if plain is None or len(legs) < 2:
             continue
+        plain_rel = np.mean([q.importance_rel for q in plain])
         for name, rows in per_criterion.items():
             if name == "plain":
                 continue
-            drel, (lo, hi), pval, n = paired(
-                [r.importance_rel - q.importance_rel for r, q in zip(rows, plain)])
+            drel = [r.importance_rel - q.importance_rel for r, q in zip(rows, plain)]
             dsym, _, psym, nsym = paired([r.symdiff - q.symdiff for r, q in zip(rows, plain)])
-            print(f"{name:>10s}-plain  drel={drel:+.2e}  95% CI [{lo:+.2e}, {hi:+.2e}]  "
-                  f"sign p={pval:.3f} over {n}  dsymdiff={dsym:+.2f}  "
+            print(f"{paired_line(name, drel, plain_rel, 'drel')}  dsymdiff={dsym:+.2f}  "
                   f"sign p={psym:.3f} over {nsym}")
+
+    print("\nheld-out loss before and after pruning")
+    print(f"{'criterion':>10s} {'seed':>4s} {'before':>10s} {'after':>10s}")
+    for seed in range(len(runs)):
+        for name, pairs in losses.items():
+            print(f"{name:>10s} {seed:>4d} {pairs[seed][0]:>10.6f} {pairs[seed][1]:>10.6f}")
+    print("\nmean over seeds:")
+    for name, pairs in losses.items():
+        before, after = np.mean(pairs, axis=0)
+        print(f"{name:>10s}  before={before:.6g}  after={after:.6g}")
+    plain = losses.get("plain")
+    if plain is not None and len(runs) >= 2:
+        damage = np.mean([after - before for before, after in plain])
+        for name, pairs in losses.items():
+            if name != "plain":
+                dafter = [after - q_after for (_, after), (_, q_after) in zip(pairs, plain)]
+                print(paired_line(name, dafter, damage, "dafter"))
     return cli.EXIT_OK
+
+
+def held_out_losses(model, params, corpus, batch, run):
+    """(held-out loss before, after) pruning with run.criterion, as
+    `proxprune prune` takes them at run.seed; batch is its calibration batch."""
+    report = cli.prune_report(model, params, batch, run)
+    holdout, _ = cli.holdout_batch(model, corpus, run)
+    return cli.prune_and_evaluate(model, params, report.prune_set, holdout)[2:]
 
 
 if __name__ == "__main__":

@@ -67,6 +67,11 @@ def calibration_batch(model, corpus, cfg: RunConfig):
     return _batch(model, corpus, cfg, cfg.calib_size, _CALIB)
 
 
+def holdout_batch(model, corpus, cfg: RunConfig):
+    """(batch, window starts) on which prune takes the held-out loss at cfg.seed."""
+    return _batch(model, corpus, cfg, cfg.holdout_size, _HOLDOUT)
+
+
 def _train_batches(model, corpus, cfg: RunConfig) -> list:
     return [
         _batch(model, corpus, cfg, cfg.batch_size, _TRAIN, index=i)[0]
@@ -115,15 +120,17 @@ def load_checkpoint(path: str):
 def prune_report(model, params, batch, cfg: RunConfig) -> importance.ImportanceReport:
     """The report that ``prune`` writes: cfg.criterion's scores and prune set."""
     (report,) = importance.run_criterion(
-        cfg.criterion,
-        model,
-        [params],
-        batch,
-        cfg.ratio,
-        global_pool=cfg.global_pool,
-        settings=cfg.settings(cfg.criterion),
+        cfg.criterion, model, [params], batch, cfg.ratio, settings=cfg.settings(cfg.criterion)
     )
     return report
+
+
+def prune_and_evaluate(model, params, prune_set, holdout):
+    """(pruned model, its params, held-out loss before, after): the model
+    without the groups of ``prune_set``, and ``zoo.batch_loss`` on holdout."""
+    new_model, new_params = importance.prune_model(model, params, prune_set)
+    before = zoo.batch_loss(model, params, holdout)
+    return new_model, new_params, before, zoo.batch_loss(new_model, new_params, holdout)
 
 
 def robustness_rows(model, params, batch, cfg: RunConfig) -> list[list]:
@@ -131,7 +138,7 @@ def robustness_rows(model, params, batch, cfg: RunConfig) -> list[list]:
     return [
         robustness.consistency_experiment(
             model, params, batch, cfg.criteria, spec, cfg.ratio, baseline_spec=baseline_spec,
-            global_pool=cfg.global_pool, settings={c: cfg.settings(c) for c in cfg.criteria},
+            settings={c: cfg.settings(c) for c in cfg.criteria},
         )
         for baseline_spec, spec in cfg.experiments()
     ]
@@ -141,14 +148,14 @@ def cmd_prune(cfg: RunConfig, ckpt_path: str) -> int:
     model, params, _ = load_checkpoint(ckpt_path)
     corpus = data.load_corpus(cfg.corpus)
     batch, starts = calibration_batch(model, corpus, cfg)
-    holdout, _ = _batch(model, corpus, cfg, cfg.holdout_size, _HOLDOUT)
+    holdout, _ = holdout_batch(model, corpus, cfg)
 
     report = prune_report(model, params, batch, cfg)
     report.extra["calibration_starts"] = starts
 
-    new_model, new_params = importance.prune_model(model, params, report.prune_set)
-    loss_before = zoo.batch_loss(model, params, holdout)
-    loss_after = zoo.batch_loss(new_model, new_params, holdout)
+    new_model, new_params, loss_before, loss_after = prune_and_evaluate(
+        model, params, report.prune_set, holdout
+    )
 
     out = _out_dir(cfg)
     ckpt_out = out / "pruned.ckpt"

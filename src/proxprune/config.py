@@ -44,7 +44,6 @@ class RunConfig:
     # [prune]
     criterion: str = "moreau"
     ratio: float = 0.2
-    global_pool: bool = False
     # [moreau]
     rho: float = 0.05
     gamma: float = 1e-3
@@ -124,7 +123,7 @@ _SECTIONS = {
              "holdout_size": "holdout_size"},
     "train": {"epochs": "epochs", "lr": "lr", "batch_size": "batch_size",
               "steps_per_epoch": "steps_per_epoch"},
-    "prune": {"criterion": "criterion", "ratio": "ratio", "global_pool": "global_pool"},
+    "prune": {"criterion": "criterion", "ratio": "ratio"},
     "moreau": {"rho": "rho", "gamma": "gamma", "steps": "steps", "eta": "eta",
                "gs_rho": "gs_rho", "gs_gamma": "gs_gamma"},
     "noise": {"scale": "noise_scale", "mode": "noise_mode", "m": "noise_m",

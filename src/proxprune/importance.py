@@ -2,8 +2,8 @@
 
 Element scores are |gradient-like * w|; structures sum their elements;
 groups sum their member structures. Selection happens per structural class
-(heads and channels keep separate pools by default) and removal is
-physical: slices are deleted, never masked.
+(heads against heads, channels against channels) and removal is physical:
+slices are deleted, never masked.
 """
 from __future__ import annotations
 
@@ -83,13 +83,10 @@ def group_importance(structure_scores: Mapping[int, float], groups) -> dict[int,
 
 
 def rank_and_select(
-    group_scores: Mapping[int, float],
-    ratio: float,
-    cls_map: Mapping[int, str],
-    global_pool: bool = False,
+    group_scores: Mapping[int, float], ratio: float, cls_map: Mapping[int, str]
 ) -> tuple[int, ...]:
     """floor(ratio * class size) lowest-scoring groups per class; ties break
-    toward the lower group id. global_pool=True ranks one shared pool.
+    toward the lower group id.
 
     The product is taken exactly on the ratio as written in decimal (its
     shortest repr), so 0.29 of 100 groups is 29: the float product
@@ -98,7 +95,7 @@ def rank_and_select(
         raise ValueError(f"pruning ratio must be in [0, 1), got {ratio}")
     num, den = _decimal_fraction(ratio)
     selected: list[int] = []
-    for _, ids in sorted(_pools(group_scores, cls_map, global_pool).items()):
+    for _, ids in sorted(_classes(group_scores, cls_map).items()):
         k = num * len(ids) // den
         ranked = sorted(ids, key=lambda g: (group_scores[g], g))
         selected.extend(ranked[:k])
@@ -106,17 +103,13 @@ def rank_and_select(
 
 
 def tied_cuts(
-    group_scores: Mapping[int, float],
-    prune_set,
-    cls_map: Mapping[int, str],
-    global_pool: bool = False,
+    group_scores: Mapping[int, float], prune_set, cls_map: Mapping[int, str]
 ) -> tuple[str, ...]:
-    """The pools ranked by rank_and_select (classes, or "all" under
-    global_pool) whose prune cut falls between equal scores, where the group
-    id alone decided what was pruned."""
+    """The classes whose prune cut falls between equal scores, where the
+    group id alone decided what was pruned."""
     chosen = set(prune_set)
     tied = []
-    for key, ids in sorted(_pools(group_scores, cls_map, global_pool).items()):
+    for key, ids in sorted(_classes(group_scores, cls_map).items()):
         pruned = [group_scores[g] for g in ids if g in chosen]
         kept = [group_scores[g] for g in ids if g not in chosen]
         if pruned and kept and max(pruned) == min(kept):
@@ -124,12 +117,11 @@ def tied_cuts(
     return tuple(tied)
 
 
-def _pools(group_scores, cls_map, global_pool) -> dict[str, list[int]]:
-    pools: dict[str, list[int]] = {}
+def _classes(group_scores, cls_map) -> dict[str, list[int]]:
+    classes: dict[str, list[int]] = {}
     for gid in group_scores:
-        key = "all" if global_pool else cls_map[gid]
-        pools.setdefault(key, []).append(gid)
-    return pools
+        classes.setdefault(cls_map[gid], []).append(gid)
+    return classes
 
 
 def _decimal_fraction(x: float) -> tuple[int, int]:
@@ -232,7 +224,6 @@ def run_criterion(
     batch,
     ratio: float,
     *,
-    global_pool: bool = False,
     settings: NoiseSpec | _moreau.MoreauConfig | None = None,
 ) -> list[ImportanceReport]:
     """Full deterministic pipeline: criterion -> scores -> ranked prune set
@@ -282,7 +273,7 @@ def run_criterion(
         elem = element_importance(grad_like, p)
         struct = structure_importance(elem, structures)
         group = group_importance(struct, groups)
-        selected = rank_and_select(group, ratio, cls, global_pool=global_pool)
+        selected = rank_and_select(group, ratio, cls)
         reports.append(
             ImportanceReport(
                 criterion=criterion,
@@ -293,7 +284,7 @@ def run_criterion(
                 cls_map=cls,
                 prune_set=selected,
                 extra=extra,
-                tied=tied_cuts(group, selected, cls, global_pool=global_pool),
+                tied=tied_cuts(group, selected, cls),
             )
         )
     return reports

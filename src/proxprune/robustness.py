@@ -157,16 +157,15 @@ def consistency_experiment(
     ratio: float,
     *,
     baseline_spec: PerturbSpec | None = None,
-    global_pool: bool = False,
     settings: Mapping[str, NoiseSpec | MoreauConfig | None] | None = None,
 ) -> list[RobustnessReport]:
     """Importance + prune-set stability for each criterion between two weight
     encodings: baseline_spec (None = raw weights) versus spec. Both legs share
     the calibration batch and all noise seeds, and run in lockstep in one
     ``importance.run_criterion`` call per criterion, so each noise draw is
-    made once for both. ``global_pool`` and ``settings`` are passed to it, so
-    each leg ranks as ``prune`` would; ``settings`` maps each criterion to
-    what it takes, and plain needs none.
+    made once for both. ``settings`` maps each criterion to what it takes
+    (plain needs none) and is passed to it, so each leg scores and ranks as
+    ``prune`` would.
 
     Distances are measured over every element of the parameters that prune
     structures slice, in ParamSet order: the support of ``perturb``, so a
@@ -192,12 +191,7 @@ def consistency_experiment(
 
     def report(criterion: str) -> RobustnessReport:
         rep_a, rep_b = imp.run_criterion(
-            criterion,
-            model,
-            (params_a, params_b),
-            batch,
-            ratio,
-            global_pool=global_pool,
+            criterion, model, (params_a, params_b), batch, ratio,
             settings=(settings or {}).get(criterion),
         )
         i_a = _prunable_vector(names, rep_a.element_scores)

@@ -193,6 +193,18 @@ class TestConfig:
         assert "unknown key 'agg'" in err and "Traceback" not in err
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["prune", "robustness"])
+    def test_global_pool_exits_2(self, tmp_path, corpus_file, capsys, command):
+        """Groups are ranked per class only: an INI that asks for one shared
+        pool is rejected with the key named, and nothing is written."""
+        cfg = write_cfg(tmp_path, corpus_file, extra={"prune": {"global_pool": "true"}})
+        ckpt = scaled_ckpt(tmp_path, 1.0, "model.ckpt")
+        rc = cli.main([command, "--config", str(cfg), "--checkpoint", str(ckpt)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unknown key 'global_pool' in section [prune]" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
@@ -678,28 +690,6 @@ class TestRobustness:
         assert len(doc["rows"]) == 2
         assert all(r["jaccard"] == 1.0 for r in doc["rows"])
         assert all(r["importance_l2"] == 0.0 for r in doc["rows"])
-
-    def test_global_pool_ranks_as_prune_does(self, tmp_path, corpus_file):
-        """With [prune] global_pool, the unperturbed leg of robustness selects
-        what prune selects. At ratio 0.3 the per-class pools of this 2-head,
-        32-channel transformer select 0 + 9 groups and the shared pool 10."""
-        extra = {
-            "model": {"kind": "transformer", "d_model": 8, "n_heads": 2, "n_layers": 1},
-            "data": {"seq_len": 8, "calib_size": 2, "holdout_size": 2},
-            "prune": {"ratio": 0.3, "global_pool": "true"},
-            "robustness": {"specs": "identity", "criteria": "plain"},
-        }
-        cfg = write_cfg(tmp_path, corpus_file, extra=extra)
-        model = zoo.TinyTransformer.build(data.VOCAB, 8, 2, 1, max_len=8)
-        ckpt = tmp_path / "tf.ckpt"
-        checkpoint.save(ckpt, model.arch(), model.init_params(7), model.structures(), model.groups())
-        argv = ["--config", str(cfg), "--checkpoint", str(ckpt)]
-        assert cli.main(["prune", *argv, "--criterion", "plain", "--out", str(tmp_path / "p")]) == 0
-        assert cli.main(["robustness", *argv, "--out", str(tmp_path / "r")]) == 0
-        pruned = json.loads((tmp_path / "p" / "importance.json").read_text())["prune_set"]
-        (row,) = json.loads((tmp_path / "r" / "robustness.json").read_text())["rows"]
-        assert len(pruned) == 10
-        assert row["prune_set_a"] == pruned
 
     def test_format_grid_two_rows_and_csv(self, trained_ckpt, tmp_path):
         cfg, ckpt = trained_ckpt

@@ -154,8 +154,6 @@ def test_tied_cuts_names_the_pools_a_group_id_decided():
     picked = imp.rank_and_select(scores, 0.25, cls)
     assert picked == (0,)  # group 1 scores 1.0 too and is kept
     assert imp.tied_cuts(scores, picked, cls) == ("channel",)
-    pooled = imp.rank_and_select(scores, 0.5, cls, global_pool=True)
-    assert imp.tied_cuts(scores, pooled, cls, global_pool=True) == ("all",)
     assert imp.tied_cuts(scores, (), cls) == ()  # nothing pruned, no cut
 
 
@@ -165,8 +163,6 @@ def test_per_class_ratios_are_independent():
     picked = imp.rank_and_select(scores, 0.5, cls)
     # one of two heads, two of four channels
     assert picked == (0, 2, 3)
-    pooled = imp.rank_and_select(scores, 0.5, cls, global_pool=True)
-    assert pooled == (2, 3, 4)
 
 
 def test_negating_gradient_leaves_scores_unchanged():

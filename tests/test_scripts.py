@@ -3,6 +3,7 @@
 import the package, so an API change that breaks them fails here."""
 import importlib.util
 import json
+import math
 import os
 import re
 import shutil
@@ -16,6 +17,10 @@ from proxprune import checkpoint, cli, config, data, zoo
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text("utf-8")
+_SPEC = importlib.util.spec_from_file_location("study_script", ROOT / "scripts" / "study.py")
+study_script = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(study_script)
+Z_SUM = 1.959963984540054 + 0.8416212335729143  # z_0.975 + z_0.8
 
 
 def run_python(*args, code=0, stderr=False):
@@ -91,8 +96,9 @@ def study(trained, tmp_path_factory):
 def test_robustness_table(study):
     """Per [robustness] spec, the study prints one row per seed and criterion
     with the distances that `proxprune robustness --seed s` writes for the
-    sharpened weights, then their means over seeds and moreau's differences
-    from plain, paired by seed, and nothing after the last spec."""
+    sharpened weights, then their means over seeds to 6 significant digits
+    and moreau's differences from plain, paired by seed, and then the
+    held-out loss block."""
     lines, report = study
     header = " criterion seed       |dI|      rel  jaccard symdiff"
     rows = {seed: report(seed, "robustness")["rows"] for seed in (0, 1)}
@@ -106,11 +112,13 @@ def test_robustness_table(study):
         "sharpened w1 by x50", "", "fp16-roundtrip->bf16-roundtrip", header, *fp16_bf16,
         "", "mean over seeds:",
     ]
-    assert lines[10].startswith(f"     plain  rel={plain_rel:.4f}  jaccard=")
+    assert lines[10].startswith(f"     plain  rel={plain_rel:.6g}  jaccard=")
     assert lines[11].startswith("    moreau  rel=")
     drel = [rows[s][1]["importance_rel"] - rows[s][0]["importance_rel"] for s in (0, 1)]
     dsym = [rows[s][1]["symdiff"] - rows[s][0]["symdiff"] for s in (0, 1)]
     assert lines[12].startswith(f"    moreau-plain  drel={(drel[0] + drel[1]) / 2:+.2e}  95% CI [")
+    sd = abs(drel[0] - drel[1]) / math.sqrt(2)  # the sample SD of two values
+    assert f"  n20={math.ceil((Z_SUM * sd / (0.2 * plain_rel)) ** 2)}  dsymdiff=" in lines[12]
     n = sum(d != 0 for d in dsym)
     p = 0.5 if n == 2 and dsym[0] * dsym[1] > 0 else 1.0  # both flips one way: 2 / 2**2
     assert lines[12].endswith(
@@ -121,17 +129,45 @@ def test_robustness_table(study):
     ]
     assert lines[20:22] == ["", "mean over seeds:"]
     assert lines[24].startswith("    moreau-plain  drel=")
-    assert len(lines) == 25
+    assert lines[25:27] == ["", "held-out loss before and after pruning"]
+
+
+def test_held_out_loss_table(study):
+    """Per seed and criterion, the study prints the held-out loss before and
+    after pruning that `proxprune prune --seed s --criterion c` writes for
+    the sharpened weights, then their means over seeds and moreau's paired
+    difference from plain in the loss after pruning, with n20 taken against
+    plain's mean loss increase."""
+    lines, report = study
+    docs = {(seed, c): report(seed, "prune", "--criterion", c)
+            for seed in (0, 1) for c in ("plain", "moreau")}
+    loss = {key: (doc["holdout_loss_before"], doc["holdout_loss_after"])
+            for key, doc in docs.items()}
+    assert lines[27:32] == [
+        " criterion seed     before      after",
+        *(f"{c:>10s} {seed:>4d} {loss[seed, c][0]:>10.6f} {loss[seed, c][1]:>10.6f}"
+          for seed in (0, 1) for c in ("plain", "moreau")),
+    ]
+    mean = {c: [(loss[0, c][i] + loss[1, c][i]) / 2 for i in (0, 1)] for c in ("plain", "moreau")}
+    assert lines[32:36] == [
+        "", "mean over seeds:",
+        f"     plain  before={mean['plain'][0]:.6g}  after={mean['plain'][1]:.6g}",
+        f"    moreau  before={mean['moreau'][0]:.6g}  after={mean['moreau'][1]:.6g}",
+    ]
+    dafter = [loss[seed, "moreau"][1] - loss[seed, "plain"][1] for seed in (0, 1)]
+    damage = mean["plain"][1] - mean["plain"][0]
+    sd = abs(dafter[0] - dafter[1]) / math.sqrt(2)
+    assert lines[36].startswith(f"    moreau-plain  dafter={(dafter[0] + dafter[1]) / 2:+.2e}  ")
+    assert lines[36].endswith(f"  n20={math.ceil((Z_SUM * sd / (0.2 * damage)) ** 2)}")
+    assert len(lines) == 37
 
 
 def test_paired_statistics_on_a_hand_computed_case():
     """Per-seed differences 1, 2, 3, 4 have mean 2.5 and, all four positive,
     a two-sided sign-test p of 2 / 2**4; seeds whose difference is zero carry
     no sign and drop out of the test but not out of the mean; the bootstrap
-    interval is the same on every call."""
-    spec = importlib.util.spec_from_file_location("study_script", ROOT / "scripts" / "study.py")
-    study_script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(study_script)
+    interval is the same on every call. n20 on differences (1, 2, 3, 4) * 1e-4
+    against a mean of 1e-3 is 4 seeds."""
     paired = study_script.paired
     mean, (lo, hi), p, n = paired([1, 2, 3, 4])
     assert (mean, p, n) == (2.5, 0.125, 4)
@@ -141,6 +177,11 @@ def test_paired_statistics_on_a_hand_computed_case():
     assert (mean, p, n) == (0.4, 1.0, 3)  # one sign of three: p = 2 (1 + 3) / 2**3, capped
     assert paired([0, 0])[2:] == (1.0, 0)
     assert paired([-1, -1, -1, -1, -1, 0])[2:] == (0.0625, 5)
+    # sample SD 1.29e-4 of these differences, against 20% of a mean 1e-3:
+    # (2.8016 * 1.29e-4 / 2e-4)**2 = 3.27 seeds, so 4
+    n20 = study_script.n20
+    assert n20([1e-4, 2e-4, 3e-4, 4e-4], 1e-3) == 4
+    assert n20([1e-4], 1e-3) is None and n20([1e-4, 2e-4], 0.0) is None
 
 
 def test_study_sharpen_needs_w1(script_corpus, tmp_path):
