@@ -13,7 +13,10 @@ compared with `plain` seed by seed: the mean differences in rel and symdiff,
 a 95% percentile bootstrap interval of the mean rel difference over seeds,
 a two-sided exact sign test over the seeds whose rel differs, the seeds
 needed to detect a 20% difference (n20), and a sign test over the seeds
-whose symdiff differs.
+whose symdiff differs. Each criterion's mean also gives tau, the Kendall
+tau-b between the two legs' group scores taken within each class and
+weighted by class size, and a paired line in tau against `plain` follows
+the rel line, its n20 taken against `plain`'s mean 1 - tau.
 
 Then each criterion prunes the study's own weights (sharpened, if asked)
 as `proxprune prune --seed s --criterion c` does, and the held-out loss
@@ -67,6 +70,30 @@ def n20(deltas, m):
     return math.ceil((Z_SUM * d.std(ddof=1) / (0.2 * m)) ** 2)
 
 
+def kendall_tau_b(x, y):
+    """Kendall's tau-b of paired scores x and y: concordant minus discordant
+    pairs over the geometric mean of the pairs untied in x and in y; nan
+    when either has every score equal."""
+    sx = np.sign(np.subtract.outer(x, x))
+    sy = np.sign(np.subtract.outer(y, y))
+    denom = math.sqrt(np.sum(sx * sx) * np.sum(sy * sy))
+    return float(np.sum(sx * sy) / denom) if denom else math.nan
+
+
+def class_tau(row):
+    """kendall_tau_b between a robustness row's two legs' group scores, per
+    class, averaged with the class sizes as weights over the classes where
+    it is defined; nan when it is defined in none."""
+    classes = {}
+    for gid, cls in row.cls_map.items():
+        classes.setdefault(cls, []).append(gid)
+    taus = [(len(ids), kendall_tau_b([row.group_scores_a[g] for g in ids],
+                                     [row.group_scores_b[g] for g in ids]))
+            for ids in classes.values()]
+    taus = [(n, t) for n, t in taus if not math.isnan(t)]
+    return sum(n * t for n, t in taus) / sum(n for n, _ in taus) if taus else math.nan
+
+
 def paired_line(name, deltas, m, what):
     """The paired statistics of ``deltas`` against `plain`, labelled ``what``."""
     mean, (lo, hi), p, n = paired(deltas)
@@ -116,10 +143,12 @@ def study(args, p):
                       f"{r.importance_rel:>8.4f} {r.jaccard:>8.3f} {r.symdiff:>7d}")
         print("\nmean over seeds:")
         per_criterion = {rows[0].criterion: rows for rows in zip(*legs)}  # rows at each seed
+        taus = {name: [class_tau(r) for r in rows] for name, rows in per_criterion.items()}
         for name, rows in per_criterion.items():
             rel, jac, sym = (np.mean([getattr(r, f) for r in rows])
                              for f in ("importance_rel", "jaccard", "symdiff"))
-            print(f"{name:>10s}  rel={rel:.6g}  jaccard={jac:.6g}  symdiff={sym:.6g}")
+            print(f"{name:>10s}  rel={rel:.6g}  jaccard={jac:.6g}  symdiff={sym:.6g}  "
+                  f"tau={np.mean(taus[name]):.6g}")
         plain = per_criterion.get("plain")
         if plain is None or len(legs) < 2:
             continue
@@ -131,6 +160,9 @@ def study(args, p):
             dsym, _, psym, nsym = paired([r.symdiff - q.symdiff for r, q in zip(rows, plain)])
             print(f"{paired_line(name, drel, plain_rel, 'drel')}  dsymdiff={dsym:+.2f}  "
                   f"sign p={psym:.3f} over {nsym}")
+            dtau = [t - q for t, q in zip(taus[name], taus["plain"])]
+            if not np.isnan(dtau).any():  # tau is defined at every seed
+                print(paired_line(name, dtau, 1 - np.mean(taus["plain"]), "dtau"))
 
     print("\nheld-out loss before and after pruning")
     print(f"{'criterion':>10s} {'seed':>4s} {'before':>10s} {'after':>10s}")

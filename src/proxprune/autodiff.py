@@ -12,10 +12,10 @@ operand's shape rather than the operand where that suffices). ``backward``
 pops each entry as it runs, so the arrays an entry saved are freed as soon
 as its adjoint has run rather than when the whole replay ends.
 
-Broadcasting is restricted: an operand of ``add``/``multiply`` may be
-shared across leading batch axes (its shape must equal the trailing shape
-of the other operand); ``matmul`` accepts a 2-d operand against a stacked
-one. Nothing else broadcasts.
+Broadcasting is restricted: the second operand of ``add``/``multiply`` may
+be shared across the first's leading batch axes (its shape must equal the
+first's trailing shape), and the second operand of ``matmul`` may be a 2-d
+matrix against a stacked first one. Nothing else broadcasts.
 """
 from __future__ import annotations
 
@@ -179,47 +179,36 @@ def _elementwise(op, a, b):
     ad, at, an = _parts(a)
     bd, bt, bn = _parts(b)
     tape = _one_tape(at, bt)
-    if not (_trailing_ok(ad.shape, bd.shape) or _trailing_ok(bd.shape, ad.shape)):
+    if not _trailing_ok(ad.shape, bd.shape):
         raise ShapeError(f"{op}: incompatible shapes {ad.shape} and {bd.shape}")
     return ad, an, bd, bn, tape
 
 
 def add(a, b) -> Tensor:
-    """Elementwise sum; the smaller operand may be shared across leading axes."""
+    """Elementwise sum; b may be shared across a's leading axes."""
     ad, an, bd, bn, tape = _elementwise("add", a, b)
     out = ad + bd
-    # the adjoints need only shapes, so the tape does not keep the operands alive
-    a_shape, b_shape = ad.shape, bd.shape
-    return _finish(
-        "add",
-        out,
-        tape,
-        [(an, lambda g: _reduce_to(g, a_shape)), (bn, lambda g: _reduce_to(g, b_shape))],
-    )
+    # the adjoints need only b's shape, so the tape does not keep the operands alive
+    b_shape = bd.shape
+    return _finish("add", out, tape, [(an, lambda g: g), (bn, lambda g: _reduce_to(g, b_shape))])
 
 
 def multiply(a, b) -> Tensor:
     """Elementwise product; same trailing-broadcast rule as add."""
     ad, an, bd, bn, tape = _elementwise("multiply", a, b)
     out = ad * bd
-    # each adjoint keeps only the other operand alive, plus shapes
-    a_shape, b_shape = ad.shape, bd.shape
+    # each adjoint keeps only the other operand alive, plus b's shape
+    b_shape = bd.shape
     return _finish(
-        "multiply",
-        out,
-        tape,
-        [
-            (an, lambda g: _reduce_to(g * bd, a_shape)),
-            (bn, lambda g: _reduce_to(g * ad, b_shape)),
-        ],
+        "multiply", out, tape, [(an, lambda g: g * bd), (bn, lambda g: _reduce_to(g * ad, b_shape))]
     )
 
 
 def matmul(a, b) -> Tensor:
     """Matrix product over the last two axes.
 
-    Either both operands carry identical leading axes, or exactly one of
-    them is 2-d and is shared across the other's leading axes.
+    Either both operands carry identical leading axes, or b is 2-d and is
+    shared across a's leading axes.
     """
     ad, at, an = _parts(a)
     bd, bt, bn = _parts(b)
@@ -229,15 +218,12 @@ def matmul(a, b) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {ad.shape} x {bd.shape}")
     same_lead = ad.ndim == bd.ndim and ad.shape[:-2] == bd.shape[:-2]
-    if not (same_lead or ad.ndim == 2 or bd.ndim == 2):
+    if not (same_lead or bd.ndim == 2):
         raise ShapeError(f"matmul: leading axes mismatch, {ad.shape} x {bd.shape}")
     out = np.matmul(ad, bd)
 
     def da(g):
-        r = np.matmul(g, np.swapaxes(bd, -1, -2))
-        if ad.ndim == 2 and g.ndim > 2:
-            r = r.reshape(-1, *r.shape[-2:]).sum(axis=0)
-        return r
+        return np.matmul(g, np.swapaxes(bd, -1, -2))
 
     def db(g):
         r = np.matmul(np.swapaxes(ad, -1, -2), g)
@@ -319,7 +305,7 @@ def _cube_to_arg(cube: np.ndarray, x: np.ndarray) -> np.ndarray:
 # expressions in their docstrings (commuted operands only), so results are
 # bit-identical to those expressions. softmax's scale and mask run in its own
 # output buffer, so softmax(x, s, m) has the bits of
-# softmax(add(multiply(x, s), m)) with two fewer tape entries.
+# softmax(add(multiply(x, s), m), 1.0, 0.0) with two fewer tape entries.
 
 
 def gelu(x) -> Tensor:
@@ -352,23 +338,22 @@ def gelu(x) -> Tensor:
     return _finish("gelu", out, xt, [(xn, dx)])
 
 
-def softmax(x, scale: float = 1.0, mask=None) -> Tensor:
+def softmax(x, scale: float, mask) -> Tensor:
     """Softmax along the last axis of z = x*scale + mask, max-shifted for
     stability: e / sum(e) with e = exp(z - max(z)); adjoint
     out * (g - sum(g * out)) * scale.
 
     ``mask`` is a constant array whose shape is a trailing shape of x's
-    (add's rule); None adds nothing. A non-finite z raises NonFiniteError
-    naming softmax, since exp would turn a -inf score into a finite 0."""
+    (add's rule). A non-finite z raises NonFiniteError naming softmax, since
+    exp would turn a -inf score into a finite 0."""
     xd, xt, xn = _parts(x)
     if xd.ndim < 1:
         raise ShapeError("softmax: needs at least 1 axis")
+    mask = np.asarray(mask, dtype=np.float64)
+    if not _trailing_ok(xd.shape, mask.shape):
+        raise ShapeError(f"softmax: mask shape {mask.shape} does not trail {xd.shape}")
     out = np.multiply(xd, scale)
-    if mask is not None:
-        mask = np.asarray(mask, dtype=np.float64)
-        if not _trailing_ok(xd.shape, mask.shape):
-            raise ShapeError(f"softmax: mask shape {mask.shape} does not trail {xd.shape}")
-        out += mask
+    out += mask
     _check_finite("softmax", out, xt)
     out -= out.max(axis=-1, keepdims=True)
     # exp of a shifted score below -800 is exactly +0.0, and numpy's exp

@@ -275,7 +275,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(command, *args) -> int:
-    """command(*args); an error it raises is printed as one line and mapped to its exit code."""
+    """command(*args), with freed heap kept mapped; an error it raises is
+    printed as one line and mapped to its exit code."""
+    _keep_freed_heap()
     try:
         return command(*args)
     except (
@@ -318,7 +320,6 @@ def _dispatch(args, overrides: dict) -> int:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    _keep_freed_heap()
     overrides = {
         "out": getattr(args, "out", None),
         "seed": getattr(args, "seed", None),

@@ -22,6 +22,12 @@ class ConfigError(Exception):
     pass
 
 
+# moreau-gs's envelope regularization and step size (gamma <= rho), fixed;
+# of [moreau] it reads only eta and steps
+GS_RHO = 0.2
+GS_GAMMA = 2e-4
+
+
 @dataclass
 class RunConfig:
     # [model]
@@ -49,8 +55,6 @@ class RunConfig:
     gamma: float = 1e-3
     steps: int = 10
     eta: float = 5e-6
-    gs_rho: float = 0.2
-    gs_gamma: float = 2e-4
     # [noise]
     noise_scale: float = 0.05
     noise_mode: str = "relative"
@@ -67,7 +71,7 @@ class RunConfig:
     def settings(self, criterion: str) -> NoiseSpec | MoreauConfig | None:
         """The settings ``importance.run_criterion`` takes for a criterion:
         none for plain, the smooth_m noise draws for smooth, the proximal
-        loop for moreau and, with gs_rho, gs_gamma and the group penalty
+        loop for moreau and, with GS_RHO, GS_GAMMA and the group penalty
         eta, for moreau-gs."""
         if criterion == "plain":
             return None
@@ -83,7 +87,7 @@ class RunConfig:
             return MoreauConfig(rho=self.rho, gamma=self.gamma, steps=self.steps, noise=noise)
         if criterion == "moreau-gs":
             return MoreauConfig(
-                rho=self.gs_rho, gamma=self.gs_gamma, steps=self.steps, eta=self.eta, noise=noise
+                rho=GS_RHO, gamma=GS_GAMMA, steps=self.steps, eta=self.eta, noise=noise
             )
         raise ConfigError(f"unknown criterion {criterion!r}")
 
@@ -124,8 +128,7 @@ _SECTIONS = {
     "train": {"epochs": "epochs", "lr": "lr", "batch_size": "batch_size",
               "steps_per_epoch": "steps_per_epoch"},
     "prune": {"criterion": "criterion", "ratio": "ratio"},
-    "moreau": {"rho": "rho", "gamma": "gamma", "steps": "steps", "eta": "eta",
-               "gs_rho": "gs_rho", "gs_gamma": "gs_gamma"},
+    "moreau": {"rho": "rho", "gamma": "gamma", "steps": "steps", "eta": "eta"},
     "noise": {"scale": "noise_scale", "mode": "noise_mode", "m": "noise_m",
               "smooth_m": "smooth_m"},
     "robustness": {"specs": "specs", "criteria": "criteria", "epsilon": "epsilon"},
@@ -134,13 +137,6 @@ _SECTIONS = {
 
 
 def _convert(value: str, like) -> object:
-    if isinstance(like, bool):
-        low = value.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {value!r}")
     if isinstance(like, int):
         return int(value)
     if isinstance(like, float):

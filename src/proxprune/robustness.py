@@ -82,8 +82,9 @@ def _round_trip(name: str, a: np.ndarray, fmt: str) -> np.ndarray:
 
 @dataclass
 class RobustnessReport:
-    """One criterion's stability between two encodings; its fields but
-    ``tied`` are its JSON keys."""
+    """One criterion's stability between two encodings; its fields through
+    ``extra`` are its JSON keys. The rest stay in memory: the tied cuts, and
+    each leg's group scores with the groups' classes."""
 
     criterion: str
     perturbation: str
@@ -98,10 +99,14 @@ class RobustnessReport:
     prune_set_b: tuple[int, ...] = ()
     extra: dict = field(default_factory=dict)
     tied: tuple[tuple[str, str], ...] = ()  # (encoding, class) of each tied prune cut
+    group_scores_a: dict[int, float] = field(default_factory=dict)
+    group_scores_b: dict[int, float] = field(default_factory=dict)
+    cls_map: dict[int, str] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         doc = asdict(self)
-        del doc["tied"]
+        for key in ("tied", "group_scores_a", "group_scores_b", "cls_map"):
+            del doc[key]
         return doc
 
     def to_csv_row(self) -> list:
@@ -216,6 +221,9 @@ def consistency_experiment(
             extra={"a": rep_a.extra, "b": rep_b.extra},
             tied=tuple((label_a, c) for c in rep_a.tied)
             + tuple((spec.label(), c) for c in rep_b.tied),
+            group_scores_a=rep_a.group_scores,
+            group_scores_b=rep_b.group_scores,
+            cls_map=rep_a.cls_map,
         )
 
     # with two Monte Carlo criteria or more a forked helper computes the

@@ -131,6 +131,27 @@ def test_cross_entropy_forward_holds_one_logits_sized_temporary():
     assert peak < 1.5 * logits.nbytes
 
 
+@pytest.mark.parametrize(
+    "op, shared, stacked",
+    [("add", (3,), (2, 3)), ("multiply", (3,), (2, 3)), ("matmul", (3, 4), (2, 4, 3))],
+    ids=["add", "multiply", "matmul"],
+)
+def test_only_the_second_operand_is_shared(op, shared, stacked):
+    """The operand of add, multiply and matmul that is shared across the
+    other's leading axes is b: as a, it is a ShapeError naming the primitive."""
+    a, b = np.ones(shared), np.ones(stacked)
+    with pytest.raises(ad.ShapeError, match=op):
+        getattr(ad, op)(a, b)
+    assert getattr(ad, op)(b, a).shape[0] == 2
+
+
+def test_softmax_needs_its_scale_and_mask():
+    x = np.ones((2, 3))
+    for args in ((), (1.0,)):
+        with pytest.raises(TypeError):
+            ad.softmax(x, *args)
+
+
 def test_softmax_scans_only_its_scaled_scores(monkeypatch):
     """Finite scores give a finite softmax, so the output is not scanned."""
     scanned = []
@@ -159,7 +180,7 @@ def test_nonfinite_scaled_score_is_named_softmax():
 
     def prog(p, batch):
         h = ad.multiply(p["w"], 1.0)
-        return oracles.sum_all(ad.softmax(h, 1e300))
+        return oracles.sum_all(ad.softmax(h, 1e300, np.zeros(3)))
 
     with pytest.raises(ad.NonFiniteError) as exc, np.errstate(over="ignore"):
         ad.forward(prog, {"w": np.array([[1.0, -1e10, 2.0]])})
@@ -300,7 +321,9 @@ PRIMITIVE_PROGRAMS = {
     "add": lambda p, _: oracles.sum_all(ad.add(p["a"], p["b"])),
     "multiply": lambda p, _: oracles.sum_all(ad.multiply(p["a"], p["b"])),
     "gelu": lambda p, _: oracles.sum_all(ad.gelu(p["a"])),
-    "softmax": lambda p, _: oracles.sum_all(ad.multiply(ad.softmax(p["a"]), p["b"])),
+    "softmax": lambda p, _: oracles.sum_all(
+        ad.multiply(ad.softmax(p["a"], 1.0, np.zeros(4)), p["b"])
+    ),
 }
 
 
@@ -411,7 +434,7 @@ _OPERANDS = {
 }
 
 
-@pytest.mark.parametrize("op, args", [("relu", "x"), ("add", "gx"), ("layer_norm", "xgb")])
+@pytest.mark.parametrize("op, args", [("relu", "x"), ("add", "xg"), ("layer_norm", "xgb")])
 def test_an_entry_names_only_its_tracked_inputs(op, args):
     """For each choice of leaf and constant operands: the entry names the
     leaves only, in input order, and its adjoint returns one pair for each,

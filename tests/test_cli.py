@@ -175,16 +175,16 @@ class TestConfig:
         assert not (tmp_path / "run" / "model.ckpt").exists()
 
     def test_settings_per_criterion(self, tmp_path, corpus_file):
-        extra = {"moreau": {"eta": 1e-4, "gs_rho": 0.3, "gs_gamma": 1e-3},
-                 "noise": {"m": 3, "smooth_m": 7}}
+        extra = {"moreau": {"eta": 1e-4}, "noise": {"m": 3, "smooth_m": 7}}
         cfg = load_config(str(write_cfg(tmp_path, corpus_file, extra=extra)))
         assert cfg.settings("plain") is None
         assert cfg.settings("smooth") == NoiseSpec(scale=0.05, m=7, seed=7)
         noise = NoiseSpec(scale=0.05, m=3, seed=7)
         assert cfg.settings("moreau") == MoreauConfig(rho=0.05, gamma=1e-3, steps=5, noise=noise)
         assert cfg.settings("moreau-gs") == MoreauConfig(
-            rho=0.3, gamma=1e-3, steps=5, eta=1e-4, noise=noise
+            rho=config.GS_RHO, gamma=config.GS_GAMMA, steps=5, eta=1e-4, noise=noise
         )
+        assert (config.GS_RHO, config.GS_GAMMA) == (0.2, 2e-4)
 
     def test_unknown_agg_exits_2(self, tmp_path, corpus_file, capsys):
         cfg = write_cfg(tmp_path, corpus_file, extra={"prune": {"agg": "max"}})
@@ -203,6 +203,19 @@ class TestConfig:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "unknown key 'global_pool' in section [prune]" in err and "Traceback" not in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("key", ["gs_rho", "gs_gamma"])
+    @pytest.mark.parametrize("command", ["prune", "robustness"])
+    def test_moreau_gs_step_keys_exit_2(self, tmp_path, corpus_file, capsys, command, key):
+        """moreau-gs's rho and gamma are constants, not keys: an INI that sets
+        one is rejected with the key named, and nothing is written."""
+        cfg = write_cfg(tmp_path, corpus_file, extra={"moreau": {key: "0.3"}})
+        ckpt = scaled_ckpt(tmp_path, 1.0, "model.ckpt")
+        rc = cli.main([command, "--config", str(cfg), "--checkpoint", str(ckpt)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unknown key {key!r} in section [moreau]" in err and "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize(
@@ -519,7 +532,6 @@ class TestPrune:
         "section, key, criterion",
         [
             ("moreau", "rho", "moreau"),
-            ("moreau", "gs_rho", "moreau-gs"),
             ("moreau", "eta", "moreau-gs"),
             ("noise", "scale", "smooth"),
             ("noise", "scale", "moreau"),
@@ -1020,6 +1032,15 @@ def _has_mallopt() -> bool:
     except (OSError, AttributeError):
         return False
     return True
+
+
+def test_run_keeps_freed_heap(monkeypatch):
+    """cli.run applies the heap setting before its command runs, so a
+    script that enters through it (scripts/study.py) gets it as main does."""
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append("heap"))
+    assert cli.run(lambda: calls.append("command") or cli.EXIT_OK) == cli.EXIT_OK
+    assert calls == ["heap", "command"]
 
 
 @pytest.mark.skipif(not _has_mallopt(), reason="needs glibc mallopt")

@@ -9,11 +9,12 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from proxprune import checkpoint, cli, config, data, zoo
+from proxprune import checkpoint, cli, config, data, robustness, zoo
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text("utf-8")
@@ -97,8 +98,9 @@ def test_robustness_table(study):
     """Per [robustness] spec, the study prints one row per seed and criterion
     with the distances that `proxprune robustness --seed s` writes for the
     sharpened weights, then their means over seeds to 6 significant digits
-    and moreau's differences from plain, paired by seed, and then the
-    held-out loss block."""
+    with the mean Kendall tau between the legs, and moreau's differences
+    from plain, paired by seed, in rel and symdiff and then in tau, and
+    then the held-out loss block."""
     lines, report = study
     header = " criterion seed       |dI|      rel  jaccard symdiff"
     rows = {seed: report(seed, "robustness")["rows"] for seed in (0, 1)}
@@ -123,13 +125,17 @@ def test_robustness_table(study):
     p = 0.5 if n == 2 and dsym[0] * dsym[1] > 0 else 1.0  # both flips one way: 2 / 2**2
     assert lines[12].endswith(
         f"  dsymdiff={(dsym[0] + dsym[1]) / 2:+.2f}  sign p={p:.3f} over {n}")
-    assert lines[13:16] == ["", "none->gaussian-ball(eps=0.01)", header]
-    assert [line.split()[:2] for line in lines[16:20]] == [
+    for line in lines[10:12]:
+        assert -1 <= float(line.split("  tau=")[1]) <= 1
+    assert lines[13].startswith("    moreau-plain  dtau=")
+    assert lines[14:17] == ["", "none->gaussian-ball(eps=0.01)", header]
+    assert [line.split()[:2] for line in lines[17:21]] == [
         ["plain", "0"], ["moreau", "0"], ["plain", "1"], ["moreau", "1"]
     ]
-    assert lines[20:22] == ["", "mean over seeds:"]
-    assert lines[24].startswith("    moreau-plain  drel=")
-    assert lines[25:27] == ["", "held-out loss before and after pruning"]
+    assert lines[21:23] == ["", "mean over seeds:"]
+    assert lines[25].startswith("    moreau-plain  drel=")
+    assert lines[26].startswith("    moreau-plain  dtau=")
+    assert lines[27:29] == ["", "held-out loss before and after pruning"]
 
 
 def test_held_out_loss_table(study):
@@ -143,13 +149,13 @@ def test_held_out_loss_table(study):
             for seed in (0, 1) for c in ("plain", "moreau")}
     loss = {key: (doc["holdout_loss_before"], doc["holdout_loss_after"])
             for key, doc in docs.items()}
-    assert lines[27:32] == [
+    assert lines[29:34] == [
         " criterion seed     before      after",
         *(f"{c:>10s} {seed:>4d} {loss[seed, c][0]:>10.6f} {loss[seed, c][1]:>10.6f}"
           for seed in (0, 1) for c in ("plain", "moreau")),
     ]
     mean = {c: [(loss[0, c][i] + loss[1, c][i]) / 2 for i in (0, 1)] for c in ("plain", "moreau")}
-    assert lines[32:36] == [
+    assert lines[34:38] == [
         "", "mean over seeds:",
         f"     plain  before={mean['plain'][0]:.6g}  after={mean['plain'][1]:.6g}",
         f"    moreau  before={mean['moreau'][0]:.6g}  after={mean['moreau'][1]:.6g}",
@@ -157,9 +163,9 @@ def test_held_out_loss_table(study):
     dafter = [loss[seed, "moreau"][1] - loss[seed, "plain"][1] for seed in (0, 1)]
     damage = mean["plain"][1] - mean["plain"][0]
     sd = abs(dafter[0] - dafter[1]) / math.sqrt(2)
-    assert lines[36].startswith(f"    moreau-plain  dafter={(dafter[0] + dafter[1]) / 2:+.2e}  ")
-    assert lines[36].endswith(f"  n20={math.ceil((Z_SUM * sd / (0.2 * damage)) ** 2)}")
-    assert len(lines) == 37
+    assert lines[38].startswith(f"    moreau-plain  dafter={(dafter[0] + dafter[1]) / 2:+.2e}  ")
+    assert lines[38].endswith(f"  n20={math.ceil((Z_SUM * sd / (0.2 * damage)) ** 2)}")
+    assert len(lines) == 39
 
 
 def test_paired_statistics_on_a_hand_computed_case():
@@ -182,6 +188,28 @@ def test_paired_statistics_on_a_hand_computed_case():
     n20 = study_script.n20
     assert n20([1e-4, 2e-4, 3e-4, 4e-4], 1e-3) == 4
     assert n20([1e-4], 1e-3) is None and n20([1e-4, 2e-4], 0.0) is None
+
+
+def test_kendall_tau_on_hand_computed_cases():
+    """(1, 2, 3, 4) against (1, 3, 2, 4): 5 concordant pairs, 1 discordant,
+    so 4/6. (1, 1, 2) against (1, 2, 3): 2 concordant pairs, 1 tied in x, so
+    2 / sqrt(2 * 3). A constant leg has no tau. Per class, the taus are
+    weighted by class size, and a class without a tau is left out."""
+    tau = study_script.kendall_tau_b
+    assert tau([1, 2, 3, 4], [1, 3, 2, 4]) == pytest.approx(4 / 6, abs=1e-15)
+    assert tau([1, 1, 2], [1, 2, 3]) == pytest.approx(2 / math.sqrt(6), abs=1e-15)
+    assert math.isnan(tau([5, 5], [1, 2]))
+    cls_map = {0: "a", 1: "a", 2: "a", 3: "a", 4: "b", 5: "b", 6: "b", 7: "c"}
+    scores_a = [1, 2, 3, 4, 1, 1, 2, 9]
+    scores_b = [1, 3, 2, 4, 1, 2, 3, 9]
+    row = robustness.RobustnessReport(
+        "plain", "bf16-roundtrip", "fp16-roundtrip", 0.0, 0.0, 1.0, 0, 0.0, 0.0,
+        group_scores_a=dict(enumerate(scores_a)), group_scores_b=dict(enumerate(scores_b)),
+        cls_map=cls_map,
+    )
+    want = (4 * (4 / 6) + 3 * (2 / math.sqrt(6))) / 7
+    assert study_script.class_tau(row) == pytest.approx(want, abs=1e-15)
+    assert math.isnan(study_script.class_tau(replace(row, cls_map={7: "c"})))
 
 
 def test_study_sharpen_needs_w1(script_corpus, tmp_path):
