@@ -12,6 +12,14 @@ operand's shape rather than the operand where that suffices). ``backward``
 pops each entry as it runs, so the arrays an entry saved are freed as soon
 as its adjoint has run rather than when the whole replay ends.
 
+Every op is per sample except the sums over the batch of a shared operand's
+adjoint (matmul's shared 2-d b, add's and multiply's broadcast b, layer_norm's
+gain and bias, embedding's table). Each such adjoint forms a ``Reduction``:
+its per-sample rows and the exact numpy call that sums them. An entry's
+adjoint applies it, unless ``backward(tape, rows=True)`` replays the tape, which
+leaves each leaf's Reductions unapplied so that a batch split across processes
+can gather every sample's rows and make the same call on the whole batch.
+
 Broadcasting is restricted: the second operand of ``add``/``multiply`` may
 be shared across the first's leading batch axes (its shape must equal the
 first's trailing shape), and the second operand of ``matmul`` may be a 2-d
@@ -21,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -66,8 +74,9 @@ class TapeEntry:
     op: str
     inputs: tuple[int, ...]
     output: int
-    # adjoint of output -> [(input node, adjoint contribution)]
-    backward: Callable[[np.ndarray], list[tuple[int, np.ndarray]]]
+    # (adjoint of output, rows) -> [(input node, adjoint contribution)], where
+    # rows=True leaves each Reduction unapplied
+    backward: Callable[..., list[tuple[int, np.ndarray]]]
 
 
 class Tape:
@@ -149,23 +158,43 @@ def _finish(op, out, tape, contribs):
 
 def _record(op, out, tape, contribs):
     """Record the entry if an input is tracked on a tape: it names the
-    tracked inputs in input order, and its adjoint returns one pair for each."""
+    tracked inputs in input order, and its adjoint returns one pair for each.
+    The adjoint applies every Reduction it forms, unless called with
+    ``rows=True``."""
     # list comprehensions: generators here cost time and mlp-robustness peak RSS
     tracked = tape and [(n, fn) for n, fn in contribs if n is not None]
     if not tracked:
         return Tensor(out)
     out_node = tape.new_node()
     tape.record(
-        op, tuple([n for n, _ in tracked]), out_node, lambda g: [(n, fn(g)) for n, fn in tracked]
+        op, tuple([n for n, _ in tracked]), out_node,
+        lambda g, rows=False: [(n, _applied(fn(g), rows)) for n, fn in tracked],
     )
     return Tensor(out, tape, out_node)
 
 
-def _reduce_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum g over the leading axes a trailing-broadcast operand was shared on."""
+class Reduction(NamedTuple):
+    """A shared operand's adjoint before its sum over the batch: the
+    contribution is ``reduce(*rows)``, and every array of ``rows`` holds one
+    row per sample on its first axis."""
+
+    reduce: Callable[..., np.ndarray]
+    rows: tuple[np.ndarray, ...]
+
+
+def _applied(contrib, rows: bool):
+    if rows or type(contrib) is not Reduction:
+        return contrib
+    return contrib.reduce(*contrib.rows)
+
+
+def _reduce_to(g: np.ndarray, shape: tuple[int, ...]):
+    """g summed over the leading axes a trailing-broadcast operand was shared
+    on, as a Reduction; g itself when it was not shared."""
     extra = g.ndim - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
+        axes = tuple(range(extra))
+        return Reduction(lambda r: r.sum(axis=axes), (g,))
     return g
 
 
@@ -228,10 +257,14 @@ def matmul(a, b) -> Tensor:
     def db(g):
         r = np.matmul(np.swapaxes(ad, -1, -2), g)
         if bd.ndim == 2 and g.ndim > 2:
-            r = r.reshape(-1, *r.shape[-2:]).sum(axis=0)
+            return Reduction(_sum_matrices, (r,))
         return r
 
     return _finish("matmul", out, tape, [(an, da), (bn, db)])
+
+
+def _sum_matrices(r: np.ndarray) -> np.ndarray:
+    return r.reshape(-1, *r.shape[-2:]).sum(axis=0)
 
 
 def relu(x) -> Tensor:
@@ -407,11 +440,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
             - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d)
         )
 
+    def sum_rows(r):
+        return r.reshape(-1, d).sum(axis=0)
+
     def dgain(g):
-        return (g * xhat).reshape(-1, d).sum(axis=0)
+        return Reduction(sum_rows, (g * xhat,))
 
     def dbias(g):
-        return g.reshape(-1, d).sum(axis=0)
+        return Reduction(sum_rows, (g,))
 
     return _finish("layer_norm", out, tape, [(xn, dx), (gn, dgain), (bn, dbias)])
 
@@ -436,10 +472,13 @@ def embedding(table, ids: np.ndarray) -> Tensor:
         )
     out = td[ids]
 
-    def dtable(g):
+    def scatter(ids, g):
         acc = np.zeros_like(td)
         np.add.at(acc, ids, g)
         return acc
+
+    def dtable(g):
+        return Reduction(scatter, (ids, g))
 
     return _finish("embedding", out, tt, [(tn, dtable)])
 
@@ -462,12 +501,17 @@ def _sum_exp(z: np.ndarray) -> np.ndarray:
     return sums.reshape(z.shape[:-1])
 
 
-def cross_entropy(logits, targets: np.ndarray) -> Tensor:
+def cross_entropy(logits, targets: np.ndarray, total: int | None = None, nll=None) -> Tensor:
     """Mean negative log-likelihood of integer targets under softmax(logits).
 
     The reduction uses math.fsum over per-position losses, so the result is
     the correctly rounded mean: invariant under sample permutation and exact
     for batches made of repeated samples.
+
+    For a part of a batch, ``total`` is the whole batch's number of target
+    positions: the result is this part's loss sum over it, and the adjoint
+    scales by 1/total, as the whole batch's does. ``nll``, a float64 array
+    of one element per position, receives the per-position losses.
     """
     ld, lt, ln = _parts(logits)
     targets = np.asarray(targets)
@@ -496,15 +540,16 @@ def cross_entropy(logits, targets: np.ndarray) -> Tensor:
     picked = np.take_along_axis(
         z.reshape(-1, vocab), flat_t[:, None], axis=1
     ).reshape(-1)
-    nll = lse.reshape(-1) - picked
-    out = np.float64(math.fsum(nll) / count)
+    nll = np.subtract(lse.reshape(-1), picked, out=nll)
+    total = count if total is None else total
+    out = np.float64(math.fsum(nll) / total)
 
-    # p = (float(g) / count) * (exp(z - lse) - onehot(targets)), in one buffer
+    # p = (float(g) / total) * (exp(z - lse) - onehot(targets)), in one buffer
     def dlogits(g):
         p = z - lse.reshape(*lse.shape, 1)
         np.exp(p, out=p)
         np.subtract.at(p.reshape(-1, vocab), (np.arange(count), flat_t), 1.0)
-        p *= float(g) / count
+        p *= float(g) / total
         return p
 
     return _finish("cross_entropy", np.asarray(out), lt, [(ln, dlogits)])
@@ -550,28 +595,46 @@ def forward(program, params: Mapping[str, np.ndarray], batch=None) -> tuple[floa
     return float(out.data), tape
 
 
-def backward(tape: Tape) -> GradMap:
+def backward(tape: Tape, rows: bool = False):
     """Replay adjoints in reverse; returns a gradient for every leaf, zeros
     of the leaf's shape where the output does not depend on it. Tapes are
     single-use: each entry is popped as it is replayed, which frees the
-    arrays its adjoint saved, and the tape is left empty."""
+    arrays its adjoint saved, and the tape is left empty.
+
+    With ``rows=True`` every leaf's batch sums are left unapplied: the result
+    maps each leaf's name to its Reductions in replay order (none where the
+    output does not reach it), and a leaf that receives any other
+    contribution raises AutodiffError, since its samples cannot be told
+    apart. A Reduction that reaches an inner node is applied there."""
     if tape.consumed:
         raise TapeConsumedError("tape already consumed by a previous backward()")
     tape.consumed = True
     adj: dict[int, np.ndarray] = {}
     if tape.output_node is not None:
         adj[tape.output_node] = np.ones(())
+    kept = {node: [] for node in tape.leaves} if rows else {}
     entries = tape.entries
     while entries:
         e = entries.pop()
         g = adj.pop(e.output, None)
         if g is None:
             continue
-        for node, contrib in e.backward(g):
+        for node, contrib in e.backward(g, rows):
+            if type(contrib) is Reduction:
+                if node in kept:
+                    kept[node].append(contrib)
+                    continue
+                contrib = contrib.reduce(*contrib.rows)
             if node in adj:
                 adj[node] = adj[node] + contrib
             else:
                 adj[node] = contrib
+    if rows:
+        summed = sorted(kept.keys() & adj.keys())
+        if summed:
+            name = tape.leaves[summed[0]][0]
+            raise AutodiffError(f"leaf {name!r} has a gradient already summed over the batch")
+        return {tape.leaves[node][0]: reductions for node, reductions in kept.items()}
     return {
         name: np.asarray(adj[node], dtype=np.float64) if node in adj else np.zeros(shape)
         for node, (name, shape) in tape.leaves.items()

@@ -26,14 +26,19 @@ never prunable.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import struct
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import EmptyTargetError, Tensor
-from .params import ParamSet, PruneGroup, PruneStructure, Slice
+from .autodiff import EmptyTargetError, GradMap, Tensor
+from .params import ParamSet, PruneGroup, PruneStructure, Slice, unflatten_map
+from .smoothing import ForkedChild
 
 
 class ZooError(Exception):
@@ -265,7 +270,10 @@ class TinyTransformer(_Declared):
             raise ad.ShapeError(
                 f"transformer: sequence length {n_tok} exceeds max_len {a.max_len}"
             )
-        h = ad.add(ad.embedding(p["embed"], ids), ad.embedding(p["pos"], np.arange(n_tok)))
+        # positions are looked up per sample, so that every sum over the
+        # batch is a leaf's (see autodiff.Reduction)
+        positions = np.broadcast_to(np.arange(n_tok), ids.shape)
+        h = ad.add(ad.embedding(p["embed"], ids), ad.embedding(p["pos"], positions))
         mask = causal_mask(n_tok)
         for l in range(self.n_layers):
             normed = ad.layer_norm(h, p[f"l{l}.ln1.g"], p[f"l{l}.ln1.b"])
@@ -277,7 +285,9 @@ class TinyTransformer(_Declared):
         h = ad.layer_norm(h, p["lnf.g"], p["lnf.b"])
         return ad.add(ad.matmul(h, p["head.w"]), p["head.b"])
 
-    def loss(self, p: dict[str, Tensor], batch) -> Tensor:
+    def loss(self, p: dict[str, Tensor], batch, total: int | None = None, nll=None) -> Tensor:
+        """Next-token loss of the batch; ``total`` and ``nll`` as in
+        ``autodiff.cross_entropy``, for a batch that is part of a larger one."""
         ids = np.asarray(batch)
         if ids.ndim != 2:
             raise ad.ShapeError(f"transformer: batch must be (n, len), got {ids.shape}")
@@ -287,7 +297,21 @@ class TinyTransformer(_Declared):
             raise EmptyTargetError(
                 "transformer: empty target (need >= 2 tokens for next-token loss)"
             )
-        return ad.cross_entropy(self.logits(p, ids[:, :-1]), ids[:, 1:])
+        return ad.cross_entropy(self.logits(p, ids[:, :-1]), ids[:, 1:], total, nll)
+
+    def batch_rows(self, n_tok: int) -> int:
+        """Values, 8 bytes each, of one sample's rows in the Reductions of a
+        pass over n_tok positions: an embedding's ids and rows, a bias's or a
+        norm's rows per position, and a weight matrix's per-sample product."""
+        rows = 0
+        for name, shape in self.param_shapes().items():
+            if name in ("embed", "pos"):
+                rows += n_tok * (1 + shape[1])
+            elif len(shape) == 1:
+                rows += n_tok * shape[0]
+            else:
+                rows += math.prod(shape)
+        return rows
 
     def shrink(self, removed_per_block: dict[str, int]) -> "TinyTransformer":
         left = self._left(removed_per_block)  # per layer: attn, ffn
@@ -328,6 +352,8 @@ def recover_finetune(
 
     ``dataset`` is a sequence of batches. lr = 0 leaves parameters
     bit-identical. Non-finite losses abort with the epoch/step indices.
+    Each step's gradient comes from a ``BatchSplit``, which may share the
+    batch with a helper process without changing a byte.
     """
     if epochs < 1:
         raise ZooError("recover_finetune: epochs must be >= 1")
@@ -337,25 +363,211 @@ def recover_finetune(
         raise EmptyBatchError("recover_finetune: empty dataset")
     current = params.copy()
     info = FinetuneInfo()
-    for epoch in range(epochs):
-        losses = []
-        for step, batch in enumerate(dataset):
-            try:
-                loss, grads = ad.gradient(model.loss, dict(current), batch)
-            except ad.NonFiniteError as e:
-                raise TrainingDivergedError(epoch, step) from e
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, step)
-            if info.steps == 0:
-                info.first_loss = loss
-            losses.append(loss)
-            if lr != 0.0:
-                current = current.add(grads, scale=-lr)
-            info.steps += 1
-        info.epoch_losses.append(math.fsum(losses) / len(losses))
+    with closing(BatchSplit(model, current, dataset)) as split:
+        for epoch in range(epochs):
+            losses = []
+            for step in range(len(dataset)):
+                try:
+                    loss, grads = split.gradient(current, step)
+                except ad.NonFiniteError as e:
+                    raise TrainingDivergedError(epoch, step) from e
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(epoch, step)
+                if info.steps == 0:
+                    info.first_loss = loss
+                losses.append(loss)
+                if lr != 0.0:
+                    current = current.add(grads, scale=-lr)
+                info.steps += 1
+            info.epoch_losses.append(math.fsum(losses) / len(losses))
     if any(
         info.epoch_losses[i + 1] > info.epoch_losses[i]
         for i in range(len(info.epoch_losses) - 1)
     ):
         info.non_decreasing = True
     return current, info
+
+
+def _split_at(batch) -> int:
+    """How many samples of a transformer batch a helper evaluates: the first
+    B // 2 of a (B, len) batch with B >= 2 and len >= 2, else none."""
+    ids = np.asarray(batch)
+    if ids.ndim != 2 or ids.shape[1] < 2:
+        return 0
+    return len(ids) // 2
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-nbytes // 8) * 8
+
+
+class BatchSplit:
+    """The gradient of each training step over ``dataset``, batch by index,
+    with each transformer batch of two samples or more split between this
+    process and one helper: the helper evaluates its first B // 2 samples
+    and the parent the rest, each with a normal forward and backward pass.
+
+    Every op of the transformer is per sample except the sums over the batch
+    of a leaf's adjoint (``autodiff.Reduction``), so both halves replay with
+    ``backward(tape, rows=True)``. The parent copies the helper's rows and
+    its own into a whole-batch buffer laid out as the unsplit pass's rows
+    lie (``_batch_buffer``), and makes the same numpy call on it.
+    Continuing a sum from the helper's partial one would not do: numpy sums
+    a non-contiguous array in memory order. Each half's ``cross_entropy``
+    scales its adjoint by the whole batch's position count and writes its
+    per-position losses; the loss is ``math.fsum`` of all of them over that
+    count, as unsplit. So no byte changes.
+
+    An MLP is never split: its 2-d matmuls sum the batch inside BLAS. Shared
+    anonymous memory, mapped right before the fork and sized from the
+    model's shapes (``TinyTransformer.batch_rows``), holds the parameters,
+    which the parent writes before each step, and one slot for the helper's
+    losses and rows. The parent asks for a step by its batch index on the
+    request pipe, evaluates its half, then waits for the helper's one-byte
+    answer. When the helper fails a step or dies (EOF), the parent closes it,
+    evaluates that half itself and runs every later step alone. When a half
+    raises an error of the model, the parent closes the helper and evaluates
+    the whole batch, which raises that error as an unsplit step does.
+    Without a helper (``ForkedChild.may_fork`` refuses, or nothing splits)
+    every step is ``autodiff.gradient`` on the whole batch.
+    """
+
+    def __init__(self, model, params: ParamSet, dataset):
+        self.model, self.dataset = model, dataset
+        self.helper: ForkedChild | None = None
+        if not isinstance(model, TinyTransformer) or not ForkedChild.may_fork():
+            return
+        slot = 0
+        for batch in dataset:
+            if half := _split_at(batch):
+                n_tok = np.shape(batch)[1] - 1
+                slot = max(slot, 8 * half * (n_tok + model.batch_rows(n_tok)))
+        if not slot:
+            return
+        try:
+            shared = mmap.mmap(-1, 8 * params.size + slot)
+        except OSError:
+            return
+        self.point = unflatten_map(params, np.frombuffer(shared, count=params.size))
+        self.slot = np.frombuffer(shared, np.uint8, offset=8 * params.size)
+        self.helper = ForkedChild.fork(self._serve)
+
+    def close(self) -> None:
+        if self.helper is not None:
+            self.helper.close()
+            self.helper = None
+
+    def gradient(self, params: ParamSet, index: int) -> tuple[float, GradMap]:
+        """(loss, gradient map) of batch ``index`` at ``params``."""
+        batch = self.dataset[index]
+        if self.helper is not None and _split_at(batch):
+            try:
+                return self._split(params, index, np.asarray(batch))
+            except (ad.AutodiffError, ZooError, ArithmeticError):
+                self.close()  # the whole batch raises as an unsplit step does
+        return ad.gradient(self.model.loss, dict(params), batch)
+
+    def _split(self, params: ParamSet, index: int, ids: np.ndarray):
+        half, n_tok = _split_at(ids), ids.shape[1] - 1
+        total = len(ids) * n_tok
+        for name, view in self.point.items():
+            np.copyto(view, params[name])
+        self._ask(index)
+        nll = np.empty(total)
+        mine = self._half(dict(params), ids[half:], total, nll[half * n_tok :])
+        theirs = self._answered(mine, half, nll[: half * n_tok])
+        if theirs is None:  # failed or died: the parent evaluates that half
+            self.close()
+            rows = self._half(dict(params), ids[:half], total, nll[: half * n_tok])
+            theirs = {name: [r.rows for r in reductions] for name, reductions in rows.items()}
+        grads = {
+            name: _gathered(reductions, theirs[name], params[name].shape)
+            for name, reductions in mine.items()
+        }
+        return math.fsum(nll) / total, grads
+
+    def _half(self, leaves, ids, total, nll) -> dict[str, list[ad.Reduction]]:
+        _, tape = ad.forward(partial(self.model.loss, total=total, nll=nll), leaves, ids)
+        return ad.backward(tape, rows=True)
+
+    def _at(self, offset: int, shape, dtype) -> np.ndarray:
+        """The slot's bytes from ``offset`` as an array of shape and dtype."""
+        end = offset + math.prod(shape) * np.dtype(dtype).itemsize
+        if end > len(self.slot):
+            raise ZooError("batch rows exceed the shared slot")
+        return self.slot[offset:end].view(dtype).reshape(shape)
+
+    def _serve(self, child: ForkedChild) -> None:
+        """The helper's life: evaluate the first half of each requested
+        batch until EOF, into the slot: the losses, then every leaf's rows."""
+        while request := os.read(child.requests, 8):
+            (index,) = struct.unpack("q", request)
+            ids = np.asarray(self.dataset[index])
+            half, n_tok = _split_at(ids), ids.shape[1] - 1
+            nll = self._at(0, (half * n_tok,), np.float64)
+            rows = self._half(self.point, ids[:half], len(ids) * n_tok, nll)
+            offset = nll.nbytes
+            for reductions in rows.values():
+                for r in reductions:
+                    for a in r.rows:
+                        np.copyto(self._at(offset, a.shape, a.dtype), a)
+                        offset += _aligned(a.nbytes)
+            os.write(child.replies, b"\1")
+
+    def _ask(self, index: int) -> None:
+        try:
+            os.write(self.helper.requests, struct.pack("q", index))
+        except OSError:  # a dead helper: the answer reads EOF
+            pass
+
+    def _answered(self, mine, half: int, nll: np.ndarray):
+        """Per leaf, the rows of each of ``mine``'s Reductions for the
+        helper's ``half`` samples, and its losses into ``nll``; None when
+        the helper failed the step or died."""
+        try:
+            done = os.read(self.helper.replies, 1) == b"\1"
+        except OSError:
+            done = False
+        if not done:
+            return None
+        np.copyto(nll, self._at(0, nll.shape, np.float64))
+        offset, theirs = nll.nbytes, {}
+        for name, reductions in mine.items():
+            theirs[name] = []
+            for r in reductions:
+                arrays = []
+                for a in r.rows:
+                    arrays.append(self._at(offset, (half, *a.shape[1:]), a.dtype))
+                    offset += _aligned(arrays[-1].nbytes)
+                theirs[name].append(arrays)
+        return theirs
+
+
+def _batch_buffer(rows: np.ndarray, n: int) -> np.ndarray:
+    """An empty array of n samples shaped like ``rows``'s, laid out as a
+    whole-batch pass lays out its rows: the batch axis outermost, each sample
+    as ``np.empty_like(rows[0], order="K")``. (``empty_like`` of ``rows``
+    itself would misplace a one-sample batch axis, whose stride means
+    nothing.)"""
+    sample = np.empty_like(rows[0], order="K")
+    return np.ndarray(
+        (n, *sample.shape), rows.dtype, np.empty(n * sample.size, rows.dtype),
+        strides=(sample.nbytes, *sample.strides),
+    )
+
+
+def _gathered(mine: list[ad.Reduction], theirs, shape) -> np.ndarray:
+    """A leaf's gradient: each Reduction applied to the helper's rows
+    followed by this process's, in a buffer laid out like these, summed in
+    order as ``autodiff.backward`` sums a leaf's contributions."""
+    grad = None
+    for r, their_rows in zip(mine, theirs):
+        whole = []
+        for t, m in zip(their_rows, r.rows):
+            buf = _batch_buffer(m, len(t) + len(m))
+            buf[: len(t)] = t
+            buf[len(t) :] = m
+            whole.append(buf)
+        contrib = r.reduce(*whole)
+        grad = contrib if grad is None else grad + contrib
+    return np.zeros(shape) if grad is None else np.asarray(grad, dtype=np.float64)
