@@ -17,8 +17,10 @@ adjoint (matmul's shared 2-d b, add's and multiply's broadcast b, layer_norm's
 gain and bias, embedding's table). Each such adjoint forms a ``Reduction``:
 its per-sample rows and the exact numpy call that sums them. An entry's
 adjoint applies it, unless ``backward(tape, rows=True)`` replays the tape, which
-leaves each leaf's Reductions unapplied so that a batch split across processes
-can gather every sample's rows and make the same call on the whole batch.
+leaves each leaf's Reductions unapplied: ``sample_gradients`` applies them one
+sample at a time, and a batch split across processes continues a Reduction
+that folds (``Reduction.folds``) from the partial result of the samples before,
+bitwise, and makes the same call on a whole-batch copy of any other's rows.
 
 Broadcasting is restricted: the second operand of ``add``/``multiply`` may
 be shared across the first's leading batch axes (its shape must equal the
@@ -176,10 +178,27 @@ def _record(op, out, tape, contribs):
 class Reduction(NamedTuple):
     """A shared operand's adjoint before its sum over the batch: the
     contribution is ``reduce(*rows)``, and every array of ``rows`` holds one
-    row per sample on its first axis."""
+    row per sample on its first axis. The one Reduction of two rows is
+    embedding's scatter-add, of its ids and adjoint rows."""
 
     reduce: Callable[..., np.ndarray]
     rows: tuple[np.ndarray, ...]
+
+    def folds(self) -> bool:
+        """Whether numpy adds the rows one at a time in sample order onto the
+        result of those before: a scatter-add always, a sum when its rows lie
+        C-contiguous (else numpy may sum them in memory order, pairwise)."""
+        return len(self.rows) == 2 or self.rows[0].flags.c_contiguous
+
+    def continued(self, partial: np.ndarray) -> np.ndarray:
+        """For a Reduction that folds, its result over earlier samples and
+        these rows, given ``partial``, the earlier samples' result: bitwise
+        the whole fold, as IEEE addition commutes. A sum adds ``partial``
+        into its first folded row, in place; a scatter-add starts from it."""
+        if len(self.rows) == 2:
+            return self.reduce(*self.rows, partial)
+        self.rows[0].reshape(-1, *partial.shape)[0] += partial
+        return self.reduce(*self.rows)
 
 
 def _applied(contrib, rows: bool):
@@ -472,8 +491,8 @@ def embedding(table, ids: np.ndarray) -> Tensor:
         )
     out = td[ids]
 
-    def scatter(ids, g):
-        acc = np.zeros_like(td)
+    def scatter(ids, g, start=None):
+        acc = np.zeros_like(td) if start is None else start.copy()
         np.add.at(acc, ids, g)
         return acc
 
@@ -639,6 +658,21 @@ def backward(tape: Tape, rows: bool = False):
         name: np.asarray(adj[node], dtype=np.float64) if node in adj else np.zeros(shape)
         for node, (name, shape) in tape.leaves.items()
     }
+
+
+def sample_gradients(tape: Tape, n: int) -> GradMap:
+    """Each leaf's gradient per sample, shaped (n, *leaf shape), for a tape
+    of n samples: ``backward(tape, rows=True)`` with every Reduction applied
+    to one sample's rows at a time. Summed over the samples they give
+    ``backward(tape)`` up to rounding, as the order of the sums differs."""
+    kept = backward(tape, rows=True)
+    out = {}
+    for name, shape in tape.leaves.values():
+        g = out[name] = np.zeros((n, *shape))
+        for r in kept[name]:
+            for i in range(n):
+                g[i] += r.reduce(*(a[i : i + 1] for a in r.rows))
+    return out
 
 
 def gradient(program, params, batch=None) -> tuple[float, GradMap]:

@@ -37,6 +37,7 @@ import struct
 import threading
 from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -138,15 +139,14 @@ class MonteCarloLoop:
     fork is refused, the parent makes every draw. The parent folds each draw
     into the sums in ascending draw order.
 
-    Shared anonymous memory, mapped right before the fork, holds the legs'
-    current points, which the parent writes at the start of each step, and
-    one slot of k gradients and k losses. The parent asks for one draw at a
-    time (``_ask``), as its index n on the helper's request pipe, and for
-    the next only after it has folded the last. The helper (``_serve``)
-    makes draw n with ``_make``, evaluates it at every leg at its inherited
-    copy of the noisy point, into the slot, and answers one byte on the
-    reply pipe (``_answered``). Draws are keyed and both processes run the
-    same code on the same operands, so the helper cannot change a byte.
+    The helper's slot (``ForkedChild``) holds the legs' current points,
+    which the parent writes at the start of each step, then k gradients and
+    k losses. The parent asks for one draw at a time, by its index n, and
+    for the next only after it has folded the last. The helper (``_serve``)
+    makes draw n with ``_make`` and evaluates it at every leg at its
+    inherited copy of the noisy point, into the slot. Draws are keyed and
+    both processes run the same code on the same operands, so the helper
+    cannot change a byte.
     When the helper fails a draw or dies, which the parent reads as EOF, the
     parent stops it and makes and evaluates that draw and every later one
     itself; a genuine error is then raised by the parent's own evaluation.
@@ -172,22 +172,23 @@ class MonteCarloLoop:
         its map; return the mean noisy loss of each leg."""
         if self.taken == self.steps * self.spec.m:
             raise IndexError(f"all {self.steps} steps were taken")
-        if self.taken == 0:
-            self._fork(legs.shape)
+        k = len(legs)
+        if self.taken == 0 and self.spec.m > 1:  # a step has odd draws
+            self.helper = ForkedChild.fork(partial(self._serve, k), (2 * legs.shape[1] + 1) * k)
         first = self.taken
         self.taken += self.spec.m
         losses: list[list[float]] = [[] for _ in legs]
         if self.helper is not None:
-            np.copyto(self.points, legs)
-            self._ask(first + 1)
+            points, grads, slot_losses = self._shared(self.helper, k)
+            np.copyto(points, legs)
+            self.helper.ask(first + 1)
         for i in range(self.spec.m):
             n = first + i
             if self.helper is not None and i % 2:
-                results = self._answered()
-                if results is not None:
-                    _fold(i, results, means, losses)
+                if self.helper.answered():
+                    _fold(i, zip(slot_losses, grads), means, losses)
                     if i + 2 < self.spec.m:
-                        self._ask(n + 2)  # its slot is free again
+                        self.helper.ask(n + 2)  # its slot is free again
                     continue
                 self.close()  # failed or died: the parent makes the rest
             z = self._make(n)
@@ -206,49 +207,21 @@ class MonteCarloLoop:
             _noisy_point(self.spec, wj, z, self.noisy)
             yield _eval(self.model, self.leaves, self.batch, draw=i)
 
-    def _fork(self, shape: tuple[int, int]) -> None:
-        """Map the shared memory for legs of ``shape`` and fork the helper,
-        unless a step has no odd draw or ``ForkedChild`` would refuse."""
-        if self.spec.m < 2 or not ForkedChild.may_fork():
-            return
-        k, size = shape
-        try:
-            shared = np.frombuffer(mmap.mmap(-1, 8 * (2 * k * size + k)))
-        except OSError:
-            return
-        self.points = shared[: k * size].reshape(k, size)
-        rows = shared[k * size : 2 * k * size].reshape(k, size)
-        self.slot_grads = [unflatten_map(self.params, row) for row in rows]
-        self.slot_losses = shared[2 * k * size :]
-        self.helper = ForkedChild.fork(self._serve)
+    def _shared(self, child: ForkedChild, k: int):
+        """The slot's parts: the k legs' points, a gradient map per leg and
+        the k losses."""
+        size = self.params.size
+        grads = [unflatten_map(self.params, row) for row in child.at(k * size, (k, size))]
+        return child.at(0, (k, size)), grads, child.at(2 * k * size, (k,))
 
-    def _serve(self, child: ForkedChild) -> None:
+    def _serve(self, k: int, child: ForkedChild) -> None:
         """The helper's life: evaluate each requested draw until EOF."""
-        while request := os.read(child.requests, 8):
-            (n,) = struct.unpack("q", request)
+        points, grads, losses = self._shared(child, k)
+        for n in child.requested():
             z = self._make(n)
-            for j, (loss, grads) in enumerate(self._passes(n % self.spec.m, z, self.points)):
-                self.slot_losses[j] = loss
-                _store(self.slot_grads[j], grads)
-            os.write(child.replies, b"\1")
-
-    def _ask(self, n: int) -> None:
-        """Ask the helper for draw n."""
-        try:
-            os.write(self.helper.requests, struct.pack("q", n))
-        except OSError:  # a dead helper: the next answer reads EOF
-            pass
-
-    def _answered(self) -> list[tuple[float, GradMap]] | None:
-        """(loss, gradient map) at every leg of the draw last asked for, or
-        None when the helper failed it or died."""
-        try:
-            done = os.read(self.helper.replies, 1) == b"\1"
-        except OSError:
-            done = False
-        if not done:
-            return None
-        return [(float(loss), grads) for loss, grads in zip(self.slot_losses, self.slot_grads)]
+            for j, (loss, g) in enumerate(self._passes(n % self.spec.m, z, points)):
+                losses[j] = loss
+                _store(grads[j], g)
 
 
 def _spare_cpu() -> bool:
@@ -273,8 +246,9 @@ def _spare_cpu() -> bool:
 
 
 class ForkedChild:
-    """A forked child process and the parent's ends of two pipes to it:
-    ``requests`` the child reads and ``replies`` it writes.
+    """A forked child process, the parent's ends of two pipes to it
+    (``requests`` the child reads and ``replies`` it writes), and ``slot``,
+    shared anonymous memory mapped right before the fork.
 
     ``fork`` is the one gate of every helper process: a process tree runs at
     most one child at a time, and only on a CPU of its own. ``live`` counts
@@ -285,12 +259,16 @@ class ForkedChild:
     reads its death as EOF on ``replies``. Objects inherited from the parent
     are never collected in the child, so no finalizer of theirs runs twice.
     Closing kills and reaps the child.
+
+    A helper works piece by piece: the parent asks for piece n (``ask``),
+    the child answers each in turn into the slot (``requested``), and the
+    parent reads EOF, a failed piece or a dead child, as no answer.
     """
 
     live = 0
 
-    def __init__(self, pid: int, requests: int, replies: int):
-        self.pid, self.requests, self.replies = pid, requests, replies
+    def __init__(self, pid: int, requests: int, replies: int, slot: np.ndarray | None):
+        self.pid, self.requests, self.replies, self.slot = pid, requests, replies, slot
 
     @classmethod
     def may_fork(cls) -> bool:
@@ -299,11 +277,15 @@ class ForkedChild:
         return not cls.live and _spare_cpu()
 
     @classmethod
-    def fork(cls, serve) -> ForkedChild | None:
+    def fork(cls, serve, size: int = 0) -> ForkedChild | None:
         """Fork a child that runs ``serve(child)`` on a ForkedChild of its own
-        pipe ends; None unless ``may_fork``, or when the system refuses (no
-        memory, descriptors or processes left)."""
+        pipe ends and a shared slot of ``size`` float64 values; None unless
+        ``may_fork``, or when the system refuses (no memory, fds or pids)."""
         if not cls.may_fork():
+            return None
+        try:
+            slot = np.frombuffer(mmap.mmap(-1, 8 * size)) if size else None
+        except OSError:
             return None
         cls.live += 1  # before the fork, so that the child inherits it
         fds: list[int] = []
@@ -322,12 +304,36 @@ class ForkedChild:
                 gc.freeze()
                 os.close(requests_w)
                 os.close(replies_r)
-                serve(cls(0, requests_r, replies_w))
+                serve(cls(0, requests_r, replies_w, slot))
             finally:
                 os._exit(0)
         os.close(requests_r)
         os.close(replies_w)
-        return cls(pid, requests_w, replies_r)
+        return cls(pid, requests_w, replies_r, slot)
+
+    def at(self, offset: int, shape) -> np.ndarray:
+        """The slot's values from ``offset`` on as an array of ``shape``."""
+        return self.slot[offset : offset + math.prod(shape)].reshape(shape)
+
+    def ask(self, n: int) -> None:
+        try:
+            os.write(self.requests, struct.pack("q", n))
+        except OSError:  # a dead child: the answer reads EOF
+            pass
+
+    def answered(self) -> bool:
+        """Whether the child did the piece last asked for."""
+        try:
+            return os.read(self.replies, 1) == b"\1"
+        except OSError:
+            return False
+
+    def requested(self):
+        """In the child: each piece asked for until EOF, answered once the loop
+        body for it has run; a body that raises ends the child unanswered."""
+        while request := os.read(self.requests, 8):
+            yield struct.unpack("q", request)[0]
+            os.write(self.replies, b"\1")
 
     def close(self) -> None:
         ForkedChild.live -= 1

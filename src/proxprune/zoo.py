@@ -26,9 +26,6 @@ never prunable.
 from __future__ import annotations
 
 import math
-import mmap
-import os
-import struct
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property, lru_cache, partial
@@ -397,10 +394,6 @@ def _split_at(batch) -> int:
     return len(ids) // 2
 
 
-def _aligned(nbytes: int) -> int:
-    return -(-nbytes // 8) * 8
-
-
 class BatchSplit:
     """The gradient of each training step over ``dataset``, batch by index,
     with each transformer batch of two samples or more split between this
@@ -409,27 +402,30 @@ class BatchSplit:
 
     Every op of the transformer is per sample except the sums over the batch
     of a leaf's adjoint (``autodiff.Reduction``), so both halves replay with
-    ``backward(tape, rows=True)``. The parent copies the helper's rows and
-    its own into a whole-batch buffer laid out as the unsplit pass's rows
-    lie (``_batch_buffer``), and makes the same numpy call on it.
-    Continuing a sum from the helper's partial one would not do: numpy sums
-    a non-contiguous array in memory order. Each half's ``cross_entropy``
-    scales its adjoint by the whole batch's position count and writes its
-    per-position losses; the loss is ``math.fsum`` of all of them over that
-    count, as unsplit. So no byte changes.
+    ``backward(tape, rows=True)``. For a Reduction that numpy folds one
+    sample at a time (``Reduction.folds``: every weight, norm, embedding and
+    bias but ``l*.bk``), the helper sends its partial result, one value per
+    element of the leaf, and the parent continues the fold from it over its
+    own rows (``Reduction.continued``). For any other, only ``l*.bk``, whose
+    adjoint arrives non-contiguous, the helper sends its rows; the parent
+    copies them and its own into a whole-batch buffer laid out as the
+    unsplit pass's rows lie (``_batch_buffer``) and makes the same numpy
+    call on it. Each half's ``cross_entropy`` scales its adjoint by the
+    whole batch's position count and writes its per-position losses; the
+    loss is ``math.fsum`` of all of them over that count, as unsplit. So no
+    byte changes.
 
-    An MLP is never split: its 2-d matmuls sum the batch inside BLAS. Shared
-    anonymous memory, mapped right before the fork and sized from the
-    model's shapes (``TinyTransformer.batch_rows``), holds the parameters,
-    which the parent writes before each step, and one slot for the helper's
-    losses and rows. The parent asks for a step by its batch index on the
-    request pipe, evaluates its half, then waits for the helper's one-byte
-    answer. When the helper fails a step or dies (EOF), the parent closes it,
-    evaluates that half itself and runs every later step alone. When a half
-    raises an error of the model, the parent closes the helper and evaluates
-    the whole batch, which raises that error as an unsplit step does.
-    Without a helper (``ForkedChild.may_fork`` refuses, or nothing splits)
-    every step is ``autodiff.gradient`` on the whole batch.
+    An MLP is never split: its 2-d matmuls sum the batch inside BLAS. The
+    helper's slot (``ForkedChild``), sized from the model's shapes, holds
+    the parameters, which the parent writes before each step, then the
+    helper's losses and what it sends. The parent asks for a step by its
+    batch index, evaluates its half, then waits for the helper's answer.
+    When the helper fails a step or dies (EOF), or a half raises an error of
+    the model, the parent closes the helper and evaluates the whole batch
+    alone, as it does every later step; an error is then raised as an
+    unsplit step raises it. Without a helper (``ForkedChild.may_fork``
+    refuses, or nothing splits) every step is ``autodiff.gradient`` on the
+    whole batch.
     """
 
     def __init__(self, model, params: ParamSet, dataset):
@@ -441,16 +437,9 @@ class BatchSplit:
         for batch in dataset:
             if half := _split_at(batch):
                 n_tok = np.shape(batch)[1] - 1
-                slot = max(slot, 8 * half * (n_tok + model.batch_rows(n_tok)))
-        if not slot:
-            return
-        try:
-            shared = mmap.mmap(-1, 8 * params.size + slot)
-        except OSError:
-            return
-        self.point = unflatten_map(params, np.frombuffer(shared, count=params.size))
-        self.slot = np.frombuffer(shared, np.uint8, offset=8 * params.size)
-        self.helper = ForkedChild.fork(self._serve)
+                slot = max(slot, half * (n_tok + model.batch_rows(n_tok)))
+        if slot:  # partials take at most one value per parameter
+            self.helper = ForkedChild.fork(partial(self._serve, params), 2 * params.size + slot)
 
     def close(self) -> None:
         if self.helper is not None:
@@ -462,85 +451,72 @@ class BatchSplit:
         batch = self.dataset[index]
         if self.helper is not None and _split_at(batch):
             try:
-                return self._split(params, index, np.asarray(batch))
+                if (split := self._split(params, index, np.asarray(batch))) is not None:
+                    return split
             except (ad.AutodiffError, ZooError, ArithmeticError):
-                self.close()  # the whole batch raises as an unsplit step does
+                pass  # the whole batch raises as an unsplit step does
+            self.close()
         return ad.gradient(self.model.loss, dict(params), batch)
 
     def _split(self, params: ParamSet, index: int, ids: np.ndarray):
         half, n_tok = _split_at(ids), ids.shape[1] - 1
         total = len(ids) * n_tok
-        for name, view in self.point.items():
+        for name, view in unflatten_map(params, self.helper.at(0, (params.size,))).items():
             np.copyto(view, params[name])
-        self._ask(index)
+        self.helper.ask(index)
         nll = np.empty(total)
         mine = self._half(dict(params), ids[half:], total, nll[half * n_tok :])
-        theirs = self._answered(mine, half, nll[: half * n_tok])
-        if theirs is None:  # failed or died: the parent evaluates that half
-            self.close()
-            rows = self._half(dict(params), ids[:half], total, nll[: half * n_tok])
-            theirs = {name: [r.rows for r in reductions] for name, reductions in rows.items()}
-        grads = {
-            name: _gathered(reductions, theirs[name], params[name].shape)
-            for name, reductions in mine.items()
-        }
-        return math.fsum(nll) / total, grads
+        if not self.helper.answered():
+            return None  # it failed or died
+        theirs = nll[: half * n_tok]
+        np.copyto(theirs, self.helper.at(params.size, theirs.shape))
+        return math.fsum(nll) / total, self._gathered(params, mine, half, params.size + theirs.size)
 
     def _half(self, leaves, ids, total, nll) -> dict[str, list[ad.Reduction]]:
         _, tape = ad.forward(partial(self.model.loss, total=total, nll=nll), leaves, ids)
         return ad.backward(tape, rows=True)
 
-    def _at(self, offset: int, shape, dtype) -> np.ndarray:
-        """The slot's bytes from ``offset`` as an array of shape and dtype."""
-        end = offset + math.prod(shape) * np.dtype(dtype).itemsize
-        if end > len(self.slot):
-            raise ZooError("batch rows exceed the shared slot")
-        return self.slot[offset:end].view(dtype).reshape(shape)
-
-    def _serve(self, child: ForkedChild) -> None:
+    def _serve(self, params: ParamSet, child: ForkedChild) -> None:
         """The helper's life: evaluate the first half of each requested
-        batch until EOF, into the slot: the losses, then every leaf's rows."""
-        while request := os.read(child.requests, 8):
-            (index,) = struct.unpack("q", request)
+        batch until EOF, into the slot after the parameters: the losses,
+        then for each Reduction of each leaf its partial result when it
+        folds, else its rows."""
+        point = unflatten_map(params, child.at(0, (params.size,)))
+        for index in child.requested():
             ids = np.asarray(self.dataset[index])
             half, n_tok = _split_at(ids), ids.shape[1] - 1
-            nll = self._at(0, (half * n_tok,), np.float64)
-            rows = self._half(self.point, ids[:half], len(ids) * n_tok, nll)
-            offset = nll.nbytes
-            for reductions in rows.values():
+            nll = child.at(params.size, (half * n_tok,))
+            offset = params.size + nll.size
+            for reductions in self._half(point, ids[:half], len(ids) * n_tok, nll).values():
                 for r in reductions:
-                    for a in r.rows:
-                        np.copyto(self._at(offset, a.shape, a.dtype), a)
-                        offset += _aligned(a.nbytes)
-            os.write(child.replies, b"\1")
+                    for a in (r.reduce(*r.rows),) if r.folds() else r.rows:
+                        np.copyto(child.at(offset, a.shape), a)
+                        offset += a.size
 
-    def _ask(self, index: int) -> None:
-        try:
-            os.write(self.helper.requests, struct.pack("q", index))
-        except OSError:  # a dead helper: the answer reads EOF
-            pass
-
-    def _answered(self, mine, half: int, nll: np.ndarray):
-        """Per leaf, the rows of each of ``mine``'s Reductions for the
-        helper's ``half`` samples, and its losses into ``nll``; None when
-        the helper failed the step or died."""
-        try:
-            done = os.read(self.helper.replies, 1) == b"\1"
-        except OSError:
-            done = False
-        if not done:
-            return None
-        np.copyto(nll, self._at(0, nll.shape, np.float64))
-        offset, theirs = nll.nbytes, {}
-        for name, reductions in mine.items():
-            theirs[name] = []
-            for r in reductions:
-                arrays = []
-                for a in r.rows:
-                    arrays.append(self._at(offset, (half, *a.shape[1:]), a.dtype))
-                    offset += _aligned(arrays[-1].nbytes)
-                theirs[name].append(arrays)
-        return theirs
+    def _gathered(self, params: ParamSet, mine, half: int, offset: int) -> GradMap:
+        """Every leaf's gradient, from what the helper sent for its ``half``
+        samples, from ``offset`` on: each of ``mine``'s Reductions continued
+        from the helper's partial where it folds, else applied to the
+        helper's rows followed by these, in a buffer laid out like these; a
+        leaf's contributions summed in order as ``autodiff.backward`` does."""
+        grads = {}
+        for name in list(mine):  # each leaf's rows are freed once used
+            grad = None
+            for r in mine.pop(name):
+                if r.folds():
+                    contrib = r.continued(self.helper.at(offset, params[name].shape))
+                    offset += params[name].size
+                else:
+                    whole = []
+                    for m in r.rows:
+                        whole.append(buf := _batch_buffer(m, half + len(m)))
+                        buf[:half] = self.helper.at(offset, buf[:half].shape)
+                        buf[half:] = m
+                        offset += buf[:half].size
+                    contrib = r.reduce(*whole)
+                grad = contrib if grad is None else grad + contrib
+            grads[name] = np.zeros(params[name].shape) if grad is None else grad
+        return grads
 
 
 def _batch_buffer(rows: np.ndarray, n: int) -> np.ndarray:
@@ -554,20 +530,3 @@ def _batch_buffer(rows: np.ndarray, n: int) -> np.ndarray:
         (n, *sample.shape), rows.dtype, np.empty(n * sample.size, rows.dtype),
         strides=(sample.nbytes, *sample.strides),
     )
-
-
-def _gathered(mine: list[ad.Reduction], theirs, shape) -> np.ndarray:
-    """A leaf's gradient: each Reduction applied to the helper's rows
-    followed by this process's, in a buffer laid out like these, summed in
-    order as ``autodiff.backward`` sums a leaf's contributions."""
-    grad = None
-    for r, their_rows in zip(mine, theirs):
-        whole = []
-        for t, m in zip(their_rows, r.rows):
-            buf = _batch_buffer(m, len(t) + len(m))
-            buf[: len(t)] = t
-            buf[len(t) :] = m
-            whole.append(buf)
-        contrib = r.reduce(*whole)
-        grad = contrib if grad is None else grad + contrib
-    return np.zeros(shape) if grad is None else np.asarray(grad, dtype=np.float64)
