@@ -184,11 +184,12 @@ class Reduction(NamedTuple):
     reduce: Callable[..., np.ndarray]
     rows: tuple[np.ndarray, ...]
 
-    def folds(self) -> bool:
+    def folds(self, size: int) -> bool:
         """Whether numpy adds the rows one at a time in sample order onto the
-        result of those before: a scatter-add always, a sum when its rows lie
-        C-contiguous (else numpy may sum them in memory order, pairwise)."""
-        return len(self.rows) == 2 or self.rows[0].flags.c_contiguous
+        result of those before, a result of ``size`` values: a scatter-add
+        always, a sum of C-contiguous rows to more than one value (else numpy
+        sums in memory order, or pairwise over one run of values)."""
+        return len(self.rows) == 2 or (self.rows[0].flags.c_contiguous and size > 1)
 
     def continued(self, partial: np.ndarray) -> np.ndarray:
         """For a Reduction that folds, its result over earlier samples and
@@ -665,13 +666,11 @@ def sample_gradients(tape: Tape, n: int) -> GradMap:
     of n samples: ``backward(tape, rows=True)`` with every Reduction applied
     to one sample's rows at a time. Summed over the samples they give
     ``backward(tape)`` up to rounding, as the order of the sums differs."""
-    kept = backward(tape, rows=True)
-    out = {}
-    for name, shape in tape.leaves.values():
-        g = out[name] = np.zeros((n, *shape))
-        for r in kept[name]:
+    out = {name: np.zeros((n, *shape)) for name, shape in tape.leaves.values()}
+    for name, reductions in backward(tape, rows=True).items():
+        for r in reductions:
             for i in range(n):
-                g[i] += r.reduce(*(a[i : i + 1] for a in r.rows))
+                out[name][i] += r.reduce(*(a[i : i + 1] for a in r.rows))
     return out
 
 

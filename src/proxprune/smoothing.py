@@ -175,11 +175,13 @@ class MonteCarloLoop:
         k = len(legs)
         if self.taken == 0 and self.spec.m > 1:  # a step has odd draws
             self.helper = ForkedChild.fork(partial(self._serve, k), (2 * legs.shape[1] + 1) * k)
+            if self.helper is not None:
+                self.shared = self._shared(self.helper, k)
         first = self.taken
         self.taken += self.spec.m
         losses: list[list[float]] = [[] for _ in legs]
         if self.helper is not None:
-            points, grads, slot_losses = self._shared(self.helper, k)
+            points, grads, slot_losses = self.shared
             np.copyto(points, legs)
             self.helper.ask(first + 1)
         for i in range(self.spec.m):
@@ -210,9 +212,8 @@ class MonteCarloLoop:
     def _shared(self, child: ForkedChild, k: int):
         """The slot's parts: the k legs' points, a gradient map per leg and
         the k losses."""
-        size = self.params.size
-        grads = [unflatten_map(self.params, row) for row in child.at(k * size, (k, size))]
-        return child.at(0, (k, size)), grads, child.at(2 * k * size, (k,))
+        points, rows = child.slot[:-k].reshape(2, k, -1)
+        return points, [unflatten_map(self.params, row) for row in rows], child.slot[-k:]
 
     def _serve(self, k: int, child: ForkedChild) -> None:
         """The helper's life: evaluate each requested draw until EOF."""

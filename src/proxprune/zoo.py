@@ -403,11 +403,11 @@ class BatchSplit:
     Every op of the transformer is per sample except the sums over the batch
     of a leaf's adjoint (``autodiff.Reduction``), so both halves replay with
     ``backward(tape, rows=True)``. For a Reduction that numpy folds one
-    sample at a time (``Reduction.folds``: every weight, norm, embedding and
-    bias but ``l*.bk``), the helper sends its partial result, one value per
-    element of the leaf, and the parent continues the fold from it over its
-    own rows (``Reduction.continued``). For any other, only ``l*.bk``, whose
-    adjoint arrives non-contiguous, the helper sends its rows; the parent
+    sample at a time (``Reduction.folds``), the helper sends its partial
+    result, one value per element of the leaf, and the parent continues the
+    fold from it over its own rows (``Reduction.continued``). For any other,
+    ``l*.bk``, whose adjoint arrives non-contiguous, or a one-value bias (a
+    layer pruned to one channel), the helper sends its rows; the parent
     copies them and its own into a whole-batch buffer laid out as the
     unsplit pass's rows lie (``_batch_buffer``) and makes the same numpy
     call on it. Each half's ``cross_entropy`` scales its adjoint by the
@@ -440,6 +440,8 @@ class BatchSplit:
                 slot = max(slot, half * (n_tok + model.batch_rows(n_tok)))
         if slot:  # partials take at most one value per parameter
             self.helper = ForkedChild.fork(partial(self._serve, params), 2 * params.size + slot)
+        if self.helper is not None:
+            self.point = unflatten_map(params, self.helper.at(0, (params.size,)))
 
     def close(self) -> None:
         if self.helper is not None:
@@ -460,17 +462,16 @@ class BatchSplit:
 
     def _split(self, params: ParamSet, index: int, ids: np.ndarray):
         half, n_tok = _split_at(ids), ids.shape[1] - 1
-        total = len(ids) * n_tok
-        for name, view in unflatten_map(params, self.helper.at(0, (params.size,))).items():
+        total, cut = len(ids) * n_tok, half * n_tok  # the helper's losses: nll[:cut]
+        for name, view in self.point.items():
             np.copyto(view, params[name])
         self.helper.ask(index)
         nll = np.empty(total)
-        mine = self._half(dict(params), ids[half:], total, nll[half * n_tok :])
+        mine = self._half(dict(params), ids[half:], total, nll[cut:])
         if not self.helper.answered():
             return None  # it failed or died
-        theirs = nll[: half * n_tok]
-        np.copyto(theirs, self.helper.at(params.size, theirs.shape))
-        return math.fsum(nll) / total, self._gathered(params, mine, half, params.size + theirs.size)
+        nll[:cut] = self.helper.at(params.size, (cut,))
+        return math.fsum(nll) / total, self._gathered(params, mine, half, params.size + cut)
 
     def _half(self, leaves, ids, total, nll) -> dict[str, list[ad.Reduction]]:
         _, tape = ad.forward(partial(self.model.loss, total=total, nll=nll), leaves, ids)
@@ -487,9 +488,9 @@ class BatchSplit:
             half, n_tok = _split_at(ids), ids.shape[1] - 1
             nll = child.at(params.size, (half * n_tok,))
             offset = params.size + nll.size
-            for reductions in self._half(point, ids[:half], len(ids) * n_tok, nll).values():
+            for name, reductions in self._half(point, ids[:half], len(ids) * n_tok, nll).items():
                 for r in reductions:
-                    for a in (r.reduce(*r.rows),) if r.folds() else r.rows:
+                    for a in (r.reduce(*r.rows),) if r.folds(params[name].size) else r.rows:
                         np.copyto(child.at(offset, a.shape), a)
                         offset += a.size
 
@@ -503,17 +504,16 @@ class BatchSplit:
         for name in list(mine):  # each leaf's rows are freed once used
             grad = None
             for r in mine.pop(name):
-                if r.folds():
+                if r.folds(params[name].size):
                     contrib = r.continued(self.helper.at(offset, params[name].shape))
                     offset += params[name].size
-                else:
-                    whole = []
-                    for m in r.rows:
-                        whole.append(buf := _batch_buffer(m, half + len(m)))
-                        buf[:half] = self.helper.at(offset, buf[:half].shape)
-                        buf[half:] = m
-                        offset += buf[:half].size
-                    contrib = r.reduce(*whole)
+                else:  # a sum, as a scatter-add always folds
+                    (m,) = r.rows
+                    whole = _batch_buffer(m, half + len(m))
+                    whole[:half] = self.helper.at(offset, whole[:half].shape)
+                    whole[half:] = m
+                    offset += whole[:half].size
+                    contrib = r.reduce(whole)
                 grad = contrib if grad is None else grad + contrib
             grads[name] = np.zeros(params[name].shape) if grad is None else grad
         return grads

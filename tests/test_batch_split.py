@@ -69,6 +69,10 @@ def batch_reductions(model, params, ids):
     return ad.backward(tape, rows=True)
 
 
+def fold_rule(params, reductions) -> dict[str, list[bool]]:
+    return {name: [r.folds(params[name].size) for r in rs] for name, rs in reductions.items()}
+
+
 @pytest.mark.parametrize("b", [2, 3, 4, 5])
 def test_a_folding_reduction_continued_from_a_partial_is_the_whole_one_bitwise(bench_model, b):
     """At every split point h, each Reduction that folds, continued from the
@@ -79,23 +83,50 @@ def test_a_folding_reduction_continued_from_a_partial_is_the_whole_one_bitwise(b
     params = bench_model.init_params(2)
     ids = np.random.default_rng(b).integers(0, 256, size=(b, 129))
     whole = batch_reductions(bench_model, params, ids)
-    folding = {name: [r.folds() for r in rs] for name, rs in whole.items()}
+    folding = fold_rule(params, whole)
     assert [name for name, f in folding.items() if f != [True]] == ["l0.bk", "l1.bk"]
     assert folding["l0.bk"] == folding["l1.bk"] == [False]
-    sums = [r.rows[0] for rs in whole.values() for r in rs if r.folds() and len(r.rows) == 1]
+    sums = [
+        r.rows[0]
+        for name, rs in whole.items()
+        for r in rs
+        if r.folds(params[name].size) and len(r.rows) == 1
+    ]
     others = [a for rs in whole.values() for r in rs for a in r.rows]
     for a in sums:
         assert sum(np.shares_memory(a, o) for o in others) == 1
     for h in range(1, b):
         for part in (ids[:h], ids[h:]):
             rows = batch_reductions(bench_model, params, part)
-            assert {name: [r.folds() for r in rs] for name, rs in rows.items()} == folding
+            assert fold_rule(params, rows) == folding
         for name, reductions in whole.items():
             for r in reductions:
-                if r.folds():
+                if r.folds(params[name].size):
                     partial = r.reduce(*(a[:h] for a in r.rows))
                     rest = ad.Reduction(r.reduce, tuple(a[h:].copy() for a in r.rows))
                     assert rest.continued(partial).tobytes() == r.reduce(*r.rows).tobytes(), name
+
+
+@pytest.mark.parametrize("b", [2, 3, 4, 5])
+def test_a_one_value_bias_is_gathered_and_split_bitwise(monkeypatch, forks, b):
+    """A layer pruned to one feed-forward channel has a one-value bias,
+    `l0.b1`. numpy sums its rows as one run of b * 24 values, pairwise, not
+    one sample at a time, so it does not fold: the helper sends its rows,
+    and the split step keeps the unsplit bits."""
+    model = zoo.TinyTransformer(zoo.TransformerArch(V, 16, [4, 4], 4, [1, 64], 32))
+    params = model.init_params(3)
+    batches = dataset(b)
+    folding = fold_rule(params, batch_reductions(model, params, batches[0]))
+    assert [name for name, f in folding.items() if f != [True]] == ["l0.bk", "l0.b1", "l1.bk"]
+    helper_on(monkeypatch, True)
+    with closing(BatchSplit(model, params, batches)) as split:
+        for i, batch in enumerate(batches):
+            loss, grads = split.gradient(params, i)
+            want_loss, want = ad.gradient(model.loss, dict(params), batch)
+            assert loss == want_loss
+            assert grad_bytes(grads) == grad_bytes(want)
+        assert split.helper is not None
+    assert len(forks) == 1
 
 
 def test_helper_sends_a_partial_per_folding_reduction_and_rows_of_the_others(
