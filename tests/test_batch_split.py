@@ -2,11 +2,11 @@
 the helper evaluates the first B // 2 samples and the parent the rest. The
 helper sends a partial result for each batch sum that numpy folds one
 sample at a time, which the parent continues over its own rows, and rows
-only for `l*.bk`'s, which the parent reduces on a whole-batch copy. These
-tests force the host check to pass or to fail and require bitwise equal
-gradients, losses, parameters, errors and checkpoints; they also pin the
-fold rule, what the helper sends, when a step splits and every way a helper
-can fail.
+only for `l*.bk`'s and a one-value bias's, which the parent reduces on a
+whole-batch copy. These tests force the host check to pass or to fail and
+require bitwise equal gradients, losses, parameters, errors and
+checkpoints; they also pin the fold rule, what the helper sends, when a
+step splits and every way a helper can fail.
 """
 import os
 import signal
@@ -115,18 +115,9 @@ def test_a_one_value_bias_is_gathered_and_split_bitwise(monkeypatch, forks, b):
     and the split step keeps the unsplit bits."""
     model = zoo.TinyTransformer(zoo.TransformerArch(V, 16, [4, 4], 4, [1, 64], 32))
     params = model.init_params(3)
-    batches = dataset(b)
-    folding = fold_rule(params, batch_reductions(model, params, batches[0]))
+    folding = fold_rule(params, batch_reductions(model, params, dataset(b)[0]))
     assert [name for name, f in folding.items() if f != [True]] == ["l0.bk", "l0.b1", "l1.bk"]
-    helper_on(monkeypatch, True)
-    with closing(BatchSplit(model, params, batches)) as split:
-        for i, batch in enumerate(batches):
-            loss, grads = split.gradient(params, i)
-            want_loss, want = ad.gradient(model.loss, dict(params), batch)
-            assert loss == want_loss
-            assert grad_bytes(grads) == grad_bytes(want)
-        assert split.helper is not None
-    assert len(forks) == 1
+    test_split_gradient_and_loss_are_the_unsplit_ones_bitwise(model, monkeypatch, forks, b)
 
 
 def test_helper_sends_a_partial_per_folding_reduction_and_rows_of_the_others(
